@@ -118,14 +118,28 @@ def _need_n(args) -> int:
     return args.n
 
 
+def _read_table(path: str) -> tuple[str, dict]:
+    """Text and parsed JSON object of a law or density file."""
+    with open(path) as fh:
+        try:
+            text = fh.read()
+            obj = json.loads(text)
+        except ValueError as e:  # undecodable bytes or invalid JSON
+            raise DomainError(f"{path}: not a JSON law or density file: {e}") from e
+    if not isinstance(obj, dict):
+        raise DomainError(f"{path}: not a JSON law or density file: expected an object")
+    return text, obj
+
+
 def _load_law(args) -> CsfLaw:
     if args.law is None or args.law == "uniform":
         return uniform_csf(_need_n(args))
     if args.law == "hub":
-        return hub_law(_need_n(args), _parse_hubs(args.hubs), args.phi_rate, args.psi_rate)
-    with open(args.law) as fh:
-        text = fh.read()
-    obj = json.loads(text)
+        hubs = _parse_hubs(args.hubs)
+        if not hubs:
+            raise DomainError("--law hub needs a non-empty --hubs list")
+        return hub_law(_need_n(args), hubs, args.phi_rate, args.psi_rate)
+    text, obj = _read_table(args.law)
     if "entries" in obj:
         raise DomainError("this subcommand needs a law, not a density table")
     law = law_from_json(text)
@@ -136,9 +150,7 @@ def _load_law(args) -> CsfLaw:
 
 def _load_density(args) -> DensityTable:
     if args.law is not None and args.law not in ("uniform", "hub"):
-        with open(args.law) as fh:
-            text = fh.read()
-        obj = json.loads(text)
+        text, obj = _read_table(args.law)
         if "entries" in obj:
             density = density_from_json(text)
             if args.n is not None and args.n != density.n:

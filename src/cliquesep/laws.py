@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Mapping
 from .errors import DomainError, EmptySupportError
 from .graphs import (
     Graph,
+    _graph_from_fields,
     clique_separators,
     enumerate_decomposable,
     members,
@@ -331,16 +332,23 @@ def _rule_to_obj(rule: SizeRule) -> dict:
     raise DomainError(f"unknown rule {rule!r}")
 
 
+def _as_float(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as e:
+        raise DomainError(f"{what} must be a number, got {value!r}") from e
+
+
 def _rule_from_obj(obj) -> SizeRule:
     if not isinstance(obj, dict) or "type" not in obj:
         raise DomainError("rule must be an object with a 'type' field")
     kind = obj["type"]
     if kind == "exp_linear":
-        return ExpLinearRule(float(obj["rate"]))
+        return ExpLinearRule(_as_float(obj.get("rate"), "rule field 'rate'"))
     if kind == "const":
-        return ConstRule(float(obj.get("value", 0.0)))
+        return ConstRule(_as_float(obj.get("value", 0.0), "rule field 'value'"))
     if kind == "quadratic":
-        return QuadraticRule(float(obj["coef"]))
+        return QuadraticRule(_as_float(obj.get("coef"), "rule field 'coef'"))
     raise DomainError(f"unknown rule type {kind!r}")
 
 
@@ -368,7 +376,7 @@ def _table_from_obj(obj, n: int) -> PotentialTable:
     for key, value in obj.get("overrides", {}).items():
         if value == "inf":
             value = INF
-        overrides[_key_mask(key, n)] = float(value)
+        overrides[_key_mask(key, n)] = _as_float(value, f"override for {key!r}")
     hubs = None
     hc = obj.get("hub_constraint")
     if hc is not None:
@@ -420,10 +428,14 @@ def density_from_json(text: str, limit: int | None = None) -> DensityTable:
     if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
         raise DomainError("density JSON must have fields 'n' and 'entries'")
     n = obj["n"]
+    if not isinstance(n, int) or not isinstance(obj["entries"], list):
+        raise DomainError("density 'n' must be an integer and 'entries' an array")
     probs: dict[Graph, float] = {}
     for entry in obj["entries"]:
-        g = Graph(n, [tuple(e) for e in entry["edges"]])
-        p = float(entry["p"])
+        if not isinstance(entry, dict) or "edges" not in entry or "p" not in entry:
+            raise DomainError("each density entry must be an object with fields 'edges' and 'p'")
+        g = _graph_from_fields(n, entry["edges"])
+        p = _as_float(entry["p"], "entry probability")
         if p < 0.0 or not math.isfinite(p):
             raise DomainError("probabilities must be finite and nonnegative")
         if g in probs:

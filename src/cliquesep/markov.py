@@ -27,6 +27,7 @@ from functools import lru_cache
 from .errors import DomainError
 from .graphs import (
     Graph,
+    _is_maximal_within,
     cliques,
     enumerate_decomposable,
     in_U_plus,
@@ -118,27 +119,15 @@ def _pair_tables(n: int) -> tuple[tuple[Graph, ...], tuple[_PairTable, ...]]:
         wa = within_edge_mask(n, a)
         wb = within_edge_mask(n, b)
         s = a & b
-        only_a = a & ~b
-        only_b = b & ~a
         rows = []
         for gi, g in enumerate(graphs):
             if not is_decomposition(g, a, b):
                 continue
-            star_a = _maximal_within(g, s, only_a)
-            star_b = _maximal_within(g, s, only_b)
+            star_a = _is_maximal_within(g, s, a)
+            star_b = _is_maximal_within(g, s, b)
             rows.append((gi, g.edge_mask & wa, g.edge_mask & wb, star_a, star_b))
         tables.append(_PairTable(a, b, tuple(rows)))
     return graphs, tuple(tables)
-
-
-def _maximal_within(g: Graph, s: int, candidates: int) -> bool:
-    m = candidates
-    while m:
-        bit = m & -m
-        if s & ~g.adj[bit.bit_length() - 1] == 0:
-            return False
-        m ^= bit
-    return True
 
 
 def _row_filters(kind: PropertyKind):

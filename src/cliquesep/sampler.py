@@ -5,7 +5,8 @@ decomposability, or that some infinite separator potential puts outside
 the law's support, are rejected and the chain holds, so detailed balance
 holds with respect to the normalised law restricted to its support.
 Candidate decomposability is checked by a full maximum cardinality
-search per proposal; log-densities are memoised by edge mask.
+search per proposal; log-densities are memoised by edge mask. One step
+loop serves both the retained-record chain and the visit counter.
 
 Randomness comes from a counter-based generator keyed by (seed, chain
 index), so independent chains are reproducible regardless of how they
@@ -17,10 +18,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, PreconditionError
 from .graphs import Graph, _pairs, clique_separators, is_decomposable
 from .laws import INF, CsfLaw, log_density_unnorm
 
@@ -145,9 +148,11 @@ def mh_step(state: ChainState, law: CsfLaw, rand, cache: dict | None = None, val
                 state.log_density = ld
                 state.accept_count += 1
     if validate:
-        assert is_decomposable(state.graph)
+        if not is_decomposable(state.graph):
+            raise PreconditionError("chain state is not decomposable")
         recomputed = log_density_unnorm(law, state.graph)
-        assert abs(recomputed - state.log_density) <= 1e-9
+        if not abs(recomputed - state.log_density) <= 1e-9:
+            raise PreconditionError(f"cached log-density {state.log_density!r} is not {recomputed!r}")
     return state
 
 
@@ -162,6 +167,21 @@ def _record(step: int, state: ChainState) -> SampleRecord:
         max_clique=max(c.bit_count() for c in cl),
         separator_sizes=tuple(sizes),
     )
+
+
+def _chain(
+    law: CsfLaw, init: Graph | None, steps: int, seed: int, chain_index: int, validate: bool = False
+) -> Iterator[ChainState]:
+    """Yield the chain's state at step 0 and after each of ``steps`` steps.
+
+    One ``ChainState`` is updated in place and yielded every time.
+    """
+    state = initial_state(law, init)
+    rand = _BufferedRandom(_generator(seed, chain_index), len(_pairs(law.n)))
+    cache: dict[int, float] = {state.graph.edge_mask: state.log_density}
+    yield state
+    for _ in range(steps):
+        yield mh_step(state, law, rand, cache, validate)
 
 
 def run_chain(
@@ -182,14 +202,10 @@ def run_chain(
         raise DomainError("steps must be nonnegative")
     if thin < 1:
         raise DomainError("thin must be at least 1")
-    state = initial_state(law, init)
-    rand = _BufferedRandom(_generator(seed, chain_index), len(_pairs(law.n)))
-    cache: dict[int, float] = {state.graph.edge_mask: state.log_density}
-    records = [_record(0, state)]
-    for step in range(1, steps + 1):
-        mh_step(state, law, rand, cache, validate)
-        if step % thin == 0:
-            records.append(_record(step, state))
+    records = []
+    for state in _chain(law, init, steps, seed, chain_index, validate):
+        if state.step_count % thin == 0:
+            records.append(_record(state.step_count, state))
     rate = state.accept_count / state.step_count if state.step_count else 0.0
     return SampleSummary(
         n=law.n,
@@ -210,11 +226,5 @@ def visit_counts(
     chain_index: int = 0,
 ) -> Counter:
     """Edge-mask visit counts over the states after each of ``steps`` steps."""
-    state = initial_state(law, init)
-    rand = _BufferedRandom(_generator(seed, chain_index), len(_pairs(law.n)))
-    cache: dict[int, float] = {state.graph.edge_mask: state.log_density}
-    counts: Counter = Counter()
-    for _ in range(steps):
-        mh_step(state, law, rand, cache)
-        counts[state.graph.edge_mask] += 1
-    return counts
+    chain = _chain(law, init, steps, seed, chain_index)
+    return Counter(state.graph.edge_mask for state in islice(chain, 1, None))

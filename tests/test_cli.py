@@ -227,3 +227,45 @@ def test_law_n_mismatch(capsys, tmp_path):
     status, _, err = run(capsys, "check", "--law", str(law_path), "--n", "5")
     assert status == 1
     assert "disagrees" in err
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        pytest.param("density", '{"n": 3, "phi": {"rule": {"type": "exp_linear"}}, "psi": {}}',
+                     id="rule-without-rate"),
+        pytest.param("density", '{"n": 3, "phi": {"rule": {"type": "quadratic", "coef": "x"}}, "psi": {}}',
+                     id="rule-with-text-coef"),
+        pytest.param("density", '{"n": 3, "phi": {}, "psi": {"overrides": {"0": null}}}',
+                     id="null-override"),
+        pytest.param("density", '{"n": 3, "phi": {"rule": {"type": "const", "val',
+                     id="truncated-law"),
+        pytest.param("check", '5', id="law-not-an-object"),
+        pytest.param("check", '{"n": 2, "entries": [{"edges": [], "p": 0.5',
+                     id="truncated-density"),
+        pytest.param("check", '{"n": 2, "entries": [{"p": 0.5}, {"edges": [[0, 1]], "p": 0.5}]}',
+                     id="entry-without-edges"),
+        pytest.param("check", '{"n": 2, "entries": [{"edges": [[0]], "p": 0.5}, {"edges": [[0, 1]], "p": 0.5}]}',
+                     id="entry-with-short-edge"),
+        pytest.param("check", '{"n": 2, "entries": [{"edges": [], "p": "x"}, {"edges": [[0, 1]], "p": 0.5}]}',
+                     id="entry-with-text-p"),
+    ],
+)
+def test_malformed_law_or_density_file_is_a_domain_error(capsys, tmp_path, command, content):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    status, out, err = run(capsys, command, "--law", str(path))
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("hubs", [None, ""])
+def test_hub_law_needs_hubs(capsys, hubs):
+    argv = ["sample", "--law", "hub", "--n", "4", "--steps", "10"]
+    if hubs is not None:
+        argv += ["--hubs", hubs]
+    status, out, err = run(capsys, *argv)
+    assert status == 1
+    assert out == ""
+    assert err == "error: --law hub needs a non-empty --hubs list\n"

@@ -192,6 +192,14 @@ def test_cliques_match_brute_force(n):
         assert set(cliques(g)) == brute_cliques(g), g
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_cliques_of_every_induced_subgraph_match_brute_force(n):
+    for g in enumerate_decomposable(n):
+        for a in range(1, 1 << n):
+            h = induced_subgraph(g, a)
+            assert set(cliques(h)) == brute_cliques(h), (g, members(a))
+
+
 def test_cliques_cover_and_are_incomparable():
     for g in enumerate_decomposable(5):
         cl = cliques(g)

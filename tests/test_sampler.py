@@ -7,6 +7,7 @@ import scipy.stats
 from cliquesep import (
     DomainError,
     Graph,
+    PreconditionError,
     clique_separators,
     complete_sets_graph,
     default_init,
@@ -98,6 +99,15 @@ def test_hub_constrained_candidate_always_rejected():
     assert state.graph == before
     assert state.accept_count == 0
     assert state.step_count == 1
+
+
+def test_validate_raises_on_stale_log_density():
+    law = uniform_csf(4)
+    state = initial_state(law, Graph(4, [(0, 1), (1, 2), (2, 3)]))
+    state.log_density += 1.0
+    # Pair (0,3) closes a chordless 4-cycle, so the chain holds on the bad state.
+    with pytest.raises(PreconditionError, match="log-density"):
+        mh_step(state, law, ScriptedRandom([2]), validate=True)
 
 
 def test_initial_state_validates_support():
