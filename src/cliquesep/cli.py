@@ -26,12 +26,12 @@ from .graphs import (
 from .laws import (
     CsfLaw,
     DensityTable,
+    _density_from_obj,
+    _law_from_obj,
     cef_dimension,
     csf_dimension,
-    density_from_json,
     density_to_json,
     hub_law,
-    law_from_json,
     law_to_json,
     normalize_by_enumeration,
     uniform_csf,
@@ -118,20 +118,20 @@ def _need_n(args) -> int:
     return args.n
 
 
-def _read_table(path: str) -> tuple[str, dict]:
-    """Text and parsed JSON object of a law or density file."""
+def _read_table(path: str) -> dict:
+    """Parsed JSON object of a law or density file."""
     with open(path) as fh:
         try:
-            text = fh.read()
-            obj = json.loads(text)
+            obj = json.loads(fh.read())
         except ValueError as e:  # undecodable bytes or invalid JSON
             raise DomainError(f"{path}: not a JSON law or density file: {e}") from e
     if not isinstance(obj, dict):
         raise DomainError(f"{path}: not a JSON law or density file: expected an object")
-    return text, obj
+    return obj
 
 
-def _load_law(args) -> CsfLaw:
+def _load_law(args, obj: dict | None = None) -> CsfLaw:
+    """Law named by ``--law``; ``obj`` is the ``--law`` file if already parsed."""
     if args.law is None or args.law == "uniform":
         return uniform_csf(_need_n(args))
     if args.law == "hub":
@@ -139,24 +139,26 @@ def _load_law(args) -> CsfLaw:
         if not hubs:
             raise DomainError("--law hub needs a non-empty --hubs list")
         return hub_law(_need_n(args), hubs, args.phi_rate, args.psi_rate)
-    text, obj = _read_table(args.law)
+    if obj is None:
+        obj = _read_table(args.law)
     if "entries" in obj:
         raise DomainError("this subcommand needs a law, not a density table")
-    law = law_from_json(text)
+    law = _law_from_obj(obj)
     if args.n is not None and args.n != law.n:
         raise DomainError(f"--n {args.n} disagrees with the law file's n={law.n}")
     return law
 
 
 def _load_density(args) -> DensityTable:
+    obj = None
     if args.law is not None and args.law not in ("uniform", "hub"):
-        text, obj = _read_table(args.law)
+        obj = _read_table(args.law)
         if "entries" in obj:
-            density = density_from_json(text)
+            density = _density_from_obj(obj)
             if args.n is not None and args.n != density.n:
                 raise DomainError(f"--n {args.n} disagrees with the density file's n={density.n}")
             return density
-    return normalize_by_enumeration(_load_law(args))
+    return normalize_by_enumeration(_load_law(args, obj))
 
 
 def _emit(args, text: str) -> None:

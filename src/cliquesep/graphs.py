@@ -9,10 +9,10 @@ value.
 
 Recognition is maximum cardinality search with an integrated perfect
 elimination check, and its visit order is cached on the graph. Cliques
-are read off that cached order in one linear pass, and junction-tree
-orderings and separator multisets are built from the cliques, so a graph
-is searched once. Exhaustive enumeration walks edge-set bitmasks in
-ascending numeric order and filters by chordality.
+and separators are read off that cached order in one linear pass, so a
+graph is searched once; junction-tree orderings from any start clique
+are built from the cliques. Exhaustive enumeration walks edge-set
+bitmasks in ascending numeric order and filters by chordality.
 """
 
 from __future__ import annotations
@@ -129,29 +129,32 @@ def _mcs(n: int, adj, vmask: int):
     return order, True
 
 
-def _cliques_from_order(adj, order: Iterable[int]) -> list[int]:
-    """Maximal cliques of a chordal graph, as masks, read off its MCS visit order.
+def _cliques_from_order(adj, order: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Cliques and separators of a chordal graph, as masks, off its MCS order.
 
     Grows a running clique and emits it whenever the next visited vertex
     is not adjacent to all of it; the new running clique is that vertex
-    with its previously visited neighbours. The rule relies on ``order``
-    being a maximum cardinality search order, not just any perfect one.
+    with its previously visited neighbours, which are the new clique's
+    separator. The rule relies on ``order`` being a maximum cardinality
+    search order, not just any perfect one.
     """
     numbered = 0
     current = 0
-    out: list[int] = []
+    cl: list[int] = []
+    seps: list[int] = []
     for v in order:
         av = adj[v]
         bv = 1 << v
         if current & ~av:
-            out.append(current)
-            current = (av & numbered) | bv
+            cl.append(current)
+            seps.append(av & numbered)
+            current = seps[-1] | bv
         else:
             current |= bv
         numbered |= bv
     if current:
-        out.append(current)
-    return out
+        cl.append(current)
+    return cl, seps
 
 
 class Graph:
@@ -334,17 +337,13 @@ def clique_separators(g: Graph) -> tuple[tuple[int, ...], Counter]:
     """Cached ``(cliques, separator multiset)`` of a decomposable graph.
 
     The separator multiset maps each separator mask to its multiplicity;
-    it is invariant across junction trees, so one canonical ordering
-    suffices.
+    it is invariant across junction trees, so the separators read off the
+    same pass over the cached search order as the cliques suffice.
     """
     if g._summary is None:
         _require_decomposable(g)
-        cl = tuple(_cliques_from_order(g.adj, g._order))
-        if len(cl) > 1:
-            seps = Counter(pluperfect_order(g, 0, _cliques=cl).separators)
-        else:
-            seps = Counter()
-        g._summary = (cl, seps)
+        cl, seps = _cliques_from_order(g.adj, g._order)
+        g._summary = (tuple(cl), Counter(seps))
     return g._summary
 
 
@@ -366,7 +365,7 @@ class PluperfectOrder:
     parents: tuple[int, ...]
 
 
-def pluperfect_order(g: Graph, first: int | None = None, _cliques=None) -> PluperfectOrder:
+def pluperfect_order(g: Graph, first: int | None = None) -> PluperfectOrder:
     """Order the cliques of ``g`` greedily by largest attachment separator.
 
     ``first`` indexes into :func:`cliques` and selects the starting
@@ -374,7 +373,7 @@ def pluperfect_order(g: Graph, first: int | None = None, _cliques=None) -> Plupe
     in the base ordering, and the parent is the earliest ordered clique
     containing the separator.
     """
-    cl = _cliques if _cliques is not None else cliques(g)
+    cl = cliques(g)
     j = len(cl)
     if first is None:
         first = 0

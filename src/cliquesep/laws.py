@@ -258,10 +258,6 @@ class DensityTable:
     def prob_of_mask(self, edge_mask: int) -> float:
         return self._by_mask[edge_mask]
 
-    def log_prob_of_mask(self, edge_mask: int) -> float:
-        p = self._by_mask[edge_mask]
-        return math.log(p) if p > 0.0 else -INF
-
     def items(self):
         return self.probs.items()
 
@@ -372,19 +368,23 @@ def _table_from_obj(obj, n: int) -> PotentialTable:
     if not isinstance(obj, dict):
         raise DomainError("potential table must be an object")
     rule = _rule_from_obj(obj.get("rule", {"type": "const", "value": 0.0}))
+    raw = obj.get("overrides", {})
+    if not isinstance(raw, dict):
+        raise DomainError("'overrides' must be an object")
     overrides = {}
-    for key, value in obj.get("overrides", {}).items():
+    for key, value in raw.items():
         if value == "inf":
             value = INF
         overrides[_key_mask(key, n)] = _as_float(value, f"override for {key!r}")
     hubs = None
     hc = obj.get("hub_constraint")
     if hc is not None:
-        if hc.get("no_hub") != "inf":
-            raise DomainError("hub_constraint must declare no_hub as 'inf'")
-        hubs = vset(hc["hubs"])
-        if hubs >> n:
-            raise DomainError("hub set outside 0..n-1")
+        if not isinstance(hc, dict) or hc.get("no_hub") != "inf":
+            raise DomainError("hub_constraint must be an object declaring no_hub as 'inf'")
+        verts = hc.get("hubs")
+        if not isinstance(verts, list) or not all(isinstance(v, int) and 0 <= v < n for v in verts):
+            raise DomainError(f"hub_constraint 'hubs' must be an array of vertex indices in 0..{n - 1}")
+        hubs = vset(verts)
     return PotentialTable(rule, overrides, hubs)
 
 
@@ -400,6 +400,11 @@ def law_from_json(text: str) -> CsfLaw:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise DomainError(f"invalid law JSON: {e}") from e
+    return _law_from_obj(obj)
+
+
+def _law_from_obj(obj) -> CsfLaw:
+    """Law from a parsed JSON value."""
     if not isinstance(obj, dict) or "n" not in obj:
         raise DomainError("law JSON must have fields 'n', 'phi' and 'psi'")
     n = obj["n"]
@@ -425,6 +430,11 @@ def density_from_json(text: str, limit: int | None = None) -> DensityTable:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise DomainError(f"invalid density JSON: {e}") from e
+    return _density_from_obj(obj, limit)
+
+
+def _density_from_obj(obj, limit: int | None = None) -> DensityTable:
+    """Density table from a parsed JSON value; see :func:`density_from_json`."""
     if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
         raise DomainError("density JSON must have fields 'n' and 'entries'")
     n = obj["n"]

@@ -354,11 +354,12 @@ def _ewsm_constraint_rows(n: int) -> tuple[dict[int, int], ...]:
     full grid, so all referenced cells exist.
     """
     graphs, tables = _pair_tables(n)
+    (keep,) = _row_filters(PropertyKind.EWSM)
     rows: list[dict[int, int]] = []
     for t in tables:
         cells: dict[tuple[int, int], int] = {}
         for gi, ga, gb, sa, sb in t.rows:
-            if sa and sb:
+            if keep(sa, sb):
                 cells[(ga, gb)] = gi
         row_keys = sorted({ga for ga, _ in cells})
         col_keys = sorted({gb for _, gb in cells})

@@ -32,6 +32,10 @@ _CACHE_LIMIT = 500_000
 
 _MASK64 = (1 << 64) - 1
 
+#: Draws per refill of each buffered stream; it fixes how pair indices and
+#: uniforms interleave in the generator's output, so seeded chains depend on it.
+_BLOCK = 8192
+
 
 def _generator(seed: int, chain_index: int) -> np.random.Generator:
     key = np.array([seed & _MASK64, chain_index & _MASK64], dtype=np.uint64)
@@ -41,12 +45,11 @@ def _generator(seed: int, chain_index: int) -> np.random.Generator:
 class _BufferedRandom:
     """Block-buffered pair indices and uniforms from one generator."""
 
-    __slots__ = ("_rng", "_npairs", "_block", "_ints", "_ii", "_unis", "_ui")
+    __slots__ = ("_rng", "_npairs", "_ints", "_ii", "_unis", "_ui")
 
-    def __init__(self, rng: np.random.Generator, npairs: int, block: int = 8192):
+    def __init__(self, rng: np.random.Generator, npairs: int):
         self._rng = rng
         self._npairs = npairs
-        self._block = block
         self._ints = ()
         self._ii = 0
         self._unis = ()
@@ -54,7 +57,7 @@ class _BufferedRandom:
 
     def integers(self, npairs: int) -> int:
         if self._ii >= len(self._ints):
-            self._ints = self._rng.integers(0, self._npairs, size=self._block).tolist()
+            self._ints = self._rng.integers(0, self._npairs, size=_BLOCK).tolist()
             self._ii = 0
         v = self._ints[self._ii]
         self._ii += 1
@@ -62,7 +65,7 @@ class _BufferedRandom:
 
     def random(self) -> float:
         if self._ui >= len(self._unis):
-            self._unis = self._rng.random(size=self._block).tolist()
+            self._unis = self._rng.random(size=_BLOCK).tolist()
             self._ui = 0
         v = self._unis[self._ui]
         self._ui += 1

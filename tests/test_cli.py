@@ -6,12 +6,14 @@ import pytest
 from cliquesep import (
     Graph,
     density_from_json,
+    density_to_json,
     hub_law,
     law_to_json,
     normalize_by_enumeration,
     uniform_csf,
 )
 from cliquesep.cli import run_command
+from conftest import random_csf
 
 
 def run(capsys, *argv):
@@ -249,6 +251,18 @@ def test_law_n_mismatch(capsys, tmp_path):
                      id="entry-with-short-edge"),
         pytest.param("check", '{"n": 2, "entries": [{"edges": [], "p": "x"}, {"edges": [[0, 1]], "p": 0.5}]}',
                      id="entry-with-text-p"),
+        pytest.param("density", '{"n": 3, "phi": {"overrides": []}, "psi": {}}',
+                     id="overrides-not-an-object"),
+        pytest.param("density", '{"n": 3, "phi": {}, "psi": {"hub_constraint": []}}',
+                     id="hub-constraint-not-an-object"),
+        pytest.param("density", '{"n": 3, "phi": {}, "psi": {"hub_constraint": {"no_hub": "inf"}}}',
+                     id="hub-constraint-without-hubs"),
+        pytest.param("density", '{"n": 3, "phi": {}, "psi": {"hub_constraint": {"hubs": ["a"], "no_hub": "inf"}}}',
+                     id="text-hub"),
+        pytest.param("density", '{"n": 3, "phi": {}, "psi": {"hub_constraint": {"hubs": 5, "no_hub": "inf"}}}',
+                     id="hubs-not-an-array"),
+        pytest.param("density", '{"n": 3, "phi": {}, "psi": {"hub_constraint": {"hubs": [-1], "no_hub": "inf"}}}',
+                     id="negative-hub"),
     ],
 )
 def test_malformed_law_or_density_file_is_a_domain_error(capsys, tmp_path, command, content):
@@ -258,6 +272,19 @@ def test_malformed_law_or_density_file_is_a_domain_error(capsys, tmp_path, comma
     assert status == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["law", "density"])
+def test_law_file_is_parsed_once(capsys, tmp_path, monkeypatch, kind):
+    law = random_csf(3, seed=1)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(law_to_json(law) if kind == "law" else density_to_json(normalize_by_enumeration(law)))
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda *a, **k: calls.append(1) or loads(*a, **k))
+    status, out, _ = run(capsys, "check", "--law", str(path))
+    assert len(calls) == 1
+    assert status == 0 and loads(out)["passed"]
 
 
 @pytest.mark.parametrize("hubs", [None, ""])

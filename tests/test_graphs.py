@@ -8,6 +8,7 @@ from cliquesep import (
     DomainError,
     Graph,
     PreconditionError,
+    clique_separators,
     cliques,
     complete_sets_graph,
     count_decomposable,
@@ -198,6 +199,14 @@ def test_cliques_of_every_induced_subgraph_match_brute_force(n):
         for a in range(1, 1 << n):
             h = induced_subgraph(g, a)
             assert set(cliques(h)) == brute_cliques(h), (g, members(a))
+            census = clique_separators(h)[1]
+            assert census == separator_multiset(pluperfect_order(h, 0)), (g, members(a))
+            assert list(census) == _first_occurrences(pluperfect_order(h, 0).separators), (g, members(a))
+
+
+def _first_occurrences(seq):
+    """Distinct items of ``seq`` in the order they first appear."""
+    return list(dict.fromkeys(seq))
 
 
 def test_cliques_cover_and_are_incomparable():
@@ -284,10 +293,16 @@ def test_pluperfect_condition_and_invariance(n):
                 covered |= c
                 taken.append(c)
             census = separator_multiset(o)
+            # the one-pass separators of the cached search are the same multiset
+            assert census == clique_separators(g)[1], (g, first)
             if reference is None:
                 reference = census
             else:
                 assert census == reference, (g, first)
+        # ... in the reference's first-occurrence order, which fixes the
+        # order of the floating-point sum in the log-density
+        seps = clique_separators(g)[1]
+        assert list(seps) == _first_occurrences(pluperfect_order(g, 0).separators), g
 
 
 def test_empty_separator_multiplicity_is_components_minus_one():

@@ -25,7 +25,8 @@ from cliquesep import (
     verify_lemma2_ratio,
     vset,
 )
-from cliquesep.markov import PropertyKind, ewsm_constraint_column_support
+from cliquesep.graphs import members
+from cliquesep.markov import PropertyKind, _pair_tables, _row_filters, ewsm_constraint_column_support
 from conftest import random_cef, random_csf
 
 TOL = 1e-9
@@ -134,6 +135,28 @@ def test_five_vertex_pair_counts():
     assert set(star) <= set(whole)
     plus = conditioning_set(5, a, b, PropertyKind.EWSM)
     assert set(plus) <= set(star)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_decomposition_index_matches_conditioning_sets(n):
+    # The index the sweep filters must hold, for every covering pair and
+    # family, exactly the graphs of the brute-force conditioning set; the
+    # second clique-in-part filter is the family with the roles swapped.
+    graphs, tables = _pair_tables(n)
+    full = (1 << n) - 1
+    assert [(t.a, t.b) for t in tables] == [
+        (a, b) for a in range(full) for b in range(a + 1, full) if a | b == full
+    ]
+    for t in tables:
+        for kind in PropertyKind:
+            passed = [
+                {graphs[gi] for gi, _, _, sa, sb in t.rows if keep(sa, sb)}
+                for keep in _row_filters(kind)
+            ]
+            expected = [set(conditioning_set(n, t.a, t.b, kind))]
+            if kind is PropertyKind.WSM:
+                expected.append(set(conditioning_set(n, t.b, t.a, kind)))
+            assert passed == expected, (members(t.a), members(t.b), kind)
 
 
 # ---------------------------------------------------------------------------
