@@ -28,7 +28,7 @@ from .errors import CapacityError, DomainError, PreconditionError
 #: Sanity cap on vertex counts; masks themselves have no width limit.
 MAX_VERTICES = 1024
 
-#: Default cap for exhaustive enumeration (2^21 labelled graphs at n=7).
+#: Cap on exhaustive enumeration (2^21 labelled graphs at n=7).
 ENUMERATION_LIMIT = 7
 
 
@@ -365,7 +365,7 @@ class PluperfectOrder:
     parents: tuple[int, ...]
 
 
-def pluperfect_order(g: Graph, first: int | None = None) -> PluperfectOrder:
+def pluperfect_order(g: Graph, first: int = 0) -> PluperfectOrder:
     """Order the cliques of ``g`` greedily by largest attachment separator.
 
     ``first`` indexes into :func:`cliques` and selects the starting
@@ -375,8 +375,6 @@ def pluperfect_order(g: Graph, first: int | None = None) -> PluperfectOrder:
     """
     cl = cliques(g)
     j = len(cl)
-    if first is None:
-        first = 0
     if not 0 <= first < j:
         raise DomainError(f"first clique index {first} out of range for {j} cliques")
     order = [cl[first]]
@@ -505,7 +503,7 @@ def complete_sets_graph(n: int, sets: Iterable[int]) -> Graph:
     return Graph._from_parts(n, full, tuple(adj), emask)
 
 
-def _chordal_walk(n: int, limit: int | None) -> Iterator[tuple[int, list[int], list[int]]]:
+def _chordal_walk(n: int) -> Iterator[tuple[int, list[int], list[int]]]:
     """Yield ``(edge mask, adjacency, MCS visit order)`` for every chordal
     graph on n vertices.
 
@@ -516,11 +514,10 @@ def _chordal_walk(n: int, limit: int | None) -> Iterator[tuple[int, list[int], l
     because building a ``Graph`` per yield cost 7-10% of a count at n=7
     on a 2-vCPU Xeon VM.
     """
-    limit = ENUMERATION_LIMIT if limit is None else limit
     if not 1 <= n <= MAX_VERTICES:
         raise DomainError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
-    if n > limit:
-        raise CapacityError(f"enumeration over {n} vertices exceeds the limit of {limit}")
+    if n > ENUMERATION_LIMIT:
+        raise CapacityError(f"enumeration over {n} vertices exceeds the limit of {ENUMERATION_LIMIT}")
     pairs = _pairs(n)
     npairs = len(pairs)
     full = _full_mask(n)
@@ -545,17 +542,17 @@ def _chordal_walk(n: int, limit: int | None) -> Iterator[tuple[int, list[int], l
             yield mask, adj, order
 
 
-def enumerate_decomposable(n: int, limit: int | None = None) -> Iterator[Graph]:
+def enumerate_decomposable(n: int) -> Iterator[Graph]:
     """Yield every decomposable labelled graph on n vertices exactly once,
     in ascending edge-mask order."""
-    full = _full_mask(n)
-    for mask, adj, order in _chordal_walk(n, limit):
-        yield Graph._from_parts(n, full, tuple(adj), mask, tuple(order))
+    # No mask is built before the walk has checked ``n``: 1 << n is huge for a huge n.
+    for mask, adj, order in _chordal_walk(n):
+        yield Graph._from_parts(n, _full_mask(n), tuple(adj), mask, tuple(order))
 
 
-def count_decomposable(n: int, limit: int | None = None) -> int:
+def count_decomposable(n: int) -> int:
     """Number of decomposable labelled graphs on n vertices."""
-    return sum(1 for _ in _chordal_walk(n, limit))
+    return sum(1 for _ in _chordal_walk(n))
 
 
 def graph_to_json(g: Graph) -> str:
@@ -579,10 +576,11 @@ def graph_from_json(text: str) -> Graph:
 
 def _graph_from_fields(n, edges) -> Graph:
     """Graph from parsed ``n`` and ``edges`` JSON values, checking their types."""
-    if not isinstance(n, int):
+    # ``type(v) is int``: JSON true and false parse as bool, a subclass of int.
+    if type(n) is not int:
         raise DomainError("'n' must be an integer")
     if not isinstance(edges, list) or not all(
-        isinstance(e, list) and len(e) == 2 and all(isinstance(v, int) for v in e) for e in edges
+        isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e) for e in edges
     ):
         raise DomainError("'edges' must be an array of 2-element arrays of vertex indices")
     return Graph(n, [tuple(e) for e in edges])

@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import DomainError, EmptySupportError
 from .graphs import (
+    MAX_VERTICES,
     Graph,
     _graph_from_fields,
     clique_separators,
@@ -265,7 +266,7 @@ class DensityTable:
         return len(self.probs)
 
 
-def normalize_by_enumeration(law: CsfLaw, limit: int | None = None) -> DensityTable:
+def normalize_by_enumeration(law: CsfLaw) -> DensityTable:
     """Exact normalisation of a law over the enumerated decomposable graphs.
 
     Weights are exponentiated against the largest finite log-density and
@@ -274,7 +275,7 @@ def normalize_by_enumeration(law: CsfLaw, limit: int | None = None) -> DensityTa
     """
     logs: list[tuple[Graph, float]] = []
     best = -INF
-    for g in enumerate_decomposable(law.n, limit):
+    for g in enumerate_decomposable(law.n):
         ld = log_density_unnorm(law, g)
         logs.append((g, ld))
         if ld > best:
@@ -331,7 +332,7 @@ def _rule_to_obj(rule: SizeRule) -> dict:
 def _as_float(value, what: str) -> float:
     try:
         return float(value)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:  # OverflowError: an integer beyond float range
         raise DomainError(f"{what} must be a number, got {value!r}") from e
 
 
@@ -382,7 +383,7 @@ def _table_from_obj(obj, n: int) -> PotentialTable:
         if not isinstance(hc, dict) or hc.get("no_hub") != "inf":
             raise DomainError("hub_constraint must be an object declaring no_hub as 'inf'")
         verts = hc.get("hubs")
-        if not isinstance(verts, list) or not all(isinstance(v, int) and 0 <= v < n for v in verts):
+        if not isinstance(verts, list) or not all(type(v) is int and 0 <= v < n for v in verts):
             raise DomainError(f"hub_constraint 'hubs' must be an array of vertex indices in 0..{n - 1}")
         hubs = vset(verts)
     return PotentialTable(rule, overrides, hubs)
@@ -408,8 +409,8 @@ def _law_from_obj(obj) -> CsfLaw:
     if not isinstance(obj, dict) or "n" not in obj:
         raise DomainError("law JSON must have fields 'n', 'phi' and 'psi'")
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
-        raise DomainError("'n' must be a positive integer")
+    if type(n) is not int or not 1 <= n <= MAX_VERTICES:
+        raise DomainError(f"'n' must be an integer in 1..{MAX_VERTICES}")
     return CsfLaw(n, _table_from_obj(obj.get("phi", {}), n), _table_from_obj(obj.get("psi", {}), n))
 
 
@@ -423,22 +424,22 @@ def density_to_json(density: DensityTable) -> str:
     )
 
 
-def density_from_json(text: str, limit: int | None = None) -> DensityTable:
+def density_from_json(text: str) -> DensityTable:
     """Parse a density table, checking it covers exactly the decomposable
     graphs of its size; probabilities are renormalised exactly."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise DomainError(f"invalid density JSON: {e}") from e
-    return _density_from_obj(obj, limit)
+    return _density_from_obj(obj)
 
 
-def _density_from_obj(obj, limit: int | None = None) -> DensityTable:
+def _density_from_obj(obj) -> DensityTable:
     """Density table from a parsed JSON value; see :func:`density_from_json`."""
     if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
         raise DomainError("density JSON must have fields 'n' and 'entries'")
     n = obj["n"]
-    if not isinstance(n, int) or not isinstance(obj["entries"], list):
+    if type(n) is not int or not isinstance(obj["entries"], list):
         raise DomainError("density 'n' must be an integer and 'entries' an array")
     probs: dict[Graph, float] = {}
     for entry in obj["entries"]:
@@ -451,7 +452,7 @@ def _density_from_obj(obj, limit: int | None = None) -> DensityTable:
         if g in probs:
             raise DomainError(f"duplicate entry for {g!r}")
         probs[g] = p
-    expected = {g for g in enumerate_decomposable(n, limit)}
+    expected = {g for g in enumerate_decomposable(n)}
     if set(probs) != expected:
         raise DomainError(
             f"entries must cover exactly the {len(expected)} decomposable graphs on {n} vertices"

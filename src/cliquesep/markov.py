@@ -72,7 +72,7 @@ class PropertyReport:
     witness: CrossRatioWitness | None
 
 
-def conditioning_set(n: int, a: int, b: int, kind: PropertyKind, limit: int | None = None) -> list[Graph]:
+def conditioning_set(n: int, a: int, b: int, kind: PropertyKind) -> list[Graph]:
     """Decomposable graphs on n vertices in the conditioning set of (a, b).
 
     For the clique-in-part family the maximality requirement applies to
@@ -83,7 +83,7 @@ def conditioning_set(n: int, a: int, b: int, kind: PropertyKind, limit: int | No
         PropertyKind.WSM: in_U_star,
         PropertyKind.EWSM: in_U_plus,
     }[kind]
-    return [g for g in enumerate_decomposable(n, limit) if pred(g, a, b)]
+    return [g for g in enumerate_decomposable(n) if pred(g, a, b)]
 
 
 def _covering_pairs(n: int) -> list[tuple[int, int]]:

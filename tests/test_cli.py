@@ -1,18 +1,25 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliquesep import (
+    DomainError,
     Graph,
     density_from_json,
     density_to_json,
+    graph_from_json,
     hub_law,
+    law_from_json,
     law_to_json,
     normalize_by_enumeration,
     uniform_csf,
 )
 from cliquesep.cli import run_command
+from cliquesep.graphs import MAX_VERTICES
 from conftest import random_csf
 
 
@@ -263,12 +270,23 @@ def test_law_n_mismatch(capsys, tmp_path):
                      id="hubs-not-an-array"),
         pytest.param("density", '{"n": 3, "phi": {}, "psi": {"hub_constraint": {"hubs": [-1], "no_hub": "inf"}}}',
                      id="negative-hub"),
+        # JSON true and false are not integers, although bool subclasses int.
+        pytest.param("check", '{"n": 2, "entries": [{"edges": [], "p": 0.5}, {"edges": [[false, true]], "p": 0.5}]}',
+                     id="boolean-vertices"),
+        pytest.param("check", '{"n": true, "entries": [{"edges": [], "p": 1.0}]}', id="boolean-density-n"),
+        pytest.param("density", '{"n": true}', id="boolean-law-n"),
+        pytest.param("density", '{"n": 3, "phi": {}, "psi": {"hub_constraint": {"hubs": [true], "no_hub": "inf"}}}',
+                     id="boolean-hub"),
+        pytest.param("export-dot", '{"n": 2, "edges": [[false, true]]}', id="boolean-graph-vertices"),
+        pytest.param("density", '{"n": 3, "phi": {"rule": {"type": "exp_linear", "rate": 1' + "0" * 400 + '}}}',
+                     id="rate-beyond-float-range"),
+        pytest.param("check", '{"n": -1, "entries": []}', id="negative-density-n"),
     ],
 )
 def test_malformed_law_or_density_file_is_a_domain_error(capsys, tmp_path, command, content):
     path = tmp_path / "bad.json"
     path.write_text(content)
-    status, out, err = run(capsys, command, "--law", str(path))
+    status, out, err = run(capsys, command, "--graph" if command == "export-dot" else "--law", str(path))
     assert status == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -296,3 +314,51 @@ def test_hub_law_needs_hubs(capsys, hubs):
     assert status == 1
     assert out == ""
     assert err == "error: --law hub needs a non-empty --hubs list\n"
+
+
+# Every integer is at most 5 or beyond the vertex cap, wherever it lands,
+# so no generated ``n`` enumerates more than the 822 graphs on 5 vertices.
+_ints = st.integers(max_value=5) | st.integers(min_value=MAX_VERTICES + 1, max_value=10**400)
+_values = st.recursive(
+    st.none() | st.booleans() | _ints | st.floats() | st.text(max_size=3)
+    | st.sampled_from(["inf", "exp_linear", "const", "quadratic"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_rule = st.fixed_dictionaries({}, optional={
+    "type": st.sampled_from(["exp_linear", "const", "quadratic"]) | _values,
+    "rate": _values, "value": _values, "coef": _values,
+})
+_table = st.fixed_dictionaries({}, optional={
+    "rule": _rule | _values,
+    "overrides": st.dictionaries(st.sampled_from(["", "0", "1,2", "0,0", "9", "x"]), _values, max_size=3) | _values,
+    "hub_constraint": st.fixed_dictionaries({}, optional={"hubs": st.lists(_ints) | _values,
+                                                          "no_hub": st.just("inf") | _values}) | _values,
+})
+_edges = st.lists(st.lists(_ints, min_size=2, max_size=2) | _values, max_size=4) | _values
+_entry = st.fixed_dictionaries({}, optional={"edges": _edges, "p": _values})
+_documents = (
+    st.fixed_dictionaries({}, optional={"n": _ints | _values, "phi": _table | _values, "psi": _table | _values})
+    | st.fixed_dictionaries({}, optional={"n": _ints | _values, "entries": st.lists(_entry | _values, max_size=4) | _values})
+    | st.fixed_dictionaries({}, optional={"n": _ints | _values, "edges": _edges})
+    | _values
+)
+
+
+@given(doc=_documents)
+@settings(max_examples=300, deadline=None)
+def test_parsers_and_check_accept_or_reject_any_json(doc, tmp_path_factory):
+    text = json.dumps(doc)
+    for parse in (graph_from_json, law_from_json, density_from_json):
+        try:
+            parse(text)
+        except DomainError:
+            pass
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = run_command(["check", "--law", str(path)])
+    if status != 0:
+        assert status == 1 and out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

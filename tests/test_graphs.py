@@ -382,9 +382,6 @@ def test_enumeration_is_deterministic_and_unique():
 def test_enumeration_capacity():
     with pytest.raises(CapacityError):
         next(enumerate_decomposable(8))
-    with pytest.raises(CapacityError):
-        count_decomposable(4, limit=3)
-    assert count_decomposable(4, limit=4) == 61
     with pytest.raises(DomainError):
         count_decomposable(0)
 

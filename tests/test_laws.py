@@ -331,6 +331,8 @@ def test_law_json_rejects_junk():
         law_from_json('{"n": 3, "phi": {"rule": {"type": "mystery"}}, "psi": {}}')
     with pytest.raises(DomainError):
         law_from_json('{"n": 3, "phi": {"overrides": {"0,9": 1.0}}, "psi": {}}')
+    with pytest.raises(DomainError):  # beyond the vertex cap that graphs have too
+        law_from_json('{"n": 1025}')
 
 
 def test_law_with_extra_term_does_not_serialise():

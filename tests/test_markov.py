@@ -148,6 +148,8 @@ def test_decomposition_index_matches_conditioning_sets(n):
         (a, b) for a in range(full) for b in range(a + 1, full) if a | b == full
     ]
     for t in tables:
+        indices = [gi for gi, *_ in t.rows]
+        assert all(i < j for i, j in zip(indices, indices[1:])), (members(t.a), members(t.b))
         for kind in PropertyKind:
             passed = [
                 {graphs[gi] for gi, _, _, sa, sb in t.rows if keep(sa, sb)}

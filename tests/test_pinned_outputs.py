@@ -1,7 +1,8 @@
 """Seeded outputs pinned by sha256 digest.
 
 The constants were taken from the library before its clique, enumeration
-and chain loops were folded together. Clique emission order fixes the
+and chain loops were folded together; the decomposition index's from the
+scan over covering pairs that builds it. Clique emission order fixes the
 floating-point summation order of ``log_density_unnorm``, so these
 digests also catch a reordering of cliques that leaves the clique sets
 unchanged.
@@ -11,6 +12,7 @@ import hashlib
 
 from cliquesep import Graph, enumerate_decomposable, log_density_unnorm, visit_counts
 from cliquesep.cli import run_command
+from cliquesep.markov import _pair_tables
 from conftest import random_csf
 
 
@@ -46,3 +48,11 @@ def test_log_density_digest():
     law = random_csf(5, 1)
     text = "\n".join(f"{g.edge_mask} {log_density_unnorm(law, g)!r}" for g in enumerate_decomposable(5))
     assert digest(text) == "c028347ae707c98d75e3d473450c83ec1a159e1dbb2368e1801d6c053daabc57"
+
+
+def test_decomposition_index_digest():
+    # Table and row order decide which witness ``check`` reports.
+    _, tables = _pair_tables(6)
+    assert digest(repr([(t.a, t.b, t.rows) for t in tables])) == (
+        "1b3a224f5f23623836c3bb3d6cbed8e42341f511034d81f0224cbbb71a3929e7"
+    )
