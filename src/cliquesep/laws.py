@@ -196,17 +196,21 @@ def hub_law(n: int, hubs: int | Iterable[int], clique_rate: float = 4.0, separat
     )
 
 
+def _check_dimension_n(n: int) -> None:
+    # Before ``2**n``, which is huge for a huge n.
+    if not 2 <= n <= MAX_VERTICES:
+        raise DomainError(f"dimension formulas need 2..{MAX_VERTICES} vertices, got {n}")
+
+
 def csf_dimension(n: int) -> int:
     """Dimension of the space of clique-separator factorisation laws."""
-    if n < 2:
-        raise DomainError("dimension formulas need at least 2 vertices")
+    _check_dimension_n(n)
     return 2 * 2**n - 2 * n - 3
 
 
 def cef_dimension(n: int) -> int:
     """Dimension of the subfamily with one shared potential per set."""
-    if n < 2:
-        raise DomainError("dimension formulas need at least 2 vertices")
+    _check_dimension_n(n)
     return 2**n - n - 1
 
 

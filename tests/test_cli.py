@@ -66,6 +66,12 @@ def test_dim_domain_error(capsys):
     assert "error:" in err
 
 
+def test_dim_beyond_vertex_cap_is_one_error_line(capsys):
+    status, out, err = run(capsys, "dim", "--n", str(MAX_VERTICES + 1))
+    assert status == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_density_uniform(capsys):
     status, out, _ = run(capsys, "density", "--law", "uniform", "--n", "3")
     assert status == 0

@@ -27,7 +27,7 @@ from cliquesep import (
     to_dot,
     vset,
 )
-from cliquesep.graphs import elimination_ordering, members, within_edge_mask
+from cliquesep.graphs import MAX_VERTICES, _mcs, _pairs, elimination_ordering, members, within_edge_mask
 
 
 def path_graph(n):
@@ -84,6 +84,31 @@ def brute_cliques(g):
         if not extendable and (a or vs == 0):
             out.add(a)
     return out
+
+
+def mask_walk(n):
+    """Edge masks of the chordal graphs on n vertices, by walking all
+    2^(n(n-1)/2) masks in ascending order and keeping those that maximum
+    cardinality search accepts."""
+    pairs = _pairs(n)
+    full = (1 << n) - 1
+    adj = [0] * n
+    for mask in range(1 << len(pairs)):
+        if mask:
+            changed = mask ^ (mask - 1)
+            top = changed.bit_length() - 1
+            i, j = pairs[top]
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+            m = changed ^ (1 << top)
+            while m:
+                b = m & -m
+                i, j = pairs[b.bit_length() - 1]
+                adj[i] &= ~(1 << j)
+                adj[j] &= ~(1 << i)
+                m ^= b
+        if _mcs(n, adj, full)[1]:
+            yield mask
 
 
 def brute_separates(g, a, b):
@@ -379,6 +404,13 @@ def test_enumeration_is_deterministic_and_unique():
     assert first == second == sorted(set(first))
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_enumeration_matches_mask_walk(n):
+    expected = list(mask_walk(n))
+    assert [g.edge_mask for g in enumerate_decomposable(n)] == expected
+    assert count_decomposable(n) == len(expected)
+
+
 def test_enumeration_capacity():
     with pytest.raises(CapacityError):
         next(enumerate_decomposable(8))
@@ -424,6 +456,21 @@ def test_graph_json_round_trip():
 def test_complete_sets_graph_absorbs_subsets():
     g = complete_sets_graph(4, [vset([0, 1, 2]), vset([1, 2])])
     assert set(cliques(g)) == {vset([0, 1, 2]), vset([3])}
+
+
+@pytest.mark.parametrize("n", [0, -2, MAX_VERTICES + 1])
+def test_complete_sets_graph_checks_vertex_count(n):
+    with pytest.raises(DomainError):
+        complete_sets_graph(n, [])
+
+
+def test_complete_graph_checks_vertex_count_before_building():
+    _pairs.cache_clear()
+    with pytest.raises(DomainError):
+        Graph.complete(MAX_VERTICES + 1)
+    with pytest.raises(DomainError):
+        Graph.from_edge_mask(MAX_VERTICES + 1, 0)
+    assert _pairs.cache_info().currsize == 0
 
 
 def test_to_dot_marks_hubs():

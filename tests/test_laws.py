@@ -34,6 +34,7 @@ from cliquesep import (
     uniform_csf,
     vset,
 )
+from cliquesep.graphs import MAX_VERTICES
 from conftest import random_csf
 
 PATH3 = complete_sets_graph(3, [vset([0, 1]), vset([1, 2])])
@@ -194,6 +195,13 @@ def test_dimension_needs_two_vertices():
         csf_dimension(1)
     with pytest.raises(DomainError):
         cef_dimension(0)
+
+
+def test_dimension_caps_vertex_count():
+    assert csf_dimension(MAX_VERTICES) == 2 * 2**MAX_VERTICES - 2 * MAX_VERTICES - 3
+    for dimension in (csf_dimension, cef_dimension):
+        with pytest.raises(DomainError):
+            dimension(MAX_VERTICES + 1)
 
 
 # ---------------------------------------------------------------------------

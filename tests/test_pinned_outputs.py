@@ -43,6 +43,12 @@ def test_enumerate_stdout_digest(capsys):
     assert digest(out) == "24285fa5af899dce4d11831769447cbda2ce24a9a34a50f1a03feb405110a696"
 
 
+def test_enumerate_n6_stdout_digest(capsys):
+    # Every n=6 table, row order and witness follows this order.
+    out = stdout_of(capsys, "enumerate", "--n", "6")
+    assert digest(out) == "e4bcdbd28bb71626de6766341393b8d6a60723c036558df92f1ef8b46ed4e5b0"
+
+
 def test_log_density_digest():
     # Non-integer potentials, so a change in clique order shows in the last bits.
     law = random_csf(5, 1)
