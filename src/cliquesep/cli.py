@@ -15,6 +15,7 @@ import sys
 
 from .errors import DomainError
 from .graphs import (
+    MAX_VERTICES,
     count_decomposable,
     enumerate_decomposable,
     graph_from_json,
@@ -107,9 +108,12 @@ def _parse_hubs(text: str | None) -> int:
     if not text:
         return 0
     try:
-        return vset([int(tok) for tok in text.split(",")])
+        hubs = [int(tok) for tok in text.split(",")]
     except ValueError as e:
         raise DomainError(f"invalid hub list {text!r}") from e
+    if not all(0 <= v < MAX_VERTICES for v in hubs):  # before 1 << v, huge for a huge v
+        raise DomainError(f"hub indices must be in 0..{MAX_VERTICES - 1}")
+    return vset(hubs)
 
 
 def _need_n(args) -> int:

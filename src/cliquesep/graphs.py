@@ -7,6 +7,12 @@ Graphs are immutable values; induced subgraphs keep the original vertex
 labels so that induced pieces of different host graphs compare by
 value.
 
+An edge mask has one bit per vertex pair, in ascending (i, j) order:
+vertex i's pairs with the higher vertices i+1..n-1 fill one contiguous
+block of n-i-1 bits starting at bit ``_row_shift(n, i)``, so a row of
+the adjacency above the diagonal moves in and out of the mask with one
+shift.
+
 Recognition is maximum cardinality search with an integrated perfect
 elimination check, and its visit order is cached on the graph. Cliques
 and separators are read off that cached order in one linear pass, so a
@@ -65,25 +71,24 @@ def _full_mask(n: int) -> int:
 def _pairs(n: int) -> tuple[tuple[int, int], ...]:
     """Unordered vertex pairs of an n-vertex graph, in ascending (i, j) order.
 
-    Position k in this tuple is bit k of an edge mask.
+    Position k in this tuple is bit k of an edge mask: the pairs of each
+    vertex i with i+1..n-1 form one block, and the blocks follow each
+    other in ascending i, so pair (i, j) is bit ``_row_shift(n, i) + j - i - 1``.
     """
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
-@lru_cache(maxsize=None)
-def _pair_bits(n: int) -> dict[tuple[int, int], int]:
-    return {p: 1 << k for k, p in enumerate(_pairs(n))}
+def _row_shift(n: int, i: int) -> int:
+    """Edge-mask bit of the pair (i, i+1), where vertex i's block starts."""
+    return i * (2 * n - i - 1) // 2
 
 
 @lru_cache(maxsize=1 << 20)
 def within_edge_mask(n: int, vmask: int) -> int:
     """Edge mask of the complete graph on the vertices in ``vmask``."""
-    bits = _pair_bits(n)
-    vs = members(vmask)
     m = 0
-    for x, i in enumerate(vs):
-        for j in vs[x + 1:]:
-            m |= bits[(i, j)]
+    for i in members(vmask):
+        m |= (vmask >> (i + 1)) << _row_shift(n, i)
     return m
 
 
@@ -181,9 +186,7 @@ class Graph:
             vertices = full
         elif vertices & ~full:
             raise DomainError("vertex set outside 0..n-1")
-        bits = _pair_bits(n)
         adj = [0] * n
-        emask = 0
         for i, j in edges:
             if i == j:
                 raise DomainError(f"self-loop at vertex {i}")
@@ -193,16 +196,15 @@ class Graph:
                 raise DomainError(f"edge ({i},{j}) out of range for n={n}")
             if not (vertices >> i & 1 and vertices >> j & 1):
                 raise DomainError(f"edge ({i},{j}) joins an inactive vertex")
-            b = bits[(i, j)]
-            if emask & b:
+            if adj[i] >> j & 1:
                 raise DomainError(f"duplicate edge ({i},{j})")
-            emask |= b
             adj[i] |= 1 << j
             adj[j] |= 1 << i
         self.n = n
         self.vertices = vertices
         self.adj = tuple(adj)
-        self.edge_mask = emask
+        # Row i above the diagonal is vertex i's block; disjoint blocks sum to their union.
+        self.edge_mask = sum((a >> (i + 1)) << _row_shift(n, i) for i, a in enumerate(adj))
         self._chordal: bool | None = None
         self._order: tuple[int, ...] | None = None
         self._summary = None
@@ -225,32 +227,18 @@ class Graph:
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
-        _check_vertex_count(n)
-        return cls.from_edge_mask(n, _full_mask(n * (n - 1) // 2))
+        return complete_sets_graph(n, [_full_mask(n)])
 
     @classmethod
     def from_edge_mask(cls, n: int, edge_mask: int, vertices: int | None = None) -> "Graph":
         _check_vertex_count(n)
-        pairs = _pairs(n)
-        if edge_mask >> len(pairs):
+        if edge_mask >> (n * (n - 1) // 2):
             raise DomainError("edge mask has bits beyond the pair range")
-        edges = []
-        m = edge_mask
-        while m:
-            b = m & -m
-            edges.append(pairs[b.bit_length() - 1])
-            m ^= b
-        return cls(n, edges, vertices)
+        rows = (edge_mask >> _row_shift(n, i) & _full_mask(n - i - 1) for i in range(n))
+        return cls(n, [(i, i + 1 + k) for i, row in enumerate(rows) for k in members(row)], vertices)
 
     def edges(self) -> list[tuple[int, int]]:
-        pairs = _pairs(self.n)
-        out = []
-        m = self.edge_mask
-        while m:
-            b = m & -m
-            out.append(pairs[b.bit_length() - 1])
-            m ^= b
-        return out
+        return [(i, j) for i, a in enumerate(self.adj) for j in members(a & -(2 << i))]
 
     def has_edge(self, i: int, j: int) -> bool:
         if not (self.vertices >> i & 1 and self.vertices >> j & 1):
@@ -267,7 +255,7 @@ class Graph:
         adj = list(self.adj)
         adj[i] ^= 1 << j
         adj[j] ^= 1 << i
-        b = _pair_bits(self.n)[(i, j)]
+        b = 1 << (_row_shift(self.n, i) + j - i - 1)
         return Graph._from_parts(self.n, self.vertices, tuple(adj), self.edge_mask ^ b)
 
     def __eq__(self, other):
@@ -569,7 +557,7 @@ def _chordal_walk(n: int) -> Iterator[tuple[int, list[int]]]:
     def extend(v: int, mask: int):
         low = 1 << (v + 1)
         others = full & -low  # the vertices v+1..n-1 already added
-        shift = v * (n - 1) - v * (v - 1) // 2  # bit of the pair (v, v+1)
+        shift = _row_shift(n, v)
         bv = 1 << v
         for nbrs in range(0, others + 1, low):  # every subset of others, ascending
             if not _extends_chordally(adj, nbrs, others):

@@ -25,6 +25,7 @@ from .errors import DomainError, EmptySupportError
 from .graphs import (
     MAX_VERTICES,
     Graph,
+    _check_vertex_count,
     _graph_from_fields,
     clique_separators,
     enumerate_decomposable,
@@ -186,6 +187,7 @@ def hub_law(n: int, hubs: int | Iterable[int], clique_rate: float = 4.0, separat
     hub and +inf otherwise. The empty separator contains no hub, so every
     supported graph is connected.
     """
+    _check_vertex_count(n)
     hub_mask = hubs if isinstance(hubs, int) else vset(hubs)
     if hub_mask >> n:
         raise DomainError("hub set outside 0..n-1")

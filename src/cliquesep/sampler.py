@@ -45,11 +45,10 @@ def _generator(seed: int, chain_index: int) -> np.random.Generator:
 class _BufferedRandom:
     """Block-buffered pair indices and uniforms from one generator."""
 
-    __slots__ = ("_rng", "_npairs", "_ints", "_ii", "_unis", "_ui")
+    __slots__ = ("_rng", "_ints", "_ii", "_unis", "_ui")
 
-    def __init__(self, rng: np.random.Generator, npairs: int):
+    def __init__(self, rng: np.random.Generator):
         self._rng = rng
-        self._npairs = npairs
         self._ints = ()
         self._ii = 0
         self._unis = ()
@@ -57,7 +56,7 @@ class _BufferedRandom:
 
     def integers(self, npairs: int) -> int:
         if self._ii >= len(self._ints):
-            self._ints = self._rng.integers(0, self._npairs, size=_BLOCK).tolist()
+            self._ints = self._rng.integers(0, npairs, size=_BLOCK).tolist()
             self._ii = 0
         v = self._ints[self._ii]
         self._ii += 1
@@ -179,8 +178,10 @@ def _chain(
 
     One ``ChainState`` is updated in place and yielded every time.
     """
+    if law.n < 2:
+        raise DomainError("sampling needs at least 2 vertices: one vertex has no pair to toggle")
     state = initial_state(law, init)
-    rand = _BufferedRandom(_generator(seed, chain_index), len(_pairs(law.n)))
+    rand = _BufferedRandom(_generator(seed, chain_index))
     cache: dict[int, float] = {state.graph.edge_mask: state.log_density}
     yield state
     for _ in range(steps):

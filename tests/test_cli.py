@@ -368,3 +368,49 @@ def test_parsers_and_check_accept_or_reject_any_json(doc, tmp_path_factory):
     if status != 0:
         assert status == 1 and out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "1", "--steps", "1"],
+    ["density", "--n", "-1", "--law", "hub", "--hubs", "0"],
+    ["sample", "--n", "4", "--law", "hub", f"--hubs=0,{10**400}"],
+])
+def test_bad_integer_flags_end_in_one_error_line(capsys, argv):
+    status, out, err = run(capsys, *argv)
+    assert status == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Which integer flags each command takes; ``--law`` picks the law the others feed.
+_FLAGS = {
+    "enumerate": ("--n",),
+    "dim": ("--n",),
+    "ewsm-rank": ("--n",),
+    "density": ("--n", "--law", "--hubs"),
+    "check": ("--n", "--law", "--hubs"),
+    "sample": ("--n", "--law", "--hubs", "--steps", "--thin", "--seed"),
+}
+_FLAG_VALUES = {
+    "--n": _ints,
+    "--law": st.sampled_from(["uniform", "hub"]),
+    "--hubs": st.lists(_ints, max_size=3).map(lambda vs: ",".join(map(str, vs))),
+    "--steps": st.integers(max_value=30),
+    "--thin": _ints,
+    "--seed": _ints,
+}
+
+
+@given(command=st.sampled_from(sorted(_FLAGS)), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_integer_flags_exit_zero_or_one_error_line(command, data):
+    argv = [command]
+    for flag in _FLAGS[command]:
+        value = data.draw(st.none() | _FLAG_VALUES[flag], label=flag)
+        if value is not None:
+            argv.append(f"{flag}={value}")  # one token, so "-3,4" is not read as a flag
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = run_command(argv)
+    if status != 0:
+        assert status == 1 and out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

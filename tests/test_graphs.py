@@ -1,8 +1,12 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cliquesep
 from cliquesep import (
     CapacityError,
     DomainError,
@@ -128,6 +132,65 @@ def brute_separates(g, a, b):
         frontier = nxt & ~reach & ~s
         reach |= frontier
     return reach & targets == 0
+
+
+def pair_encode(n, edges):
+    """Edge mask with bit k set for each edge that is pair k of ``_pairs(n)``."""
+    pairs = _pairs(n)
+    return sum(1 << pairs.index(e) for e in edges)
+
+
+def pair_decode(n, mask):
+    """Edges of an edge mask, as the pairs of ``_pairs(n)`` at its set bits."""
+    return [p for k, p in enumerate(_pairs(n)) if mask >> k & 1]
+
+
+# ---------------------------------------------------------------------------
+# Edge-mask layout
+
+
+def _layout_masks(n):
+    if n <= 5:
+        return range(1 << (n * (n - 1) // 2))
+    return [g.edge_mask for g in enumerate_decomposable(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_edge_mask_layout_matches_pair_order(n):
+    pairs = _pairs(n)
+    for v in range(1 << n):
+        assert within_edge_mask(n, v) == pair_encode(n, [(i, j) for i, j in pairs if v >> i & v >> j & 1])
+    for mask in _layout_masks(n):
+        edges = pair_decode(n, mask)
+        g = Graph.from_edge_mask(n, mask)
+        assert g.edge_mask == mask
+        assert g.edges() == edges
+        assert Graph(n, edges).edge_mask == mask
+        for k, (i, j) in enumerate(pairs):
+            assert g.with_edge_toggled(i, j).edge_mask == mask ^ 1 << k
+
+
+# The child caps its own address space at 1 GiB, so a layout whose memory
+# grows with the square of the pair count ends in a MemoryError there
+# instead of exhausting the machine.
+_VERTEX_CAP_SCRIPT = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from cliquesep import Graph
+from cliquesep.graphs import MAX_VERTICES as n
+g = Graph(n, [(0, n - 1)]).with_edge_toggled(1, 2)
+assert g.edges() == [(0, n - 1), (1, 2)], g.edges()
+k = Graph.complete(n)
+assert Graph.from_edge_mask(n, k.edge_mask) == k
+assert len(k.edges()) == n * (n - 1) // 2 == 523776
+"""
+
+
+def test_vertex_cap_fits_in_linear_memory():
+    src = os.path.dirname(os.path.dirname(cliquesep.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _VERTEX_CAP_SCRIPT], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +529,13 @@ def test_complete_sets_graph_checks_vertex_count(n):
 
 def test_complete_graph_checks_vertex_count_before_building():
     _pairs.cache_clear()
+    within_edge_mask.cache_clear()
     with pytest.raises(DomainError):
         Graph.complete(MAX_VERTICES + 1)
     with pytest.raises(DomainError):
         Graph.from_edge_mask(MAX_VERTICES + 1, 0)
     assert _pairs.cache_info().currsize == 0
+    assert within_edge_mask.cache_info().currsize == 0
 
 
 def test_to_dot_marks_hubs():

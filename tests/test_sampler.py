@@ -156,6 +156,14 @@ def test_run_chain_validates_arguments():
         run_chain(uniform_csf(3), thin=0)
 
 
+@pytest.mark.parametrize("law", [uniform_csf(1), hub_law(1, vset([0]))])
+def test_one_vertex_has_no_pair_to_toggle(law):
+    with pytest.raises(DomainError):
+        run_chain(law, steps=1)
+    with pytest.raises(DomainError):
+        visit_counts(law, steps=1)
+
+
 def test_reproducibility_and_stream_independence():
     law = random_csf(4, seed=0)
     a = run_chain(law, steps=3_000, thin=100, seed=9)
