@@ -9,8 +9,21 @@ unchanged.
 """
 
 import hashlib
+import random
 
-from cliquesep import Graph, enumerate_decomposable, log_density_unnorm, visit_counts
+import pytest
+
+from cliquesep import (
+    CsfLaw,
+    Graph,
+    PotentialTable,
+    density_to_json,
+    enumerate_decomposable,
+    log_density_unnorm,
+    normalize_by_enumeration,
+    perturb_density,
+    visit_counts,
+)
 from cliquesep.cli import run_command
 from cliquesep.markov import _pair_tables
 from conftest import random_csf
@@ -62,3 +75,47 @@ def test_decomposition_index_digest():
     assert digest(repr([(t.a, t.b, t.rows) for t in tables])) == (
         "1b3a224f5f23623836c3bb3d6cbed8e42341f511034d81f0224cbbb71a3929e7"
     )
+
+
+@pytest.fixture(scope="module")
+def n6_density_files(tmp_path_factory):
+    """The seed-11 n=6 density of the ``check-n6`` benchmark workload, and
+    its copy with one single-edge graph's probability doubled (ln 2)."""
+    n = 6
+    rng = random.Random(11)
+    phi = {m: rng.gauss(0.0, 0.6) for m in range(1 << n)}
+    psi = {m: rng.gauss(0.0, 0.6) for m in range(1 << n)}
+    density = normalize_by_enumeration(CsfLaw(n, PotentialTable(overrides=phi), PotentialTable(overrides=psi)))
+    i, j = sorted(rng.sample(range(n), 2))
+    perturbed = perturb_density(density, Graph(n, [(i, j)]), 2.0)
+    tmp = tmp_path_factory.mktemp("check_n6")
+    paths = {}
+    for name, d in (("density", density), ("perturbed", perturbed)):
+        paths[name] = tmp / f"{name}.json"
+        paths[name].write_text(density_to_json(d))
+    return paths
+
+
+# The four ``check`` digests pin the worst value to the last bit (4.44e-15
+# of rounding noise on the passing density) and the witness quadruple.
+
+
+def test_check_wsm_n6_stdout_digest(capsys, n6_density_files):
+    out = stdout_of(capsys, "check", "--law", str(n6_density_files["density"]), "--property", "wsm")
+    assert digest(out) == "c493f91d3fba3f9e9424a3e84065c1f78ccbfb99650cef4950f63bc055618a79"
+
+
+def test_check_wsm_n6_perturbed_stdout_digest(capsys, n6_density_files):
+    out = stdout_of(capsys, "check", "--law", str(n6_density_files["perturbed"]), "--property", "wsm")
+    assert digest(out) == "02d40c6a090b74ff56c888917f9588df35c44d0bcf8c30efee5a3b99a4404d38"
+
+
+def test_check_sm_n6_stdout_digest(capsys, n6_density_files):
+    out = stdout_of(capsys, "check", "--law", str(n6_density_files["density"]), "--property", "sm")
+    assert digest(out) == "4dc7c7d93b7a939a455ef6dfd2a2893b9b68aaa8d56cfed2c20ce1bc9c6ef1fc"
+
+
+def test_check_sm_hub_stdout_digest(capsys):
+    # Graphs with a separator off the hub have probability zero: their cells are left out.
+    out = stdout_of(capsys, "check", "--law", "hub", "--n", "5", "--hubs", "0", "--property", "sm")
+    assert digest(out) == "272eddf51d58b14dd7a562363eee614a1c19d418640709991ca8900feffd4a14"
