@@ -9,6 +9,21 @@ those whose intersection is a clique of the first part; those whose
 intersection is a clique of the whole graph), because membership flags
 and the induced-piece partition are precomputed per pair.
 
+Each pair's decompositions are packed as numpy columns (graph index,
+the two induced pieces, the two maximality flags) when the index is
+built. The sweep selects a family's rows with a boolean mask, drops the
+graphs of probability zero, and lays the rest out as a dense grid of
+log probabilities, NaN where a cell is missing, with rows in order of
+first appearance. The spread of the differences of two rows over their
+common columns is the worst log cross-ratio over that row pair, and all
+row pairs are taken at once, in blocks. Ties break as a scalar loop
+over the rows in that order would break them: the first largest spread
+over row pairs, then the first strict extremes of the difference in the
+set order of the two rows' common column keys, which only the winning
+row pair of a table that beats the running worst is scanned for. The
+log probabilities are ``math.log`` values and the differences are taken
+in one order, so the worst value is the same to the last bit.
+
 Also here: the constructive fit of a factorisation law from any positive
 density satisfying the clique-in-part property, identity checkers for
 the telescoping product over a junction-tree ordering and for the
@@ -23,6 +38,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import DomainError
 from .graphs import (
@@ -103,12 +120,29 @@ def _covering_pairs(n: int) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _PairTable:
+    """The decompositions of one covering pair, packed as numpy columns.
+
+    Row k is one decomposable graph, in ascending graph index: its index,
+    its induced edge masks on ``a`` and on ``b``, and whether the
+    intersection is a maximal clique of the graph induced on ``a`` and
+    on ``b``.
+    """
+
     a: int
     b: int
-    # (graph index, induced-edge-mask on a, on b, intersection maximal in a, in b)
-    rows: tuple[tuple[int, int, int, bool, bool], ...]
+    gi: np.ndarray
+    piece_a: np.ndarray
+    piece_b: np.ndarray
+    star_a: np.ndarray
+    star_b: np.ndarray
+
+    @property
+    def rows(self) -> tuple[tuple[int, int, int, bool, bool], ...]:
+        """The rows as (graph index, edge mask on a, on b, maximal in a, in b)."""
+        columns = (self.gi, self.piece_a, self.piece_b, self.star_a, self.star_b)
+        return tuple(zip(*(c.tolist() for c in columns)))
 
 
 @lru_cache(maxsize=4)
@@ -119,62 +153,111 @@ def _pair_tables(n: int) -> tuple[tuple[Graph, ...], tuple[_PairTable, ...]]:
         wa = within_edge_mask(n, a)
         wb = within_edge_mask(n, b)
         s = a & b
-        rows = []
+        gis, pas, pbs, sas, sbs = [], [], [], [], []
         for gi, g in enumerate(graphs):
             if not is_decomposition(g, a, b):
                 continue
-            star_a = _is_maximal_within(g, s, a)
-            star_b = _is_maximal_within(g, s, b)
-            rows.append((gi, g.edge_mask & wa, g.edge_mask & wb, star_a, star_b))
-        tables.append(_PairTable(a, b, tuple(rows)))
+            gis.append(gi)
+            pas.append(g.edge_mask & wa)
+            pbs.append(g.edge_mask & wb)
+            sas.append(_is_maximal_within(g, s, a))
+            sbs.append(_is_maximal_within(g, s, b))
+        tables.append(
+            _PairTable(
+                a,
+                b,
+                np.array(gis, dtype=np.intp),
+                np.array(pas, dtype=np.int64),
+                np.array(pbs, dtype=np.int64),
+                np.array(sas, dtype=bool),
+                np.array(sbs, dtype=bool),
+            )
+        )
     return graphs, tuple(tables)
 
 
 def _row_filters(kind: PropertyKind):
+    """Which rows of a table each conditioning set of ``kind`` keeps, as
+    functions of the two maximality flags; they take Python bools and
+    numpy flag columns alike."""
     if kind is PropertyKind.SM:
-        return (lambda sa, sb: True,)
+        return (lambda sa, sb: sa | True,)
     if kind is PropertyKind.WSM:
         # Definition quantifies over ordered pairs, so test both roles.
         return (lambda sa, sb: sa, lambda sa, sb: sb)
-    return (lambda sa, sb: sa and sb,)
+    return (lambda sa, sb: sa & sb,)
 
 
-def _worst_spread(cells: dict[tuple[int, int], tuple[float, int]]):
-    """Largest |log cross-ratio| over 2x2 sub-tables of a sparse table.
+#: Elements of one broadcast block of the sweep (2 MiB of float64).
+_SWEEP_BLOCK = 1 << 18
 
-    ``cells`` maps (row key, column key) to (log probability, graph
-    index). For each pair of rows the spread of the column-wise log
-    differences equals the worst cross-ratio over that row pair.
+
+def _worst_spread(gi: np.ndarray, piece_a: np.ndarray, piece_b: np.ndarray, logp: np.ndarray, beat: float):
+    """Largest |log cross-ratio| over the 2x2 sub-tables of a sparse table.
+
+    The cells are given in table order: graph ``gi[k]`` sits in the row
+    keyed by ``piece_a[k]`` and the column keyed by ``piece_b[k]``, with
+    log probability ``logp[gi[k]]``. Rows are laid out in order of first
+    appearance in a dense grid, NaN where a cell is missing. For each
+    pair of rows the spread of the column-wise log differences over
+    their common columns equals the worst cross-ratio over that row
+    pair; one common column gives a spread of exactly zero, and none
+    gives NaN, so neither counts. Row pairs are swept in blocks of about
+    ``_SWEEP_BLOCK`` differences (one row at a time in larger tables),
+    and the worst is the first largest spread in row-major order over
+    row pairs i1 < i2.
+
+    Returns ``(value, quad)``. ``quad`` holds the graph indices at
+    (x,y), (x',y'), (x,y'), (x',y) when ``value > beat``, else it is
+    None. Its columns are picked by a scalar pass over the two rows'
+    common column keys, in set order, keeping the first strict maximum
+    and minimum of the difference.
     """
-    rows: dict[int, dict[int, tuple[float, int]]] = {}
-    for (ga, gb), cell in cells.items():
-        rows.setdefault(ga, {})[gb] = cell
-    keys = list(rows)
-    worst = 0.0
-    quad = None
-    for i1 in range(len(keys)):
-        r1 = rows[keys[i1]]
-        for i2 in range(i1 + 1, len(keys)):
-            r2 = rows[keys[i2]]
-            common = r1.keys() & r2.keys()
-            if len(common) < 2:
-                continue
-            dmax = -math.inf
-            dmin = math.inf
-            cmax = cmin = -1
-            for c in common:
-                d = r1[c][0] - r2[c][0]
-                if d > dmax:
-                    dmax = d
-                    cmax = c
-                if d < dmin:
-                    dmin = d
-                    cmin = c
-            spread = dmax - dmin
-            if spread > worst:
-                worst = spread
-                quad = (r1[cmax][1], r2[cmin][1], r1[cmin][1], r2[cmax][1])
-    return worst, quad
+    row_keys, first, row_of = np.unique(piece_a, return_index=True, return_inverse=True)
+    col_keys, col_of = np.unique(piece_b, return_inverse=True)
+    nr, nc = len(row_keys), len(col_keys)
+    if nr < 2 or nc < 2:
+        return 0.0, None
+    rank = np.empty(nr, dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(nr)
+    row_of = rank[row_of]
+    # Column-major grid: the reductions then run across whole rows at once.
+    grid = np.full((nc, nr), np.nan)
+    grid[col_of, row_of] = logp[gi]
+    value = 0.0
+    step = max(1, _SWEEP_BLOCK // (nr * nc))
+    for lo in range(0, nr - 1, step):
+        # Rows lo..hi-1 against rows lo+1..nr-1; triu keeps the pairs i1 < i2.
+        hi = min(lo + step, nr - 1)
+        d = grid[:, lo:hi, None] - grid[:, None, lo + 1 :]
+        spread = np.triu(np.fmax(np.fmax.reduce(d, axis=0) - np.fmin.reduce(d, axis=0), 0.0))
+        k = int(spread.argmax())
+        if spread.flat[k] > value:
+            value = float(spread.flat[k])
+            i1, i2 = divmod(k, nr - lo - 1)
+            i1 += lo
+            i2 += lo + 1
+    if not value > beat:
+        return value, None
+
+    def cells_of_row(i):
+        at = np.flatnonzero(row_of == i)
+        return dict(zip(piece_b[at].tolist(), zip(logp[gi[at]].tolist(), gi[at].tolist())))
+
+    r1 = cells_of_row(i1)
+    r2 = cells_of_row(i2)
+    dmax = -math.inf
+    dmin = math.inf
+    cmax = cmin = -1
+    for c in r1.keys() & r2.keys():
+        d = r1[c][0] - r2[c][0]
+        if d > dmax:
+            dmax = d
+            cmax = c
+        if d < dmin:
+            dmin = d
+            cmin = c
+    return value, (r1[cmax][1], r2[cmin][1], r1[cmin][1], r2[cmax][1])
 
 
 def check_property(density: DensityTable, kind: PropertyKind, tol: float = 1e-9) -> PropertyReport:
@@ -185,27 +268,23 @@ def check_property(density: DensityTable, kind: PropertyKind, tol: float = 1e-9)
     |log cross-ratio| across all 2x2 sub-tables of the induced-piece
     partition. Graphs with zero probability are left out of the table,
     and pairs whose table has fewer than two distinct rows or columns
-    impose nothing.
+    impose nothing. The first table, in covering-pair and filter order,
+    that reaches the largest value gives the witness.
     """
     graphs, tables = _pair_tables(density.n)
     try:
-        logp = [math.log(density.prob(g)) if density.prob(g) > 0.0 else None for g in graphs]
+        probs = [density.prob(g) for g in graphs]
     except KeyError as e:
         raise DomainError("density does not cover the decomposable graphs of its size") from e
+    logp = np.array([math.log(p) if p > 0.0 else math.nan for p in probs])
+    positive = ~np.isnan(logp)
     worst = 0.0
     witness = None
     for t in tables:
         for keep in _row_filters(kind):
-            cells: dict[tuple[int, int], tuple[float, int]] = {}
-            for gi, ga, gb, sa, sb in t.rows:
-                if not keep(sa, sb):
-                    continue
-                lp = logp[gi]
-                if lp is None:
-                    continue
-                cells[(ga, gb)] = (lp, gi)
-            value, quad = _worst_spread(cells)
-            if value > worst:
+            sel = keep(t.star_a, t.star_b) & positive[t.gi]
+            value, quad = _worst_spread(t.gi[sel], t.piece_a[sel], t.piece_b[sel], logp, worst)
+            if quad is not None:
                 worst = value
                 witness = CrossRatioWitness(t.a, t.b, tuple(graphs[i] for i in quad), value)
     return PropertyReport(kind, worst <= tol, worst, witness)

@@ -103,11 +103,25 @@ class SampleSummary:
 
 
 def default_init(law: CsfLaw) -> Graph:
-    """Complete graph when the law carries hard separator constraints
-    (a single clique has no separators, so it is always supported),
-    otherwise the empty graph."""
-    hard = law.psi.hubs is not None or any(v == INF for v in law.psi.overrides.values())
-    return Graph.complete(law.n) if hard else Graph.empty(law.n)
+    """Start of a chain when none is given.
+
+    A hub law starts at the star on its lowest hub, whose separators are
+    all that hub, when the law supports it: the complete graph is the hub
+    law's mode, and every toggle away from it is a steep drop in density,
+    so a chain started there stays put (none of 5000 steps accepted at
+    n=6 or n=20 with the default rates). Other laws with hard separator
+    constraints start at the complete graph (a single clique has no
+    separators, so it is always supported); the rest at the empty graph.
+    """
+    n = law.n
+    hubs = law.psi.hubs
+    if hubs:
+        h = (hubs & -hubs).bit_length() - 1
+        star = Graph(n, [(h, v) for v in range(n) if v != h])
+        if log_density_unnorm(law, star) > -INF:
+            return star
+    hard = hubs is not None or any(v == INF for v in law.psi.overrides.values())
+    return Graph.complete(n) if hard else Graph.empty(n)
 
 
 def initial_state(law: CsfLaw, init: Graph | None = None) -> ChainState:

@@ -185,7 +185,7 @@ def test_sample_hub_law(capsys):
     assert status == 0
     lines = out.strip().splitlines()
     first = json.loads(lines[0])
-    assert first["cliques"] == 1 and first["max_clique"] == 6  # complete-graph init
+    assert first["cliques"] == 5 and first["max_clique"] == 2  # star on hub 0
 
 
 def test_posterior_subcommand(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from cliquesep import (
@@ -25,8 +26,16 @@ from cliquesep import (
     verify_lemma2_ratio,
     vset,
 )
+from cliquesep import markov
 from cliquesep.graphs import members
-from cliquesep.markov import PropertyKind, _pair_tables, _row_filters, ewsm_constraint_column_support
+from cliquesep.markov import (
+    CrossRatioWitness,
+    PropertyKind,
+    _pair_tables,
+    _row_filters,
+    _worst_spread,
+    ewsm_constraint_column_support,
+)
 from conftest import random_cef, random_csf
 
 TOL = 1e-9
@@ -109,6 +118,112 @@ def test_zero_mass_graphs_are_ignored_not_fatal():
     d = normalize_by_enumeration(hub_law(4, vset([0]), 1.0, 0.5))
     report = check_property(d, PropertyKind.WSM, TOL)
     assert report.worst_violation >= 0.0  # runs to completion
+
+
+# ---------------------------------------------------------------------------
+# The packed sweep against the dict-based loop it replaced
+
+
+def dict_worst_spread(cells):
+    """Largest |log cross-ratio| over 2x2 sub-tables of a sparse table.
+
+    ``cells`` maps (row key, column key) to (log probability, graph
+    index). For each pair of rows the spread of the column-wise log
+    differences equals the worst cross-ratio over that row pair; the
+    first strictly larger spread and the first strict extremes in set
+    order are kept.
+    """
+    rows = {}
+    for (ga, gb), cell in cells.items():
+        rows.setdefault(ga, {})[gb] = cell
+    keys = list(rows)
+    worst = 0.0
+    quad = None
+    for i1 in range(len(keys)):
+        r1 = rows[keys[i1]]
+        for i2 in range(i1 + 1, len(keys)):
+            r2 = rows[keys[i2]]
+            common = r1.keys() & r2.keys()
+            if len(common) < 2:
+                continue
+            dmax = -math.inf
+            dmin = math.inf
+            cmax = cmin = -1
+            for c in common:
+                d = r1[c][0] - r2[c][0]
+                if d > dmax:
+                    dmax = d
+                    cmax = c
+                if d < dmin:
+                    dmin = d
+                    cmin = c
+            spread = dmax - dmin
+            if spread > worst:
+                worst = spread
+                quad = (r1[cmax][1], r2[cmin][1], r1[cmin][1], r2[cmax][1])
+    return worst, quad
+
+
+def dict_cells(t, keep, logp):
+    """The cells of table ``t`` that ``keep`` and a positive probability admit."""
+    return {
+        (ga, gb): (logp[gi], gi) for gi, ga, gb, sa, sb in t.rows if keep(sa, sb) and logp[gi] is not None
+    }
+
+
+def dict_check(density, kind):
+    """(worst value, witness) of the sweep over ``dict_worst_spread``."""
+    graphs, tables = _pair_tables(density.n)
+    logp = [math.log(density.prob(g)) if density.prob(g) > 0.0 else None for g in graphs]
+    worst = 0.0
+    witness = None
+    for t in tables:
+        for keep in _row_filters(kind):
+            value, quad = dict_worst_spread(dict_cells(t, keep, logp))
+            if value > worst:
+                worst = value
+                witness = CrossRatioWitness(t.a, t.b, tuple(graphs[i] for i in quad), value)
+    return worst, witness
+
+
+def sweep_densities(n):
+    """A random positive density; a hub law's, with zero-probability
+    graphs; and a uniform one with one graph doubled, whose difference
+    columns tie everywhere but at that graph; and one with weights 0, 1
+    and 2 in turn, where a row's first cell is often missing, so rows
+    first appear out of key order, and many row pairs tie for the worst."""
+    graphs = list(enumerate_decomposable(n))
+    uniform = DensityTable(n, {g: 1.0 / len(graphs) for g in graphs})
+    levels = DensityTable(n, {g: (i % 3) / len(graphs) for i, g in enumerate(graphs)})
+    return {
+        "random": wsm_density(n, seed=n),
+        "hub": normalize_by_enumeration(hub_law(n, vset([0]), 1.0, 0.5)),
+        "bumped-uniform": perturb_density(uniform, graphs[len(graphs) // 3], 2.0),
+        "three-level": levels,
+    }
+
+
+@pytest.mark.parametrize("one_row_per_block", [False, True])
+@pytest.mark.parametrize("n", range(2, 6))
+def test_packed_sweep_matches_dict_loop(n, one_row_per_block, monkeypatch):
+    if one_row_per_block:
+        monkeypatch.setattr(markov, "_SWEEP_BLOCK", 1)
+    graphs, tables = _pair_tables(n)
+    witnessed = 0
+    for name, density in sweep_densities(n).items():
+        logp = [math.log(density.prob(g)) if density.prob(g) > 0.0 else None for g in graphs]
+        packed_logp = np.array([math.nan if lp is None else lp for lp in logp])
+        for kind in PropertyKind:
+            for t in tables:
+                for keep in _row_filters(kind):
+                    sel = keep(t.star_a, t.star_b) & ~np.isnan(packed_logp[t.gi])
+                    got = _worst_spread(t.gi[sel], t.piece_a[sel], t.piece_b[sel], packed_logp, 0.0)
+                    expected = dict_worst_spread(dict_cells(t, keep, logp))
+                    assert got == expected, (name, kind, members(t.a), members(t.b))
+                    witnessed += expected[1] is not None
+            report = check_property(density, kind)
+            assert (report.worst_violation, report.witness) == dict_check(density, kind), (name, kind)
+    assert witnessed > 0 or n == 2
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ import pytest
 import scipy.stats
 
 from cliquesep import (
+    CsfLaw,
     DomainError,
     Graph,
+    PotentialTable,
     PreconditionError,
     clique_separators,
     complete_sets_graph,
@@ -22,6 +24,7 @@ from cliquesep import (
     visit_counts,
     vset,
 )
+from cliquesep.laws import INF
 from conftest import random_csf
 
 
@@ -123,7 +126,20 @@ def test_initial_state_validates_support():
 
 def test_default_init():
     assert default_init(uniform_csf(4)) == Graph.empty(4)
-    assert default_init(hub_law(4, vset([0]))) == Graph.complete(4)
+    assert default_init(hub_law(4, vset([2, 3]))) == Graph(4, [(2, 0), (2, 1), (2, 3)])
+    assert default_init(hub_law(4, 0)) == Graph.complete(4)
+    inf_only = CsfLaw(4, PotentialTable(), PotentialTable(overrides={vset([1]): INF}))
+    assert default_init(inf_only) == Graph.complete(4)
+    # A star whose separator is ruled out by an override falls back to the complete graph.
+    no_star = CsfLaw(4, PotentialTable(), PotentialTable(overrides={vset([0]): INF}, hubs=vset([0])))
+    assert default_init(no_star) == Graph.complete(4)
+
+
+@pytest.mark.parametrize("n", [6, 20])
+def test_default_start_hub_chain_moves(n):
+    # From the complete graph, the hub law's mode, no toggle was ever accepted.
+    summary = run_chain(hub_law(n, vset([0, 1])), steps=5000, thin=5000)
+    assert summary.acceptance_rate > 0.0
 
 
 def test_run_chain_zero_steps_keeps_only_init():
