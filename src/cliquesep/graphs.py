@@ -13,10 +13,10 @@ block of n-i-1 bits starting at bit ``_row_shift(n, i)``, so a row of
 the adjacency above the diagonal moves in and out of the mask with one
 shift.
 
-Recognition is maximum cardinality search with an integrated perfect
-elimination check, and its visit order is cached on the graph. Cliques
-and separators are read off that cached order in one linear pass, so a
-graph is searched once; junction-tree orderings from any start clique
+Recognition is one maximum cardinality search that reads the cliques
+and separators off its running clique as it goes and tests chordality
+only where a new clique starts; a graph is searched once and keeps the
+result in a single slot. Junction-tree orderings from any start clique
 are built from the cliques. Exhaustive enumeration extends chordal
 graphs one vertex at a time, which is enough because chordality is
 hereditary, and yields them in ascending edge-mask order.
@@ -95,17 +95,27 @@ def within_edge_mask(n: int, vmask: int) -> int:
 def _mcs(n: int, adj, vmask: int):
     """Maximum cardinality search over the vertices in ``vmask``.
 
-    Ties break toward the lowest vertex index. Returns ``(order, ok)``
-    where ``order`` is the visit order and ``ok`` is True iff the induced
-    graph is chordal; the check verifies, as each vertex is visited, that
-    its previously visited neighbours minus the most recent one are all
-    adjacent to that most recent one, which for an MCS order holds for
-    every vertex exactly when the graph is chordal.
+    Ties break toward the lowest vertex index. Returns ``[cliques,
+    separators]``, two lists of masks, or None if the induced graph is
+    not chordal. A running clique grows by each visited vertex adjacent
+    to all of it. Any other vertex closes it: it is emitted, and the
+    vertex with its previously visited neighbours starts the next one,
+    those neighbours being that clique's separator.
+
+    The graph is chordal iff every vertex's previously visited
+    neighbours form a clique, the reversed visit order then being a
+    perfect elimination ordering (Tarjan & Yannakakis 1984). A vertex
+    adjacent to all of the running clique has exactly that clique as
+    its previously visited neighbours, so it passes: the clique is the
+    last visited vertex u with u's earlier neighbours, and when u was
+    chosen the vertex had no more visited neighbours than u had. Only a
+    vertex that starts a new clique needs the test.
     """
     w = [0] * n
-    order: list[int] = []
-    append = order.append
     numbered = 0
+    current = 0
+    cl: list[int] = []
+    seps: list[int] = []
     un = vmask
     while un:
         best = -1
@@ -120,17 +130,16 @@ def _mcs(n: int, adj, vmask: int):
             m ^= b
         v = best
         av = adj[v]
-        prior = av & numbered
-        if prior:
-            p = -1
-            for u in reversed(order):
-                if prior >> u & 1:
-                    p = u
-                    break
-            if prior & ~(adj[p] | (1 << p)):
-                return order, False
-        append(v)
         bv = 1 << v
+        if current & ~av:
+            prior = av & numbered
+            if not _is_clique(adj, prior):
+                return None
+            cl.append(current)
+            seps.append(prior)
+            current = prior | bv
+        else:
+            current |= bv
         numbered |= bv
         un ^= bv
         m = av & un
@@ -138,35 +147,9 @@ def _mcs(n: int, adj, vmask: int):
             b = m & -m
             w[b.bit_length() - 1] += 1
             m ^= b
-    return order, True
-
-
-def _cliques_from_order(adj, order: Iterable[int]) -> tuple[list[int], list[int]]:
-    """Cliques and separators of a chordal graph, as masks, off its MCS order.
-
-    Grows a running clique and emits it whenever the next visited vertex
-    is not adjacent to all of it; the new running clique is that vertex
-    with its previously visited neighbours, which are the new clique's
-    separator. The rule relies on ``order`` being a maximum cardinality
-    search order, not just any perfect one.
-    """
-    numbered = 0
-    current = 0
-    cl: list[int] = []
-    seps: list[int] = []
-    for v in order:
-        av = adj[v]
-        bv = 1 << v
-        if current & ~av:
-            cl.append(current)
-            seps.append(av & numbered)
-            current = seps[-1] | bv
-        else:
-            current |= bv
-        numbered |= bv
     if current:
         cl.append(current)
-    return cl, seps
+    return [cl, seps]
 
 
 class Graph:
@@ -175,17 +158,18 @@ class Graph:
     ``vertices`` is the active vertex set (a bit mask); it is all of
     0..n-1 except for induced subgraphs, which keep their host's labels.
     Equality and hashing use ``(n, vertices, edge_mask)``.
+
+    ``_summary`` holds the one search of the graph: None before it,
+    False if the graph is not chordal, the ``[cliques, separators]``
+    list of :func:`_mcs`, and, once :func:`clique_separators` has read
+    it, that function's ``(cliques, separator multiset)`` tuple; the
+    type tells the last two apart.
     """
 
-    __slots__ = ("n", "vertices", "adj", "edge_mask", "_chordal", "_order", "_summary")
+    __slots__ = ("n", "vertices", "adj", "edge_mask", "_summary")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), vertices: int | None = None):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         _check_vertex_count(n)
-        full = _full_mask(n)
-        if vertices is None:
-            vertices = full
-        elif vertices & ~full:
-            raise DomainError("vertex set outside 0..n-1")
         adj = [0] * n
         for i, j in edges:
             if i == j:
@@ -194,19 +178,15 @@ class Graph:
                 i, j = j, i
             if not (0 <= i and j < n):
                 raise DomainError(f"edge ({i},{j}) out of range for n={n}")
-            if not (vertices >> i & 1 and vertices >> j & 1):
-                raise DomainError(f"edge ({i},{j}) joins an inactive vertex")
             if adj[i] >> j & 1:
                 raise DomainError(f"duplicate edge ({i},{j})")
             adj[i] |= 1 << j
             adj[j] |= 1 << i
         self.n = n
-        self.vertices = vertices
+        self.vertices = _full_mask(n)
         self.adj = tuple(adj)
         # Row i above the diagonal is vertex i's block; disjoint blocks sum to their union.
         self.edge_mask = sum((a >> (i + 1)) << _row_shift(n, i) for i, a in enumerate(adj))
-        self._chordal: bool | None = None
-        self._order: tuple[int, ...] | None = None
         self._summary = None
 
     @classmethod
@@ -216,8 +196,6 @@ class Graph:
         g.vertices = vertices
         g.adj = adj
         g.edge_mask = edge_mask
-        g._chordal = None
-        g._order = None
         g._summary = None
         return g
 
@@ -230,12 +208,12 @@ class Graph:
         return complete_sets_graph(n, [_full_mask(n)])
 
     @classmethod
-    def from_edge_mask(cls, n: int, edge_mask: int, vertices: int | None = None) -> "Graph":
+    def from_edge_mask(cls, n: int, edge_mask: int) -> "Graph":
         _check_vertex_count(n)
         if edge_mask >> (n * (n - 1) // 2):
             raise DomainError("edge mask has bits beyond the pair range")
         rows = (edge_mask >> _row_shift(n, i) & _full_mask(n - i - 1) for i in range(n))
-        return cls(n, [(i, i + 1 + k) for i, row in enumerate(rows) for k in members(row)], vertices)
+        return cls(n, [(i, i + 1 + k) for i, row in enumerate(rows) for k in members(row)])
 
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i, a in enumerate(self.adj) for j in members(a & -(2 << i))]
@@ -304,21 +282,11 @@ def induced_subgraph(g: Graph, a: int) -> Graph:
 
 
 def is_decomposable(g: Graph) -> bool:
-    """True iff ``g`` is chordal; caches the visit order of :func:`_mcs`,
-    which :func:`clique_separators` reads the cliques from and whose
-    reverse is a perfect elimination ordering."""
-    if g._chordal is None:
-        order, ok = _mcs(g.n, g.adj, g.vertices)
-        g._chordal = ok
-        if ok:
-            g._order = tuple(order)
-    return g._chordal
-
-
-def elimination_ordering(g: Graph) -> tuple[int, ...]:
-    """A perfect elimination ordering of a decomposable graph."""
-    _require_decomposable(g)
-    return tuple(reversed(g._order))  # type: ignore[arg-type]
+    """True iff ``g`` is chordal; keeps the cliques and separators that
+    the same search read off, for :func:`clique_separators`."""
+    if g._summary is None:
+        g._summary = _mcs(g.n, g.adj, g.vertices) or False
+    return g._summary is not False
 
 
 def _require_decomposable(g: Graph) -> None:
@@ -335,14 +303,16 @@ def clique_separators(g: Graph) -> tuple[tuple[int, ...], Counter]:
     """Cached ``(cliques, separator multiset)`` of a decomposable graph.
 
     The separator multiset maps each separator mask to its multiplicity;
-    it is invariant across junction trees, so the separators read off the
-    same pass over the cached search order as the cliques suffice.
+    it is invariant across junction trees, so the separators that the
+    search emitted with the cliques suffice. The first call replaces the
+    search's lists with this tuple in the graph's one slot.
     """
-    if g._summary is None:
+    s = g._summary
+    if type(s) is not tuple:
         _require_decomposable(g)
-        cl, seps = _cliques_from_order(g.adj, g._order)
-        g._summary = (tuple(cl), Counter(seps))
-    return g._summary
+        cl, seps = g._summary
+        s = g._summary = (tuple(cl), Counter(seps))
+    return s
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ decomposability, or that some infinite separator potential puts outside
 the law's support, are rejected and the chain holds, so detailed balance
 holds with respect to the normalised law restricted to its support.
 Candidate decomposability is checked by a full maximum cardinality
-search per proposal; log-densities are memoised by edge mask. One step
-loop serves both the retained-record chain and the visit counter.
+search per proposal; on graphs small enough to enumerate, log-densities
+are memoised by edge mask. One step loop serves both the
+retained-record chain and the visit counter.
 
 Randomness comes from a counter-based generator keyed by (seed, chain
 index), so independent chains are reproducible regardless of how they
@@ -24,11 +25,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .graphs import Graph, _pairs, clique_separators, is_decomposable
+from .graphs import ENUMERATION_LIMIT, Graph, _pairs, clique_separators, is_decomposable
 from .laws import INF, CsfLaw, log_density_unnorm
-
-#: Stop memoising log-densities beyond this many distinct graphs.
-_CACHE_LIMIT = 500_000
 
 _MASK64 = (1 << 64) - 1
 
@@ -155,7 +153,7 @@ def mh_step(state: ChainState, law: CsfLaw, rand, cache: dict | None = None, val
         ld = cache.get(cand.edge_mask) if cache is not None else None
         if ld is None:
             ld = log_density_unnorm(law, cand)
-            if cache is not None and len(cache) < _CACHE_LIMIT:
+            if cache is not None:
                 cache[cand.edge_mask] = ld
         if ld > -INF:
             delta = ld - state.log_density
@@ -196,7 +194,10 @@ def _chain(
         raise DomainError("sampling needs at least 2 vertices: one vertex has no pair to toggle")
     state = initial_state(law, init)
     rand = _BufferedRandom(_generator(seed, chain_index))
-    cache: dict[int, float] = {state.graph.edge_mask: state.log_density}
+    # Up to the enumeration limit the memo is bounded by the number of
+    # decomposable graphs (617,675 at n=7). Above it, the memo would grow
+    # with the chain, each key with n squared, so scores are not kept.
+    cache = {state.graph.edge_mask: state.log_density} if law.n <= ENUMERATION_LIMIT else None
     yield state
     for _ in range(steps):
         yield mh_step(state, law, rand, cache, validate)

@@ -31,7 +31,7 @@ from cliquesep import (
     to_dot,
     vset,
 )
-from cliquesep.graphs import MAX_VERTICES, _mcs, _pairs, elimination_ordering, members, within_edge_mask
+from cliquesep.graphs import MAX_VERTICES, _mcs, _pairs, members, within_edge_mask
 
 
 def path_graph(n):
@@ -90,12 +90,63 @@ def brute_cliques(g):
     return out
 
 
-def mask_walk(n):
-    """Edge masks of the chordal graphs on n vertices, by walking all
-    2^(n(n-1)/2) masks in ascending order and keeping those that maximum
-    cardinality search accepts."""
+def oracle_mcs(n, adj, vmask):
+    """Two-pass oracle, first pass: maximum cardinality search over
+    ``vmask``, ties toward the lowest index, returning ``(order, ok)``.
+    ``ok`` is the Tarjan-Yannakakis test run at every vertex: its
+    previously visited neighbours other than the latest of them, found
+    by a backward scan of the order, are adjacent to that latest one."""
+    w = [0] * n
+    order = []
+    numbered = 0
+    un = vmask
+    while un:
+        v = max(members(un), key=lambda u: (w[u], -u))
+        prior = adj[v] & numbered
+        if prior:
+            p = next(u for u in reversed(order) if prior >> u & 1)
+            if prior & ~(adj[p] | (1 << p)):
+                return order, False
+        order.append(v)
+        numbered |= 1 << v
+        un ^= 1 << v
+        for u in members(adj[v] & un):
+            w[u] += 1
+    return order, True
+
+
+def oracle_cliques_from_order(adj, order):
+    """Two-pass oracle, second pass: cliques and separators read off an
+    MCS order by growing a running clique and emitting it whenever the
+    next vertex is not adjacent to all of it."""
+    numbered = 0
+    current = 0
+    cl, seps = [], []
+    for v in order:
+        if current & ~adj[v]:
+            cl.append(current)
+            seps.append(adj[v] & numbered)
+            current = seps[-1] | 1 << v
+        else:
+            current |= 1 << v
+        numbered |= 1 << v
+    if current:
+        cl.append(current)
+    return cl, seps
+
+
+def oracle_search(n, adj, vmask):
+    """``_mcs``'s result by the two-pass oracle: ``[cliques, separators]``
+    or None if the graph on ``vmask`` is not chordal."""
+    order, ok = oracle_mcs(n, adj, vmask)
+    return list(oracle_cliques_from_order(adj, order)) if ok else None
+
+
+def all_adjacencies(n):
+    """``(edge mask, adjacency)`` for all 2^(n(n-1)/2) graphs on n
+    vertices, in ascending mask order; the adjacency list is updated in
+    place from one mask to the next."""
     pairs = _pairs(n)
-    full = (1 << n) - 1
     adj = [0] * n
     for mask in range(1 << len(pairs)):
         if mask:
@@ -111,7 +162,16 @@ def mask_walk(n):
                 adj[i] &= ~(1 << j)
                 adj[j] &= ~(1 << i)
                 m ^= b
-        if _mcs(n, adj, full)[1]:
+        yield mask, adj
+
+
+def mask_walk(n):
+    """Edge masks of the chordal graphs on n vertices, by walking all
+    masks in ascending order and keeping those that the two-pass
+    oracle's search accepts."""
+    full = (1 << n) - 1
+    for mask, adj in all_adjacencies(n):
+        if oracle_mcs(n, adj, full)[1]:
             yield mask
 
 
@@ -251,16 +311,19 @@ def test_recognition_matches_chordless_cycle_search_n6():
         assert is_decomposable(g) == brute_is_chordal(g), g
 
 
-def test_elimination_ordering_is_perfect():
-    for g in enumerate_decomposable(5):
-        peo = elimination_ordering(g)
-        seen = 0
-        for v in reversed(peo):
-            later = g.adj[v] & seen
-            assert is_complete(g, later), (g, peo)
-            seen |= 1 << v
-    with pytest.raises(PreconditionError):
-        elimination_ordering(cycle_graph(4))
+@pytest.mark.parametrize("n", range(1, 7))
+def test_search_matches_two_pass_oracle(n):
+    full = (1 << n) - 1
+    for mask, adj in all_adjacencies(n):
+        assert _mcs(n, adj, full) == oracle_search(n, adj, full), pair_decode(n, mask)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_search_matches_two_pass_oracle_on_induced_subgraphs(n):
+    for g in enumerate_decomposable(n):
+        for a in range(1 << n):
+            h = induced_subgraph(g, a)
+            assert _mcs(n, h.adj, a) == oracle_search(n, h.adj, a), (g, members(a))
 
 
 # ---------------------------------------------------------------------------

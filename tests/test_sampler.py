@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import cliquesep.sampler as sampler_module
 from cliquesep import (
     CsfLaw,
     DomainError,
@@ -24,6 +25,7 @@ from cliquesep import (
     visit_counts,
     vset,
 )
+from cliquesep.graphs import ENUMERATION_LIMIT
 from cliquesep.laws import INF
 from conftest import random_csf
 
@@ -140,6 +142,30 @@ def test_default_start_hub_chain_moves(n):
     # From the complete graph, the hub law's mode, no toggle was ever accepted.
     summary = run_chain(hub_law(n, vset([0, 1])), steps=5000, thin=5000)
     assert summary.acceptance_rate > 0.0
+
+
+@pytest.mark.parametrize("n", [ENUMERATION_LIMIT, ENUMERATION_LIMIT + 1])
+def test_scores_are_memoised_only_up_to_the_enumeration_limit(n, monkeypatch):
+    calls = {"score": 0, "decomposable": 0}
+    score, propose = sampler_module.log_density_unnorm, sampler_module.propose_edge_flip
+
+    def counted_score(law, g):
+        calls["score"] += 1
+        return score(law, g)
+
+    def counted_propose(state, rand):
+        cand = propose(state, rand)
+        calls["decomposable"] += cand is not None
+        return cand
+
+    monkeypatch.setattr(sampler_module, "log_density_unnorm", counted_score)
+    monkeypatch.setattr(sampler_module, "propose_edge_flip", counted_propose)
+    visit_counts(uniform_csf(n), steps=2_000, seed=0)
+    # initial_state scores the start once; toggling a pair back revisits a graph.
+    if n > ENUMERATION_LIMIT:
+        assert calls["score"] == 1 + calls["decomposable"]
+    else:
+        assert calls["score"] < calls["decomposable"]
 
 
 def test_run_chain_zero_steps_keeps_only_init():
