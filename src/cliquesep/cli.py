@@ -326,10 +326,7 @@ def run_command(argv=None) -> int:
         return int(e.code or 0)
     try:
         _COMMANDS[args.command](args)
-    except DomainError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (DomainError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

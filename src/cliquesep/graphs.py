@@ -83,7 +83,6 @@ def _row_shift(n: int, i: int) -> int:
     return i * (2 * n - i - 1) // 2
 
 
-@lru_cache(maxsize=1 << 20)
 def within_edge_mask(n: int, vmask: int) -> int:
     """Edge mask of the complete graph on the vertices in ``vmask``."""
     m = 0

@@ -590,15 +590,19 @@ def test_complete_sets_graph_checks_vertex_count(n):
         complete_sets_graph(n, [])
 
 
-def test_complete_graph_checks_vertex_count_before_building():
+def test_complete_graph_checks_vertex_count_before_building(monkeypatch):
+    def build(n, vmask):
+        raise AssertionError("edge mask built before the vertex-count check")
+
     _pairs.cache_clear()
-    within_edge_mask.cache_clear()
+    monkeypatch.setattr(cliquesep.graphs, "within_edge_mask", build)
+    with pytest.raises(AssertionError):
+        Graph.complete(3)
     with pytest.raises(DomainError):
         Graph.complete(MAX_VERTICES + 1)
     with pytest.raises(DomainError):
         Graph.from_edge_mask(MAX_VERTICES + 1, 0)
     assert _pairs.cache_info().currsize == 0
-    assert within_edge_mask.cache_info().currsize == 0
 
 
 def test_to_dot_marks_hubs():

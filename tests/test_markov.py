@@ -31,8 +31,8 @@ from cliquesep.graphs import members
 from cliquesep.markov import (
     CrossRatioWitness,
     PropertyKind,
+    _ewsm_constraints,
     _pair_tables,
-    _row_filters,
     _worst_spread,
     ewsm_constraint_column_support,
 )
@@ -113,6 +113,19 @@ def test_check_property_requires_full_coverage():
         check_property(partial, PropertyKind.WSM)
 
 
+def test_partial_density_is_a_domain_error_everywhere():
+    graphs = list(enumerate_decomposable(4))
+    partial = DensityTable(4, {g: 1.0 / 10 for g in graphs[:10]})
+    with pytest.raises(DomainError):
+        check_property(partial, PropertyKind.SM)
+    with pytest.raises(DomainError):
+        fit_csf_from_density(partial)
+    with pytest.raises(DomainError):
+        verify_lemma2_ratio(partial, 0)
+    with pytest.raises(DomainError):
+        verify_lemma1_identity(partial, graphs[-1])
+
+
 def test_zero_mass_graphs_are_ignored_not_fatal():
     # hub support: mass only on graphs whose separators contain vertex 0
     d = normalize_by_enumeration(hub_law(4, vset([0]), 1.0, 0.5))
@@ -164,10 +177,19 @@ def dict_worst_spread(cells):
     return worst, quad
 
 
-def dict_cells(t, keep, logp):
-    """The cells of table ``t`` that ``keep`` and a positive probability admit."""
+def table_rows(t):
+    """The rows of table ``t`` as (graph index, piece on a, piece on b,
+    maximal in a, maximal in b)."""
+    return list(zip(*(c.tolist() for c in (t.gi, t.piece_a, t.piece_b, t.star_a, t.star_b))))
+
+
+def dict_cells(t, family, logp):
+    """The cells of table ``t`` that the row mask ``family`` and a positive
+    probability admit."""
     return {
-        (ga, gb): (logp[gi], gi) for gi, ga, gb, sa, sb in t.rows if keep(sa, sb) and logp[gi] is not None
+        (ga, gb): (logp[gi], gi)
+        for (gi, ga, gb, _, _), keep in zip(table_rows(t), family.tolist())
+        if keep and logp[gi] is not None
     }
 
 
@@ -178,8 +200,8 @@ def dict_check(density, kind):
     worst = 0.0
     witness = None
     for t in tables:
-        for keep in _row_filters(kind):
-            value, quad = dict_worst_spread(dict_cells(t, keep, logp))
+        for family in t.families(kind):
+            value, quad = dict_worst_spread(dict_cells(t, family, logp))
             if value > worst:
                 worst = value
                 witness = CrossRatioWitness(t.a, t.b, tuple(graphs[i] for i in quad), value)
@@ -215,10 +237,10 @@ def test_packed_sweep_matches_dict_loop(n, one_row_per_block, monkeypatch):
         packed_logp = np.array([math.nan if lp is None else lp for lp in logp])
         for kind in PropertyKind:
             for t in tables:
-                for keep in _row_filters(kind):
-                    sel = keep(t.star_a, t.star_b) & ~np.isnan(packed_logp[t.gi])
+                for family in t.families(kind):
+                    sel = family & ~np.isnan(packed_logp[t.gi])
                     got = _worst_spread(t.gi[sel], t.piece_a[sel], t.piece_b[sel], packed_logp, 0.0)
-                    expected = dict_worst_spread(dict_cells(t, keep, logp))
+                    expected = dict_worst_spread(dict_cells(t, family, logp))
                     assert got == expected, (name, kind, members(t.a), members(t.b))
                     witnessed += expected[1] is not None
             report = check_property(density, kind)
@@ -263,13 +285,10 @@ def test_decomposition_index_matches_conditioning_sets(n):
         (a, b) for a in range(full) for b in range(a + 1, full) if a | b == full
     ]
     for t in tables:
-        indices = [gi for gi, *_ in t.rows]
+        indices = t.gi.tolist()
         assert all(i < j for i, j in zip(indices, indices[1:])), (members(t.a), members(t.b))
         for kind in PropertyKind:
-            passed = [
-                {graphs[gi] for gi, _, _, sa, sb in t.rows if keep(sa, sb)}
-                for keep in _row_filters(kind)
-            ]
+            passed = [{graphs[gi] for gi in t.gi[family].tolist()} for family in t.families(kind)]
             expected = [set(conditioning_set(n, t.a, t.b, kind))]
             if kind is PropertyKind.WSM:
                 expected.append(set(conditioning_set(n, t.b, t.a, kind)))
@@ -377,13 +396,49 @@ def test_dimension_analysis_other_sizes_need_force():
 
 
 def test_every_factorisation_density_satisfies_the_constraints():
-    rows = __import__("cliquesep.markov", fromlist=["_ewsm_constraint_rows"])._ewsm_constraint_rows(4)
+    matrix = _ewsm_constraints(4)
     graphs = list(enumerate_decomposable(4))
     for seed in range(3):
         d = wsm_density(4, seed=seed + 50)
-        logs = [math.log(d.prob(g)) for g in graphs]
-        for row in rows:
-            assert abs(sum(coef * logs[i] for i, coef in row.items())) < 1e-9
+        logs = np.array([math.log(d.prob(g)) for g in graphs])
+        assert np.abs(matrix @ logs).max() < 1e-9
+
+
+def dict_constraint_rows(n):
+    """The anchored constraint rows as {graph index: coefficient} dicts,
+    built cell by cell: the builder the constraint matrix replaced."""
+    rows = []
+    for t in _pair_tables(n)[1]:
+        cells = {(ga, gb): gi for gi, ga, gb, sa, sb in table_rows(t) if sa and sb}
+        row_keys = sorted({ga for ga, _ in cells})
+        col_keys = sorted({gb for _, gb in cells})
+        if len(row_keys) < 2 or len(col_keys) < 2:
+            continue
+        x0, y0 = row_keys[0], col_keys[0]
+        for x in row_keys[1:]:
+            for y in col_keys[1:]:
+                row = {}
+                for idx, coef in (
+                    (cells[(x, y)], 1),
+                    (cells[(x0, y0)], 1),
+                    (cells[(x, y0)], -1),
+                    (cells[(x0, y)], -1),
+                ):
+                    row[idx] = row.get(idx, 0) + coef
+                rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_constraint_matrix_matches_dict_rows(n):
+    ncols = len(_pair_tables(n)[0])
+    rows = dict_constraint_rows(n)
+    assert len(rows) == {2: 0, 3: 0, 4: 24, 5: 1275}[n]
+    matrix = _ewsm_constraints(n)
+    assert matrix.dtype == np.int64 and matrix.shape == (len(rows), ncols)
+    for k, row in enumerate(rows):
+        assert matrix[k].tolist() == [row.get(c, 0) for c in range(ncols)], k
+    assert ewsm_constraint_column_support(n) == {c for row in rows for c, v in row.items() if v}
 
 
 def test_constraints_ignore_connected_graphs_with_few_cliques():
