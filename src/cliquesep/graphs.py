@@ -16,10 +16,14 @@ shift.
 Recognition is one maximum cardinality search that reads the cliques
 and separators off its running clique as it goes and tests chordality
 only where a new clique starts; a graph is searched once and keeps the
-result in a single slot. Junction-tree orderings from any start clique
-are built from the cliques. Exhaustive enumeration extends chordal
-graphs one vertex at a time, which is enough because chordality is
-hereditary, and yields them in ascending edge-mask order.
+result in a single slot. The search keeps its unvisited vertices in
+buckets by number of visited neighbours, one mask per bucket, and runs
+in O(n + m) (Tarjan & Yannakakis 1984); taking the lowest set bit of
+the top bucket keeps the tie-break toward the lowest index, which fixes
+the order in which cliques are emitted. Junction-tree orderings from
+any start clique are built from the cliques. Exhaustive enumeration
+extends chordal graphs one vertex at a time, which is enough because
+chordality is hereditary, and yields them in ascending edge-mask order.
 """
 
 from __future__ import annotations
@@ -109,27 +113,34 @@ def _mcs(n: int, adj, vmask: int):
     last visited vertex u with u's earlier neighbours, and when u was
     chosen the vertex had no more visited neighbours than u had. Only a
     vertex that starts a new clique needs the test.
+
+    Unvisited vertices wait in buckets by weight, their number of
+    visited neighbours: ``buckets[k]`` is the mask of those with weight
+    k, and no weight exceeds n-1. The heaviest bucket that may be
+    non-empty is ``top``; the next vertex is the lowest set bit of
+    ``buckets[top]``, the lowest index among those of maximum weight.
+    Visiting a vertex moves each unvisited neighbour up one bucket, and
+    ``top`` up by one if one of them was in it; ``top`` moves down past
+    empty buckets only when a vertex is chosen, so it falls at most as
+    far as it rose. The search is O(n + m) bucket moves.
     """
     w = [0] * n
+    buckets = [0] * n
+    buckets[0] = vmask
+    top = 0
     numbered = 0
     current = 0
     cl: list[int] = []
     seps: list[int] = []
     un = vmask
     while un:
-        best = -1
-        bw = -1
-        m = un
-        while m:
-            b = m & -m
-            v = b.bit_length() - 1
-            if w[v] > bw:
-                bw = w[v]
-                best = v
-            m ^= b
-        v = best
+        while not buckets[top]:
+            top -= 1
+        b = buckets[top]
+        bv = b & -b
+        buckets[top] = b ^ bv
+        v = bv.bit_length() - 1
         av = adj[v]
-        bv = 1 << v
         if current & ~av:
             prior = av & numbered
             if not _is_clique(adj, prior):
@@ -142,9 +153,15 @@ def _mcs(n: int, adj, vmask: int):
         numbered |= bv
         un ^= bv
         m = av & un
+        if m & buckets[top]:
+            top += 1
         while m:
             b = m & -m
-            w[b.bit_length() - 1] += 1
+            u = b.bit_length() - 1
+            k = w[u]
+            w[u] = k + 1
+            buckets[k] ^= b
+            buckets[k + 1] |= b
             m ^= b
     if current:
         cl.append(current)

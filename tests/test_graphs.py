@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 
@@ -19,6 +20,7 @@ from cliquesep import (
     enumerate_decomposable,
     graph_from_json,
     graph_to_json,
+    hub_law,
     in_U_plus,
     in_U_star,
     induced_subgraph,
@@ -27,6 +29,7 @@ from cliquesep import (
     is_decomposable,
     is_decomposition,
     pluperfect_order,
+    run_chain,
     separator_multiset,
     to_dot,
     vset,
@@ -324,6 +327,104 @@ def test_search_matches_two_pass_oracle_on_induced_subgraphs(n):
         for a in range(1 << n):
             h = induced_subgraph(g, a)
             assert _mcs(n, h.adj, a) == oracle_search(n, h.adj, a), (g, members(a))
+
+
+# Large graphs: the search's weight buckets span more than one 64-bit
+# word and grow tall, which the exhaustive tests above never reach.
+
+
+def assert_search_matches_oracle(n, adj, vmask=None):
+    vmask = (1 << n) - 1 if vmask is None else vmask
+    got = _mcs(n, adj, vmask)
+    assert got == oracle_search(n, adj, vmask)
+    return got
+
+
+def random_chordal(n, rng, p=0.6):
+    """Chordal graph grown by vertex extension in a random label order:
+    each new vertex joins a random complete set of the earlier ones."""
+    order = rng.sample(range(n), n)
+    edges = []
+    adj = [0] * n
+    for k, v in enumerate(order):
+        if k == 0 or rng.random() < 0.1:
+            continue
+        u = rng.choice(order[:k])
+        clique = 1 << u
+        nbrs = members(adj[u])
+        rng.shuffle(nbrs)
+        for w in nbrs:
+            if clique & ~adj[w] == 0 and rng.random() < p:
+                clique |= 1 << w
+        for w in members(clique):
+            edges.append((v, w))
+            adj[v] |= 1 << w
+            adj[w] |= 1 << v
+    return Graph(n, edges)
+
+
+@pytest.mark.parametrize("n, hubs, seed", [(65, 7, 5), (200, 20, 11)])
+def test_search_matches_oracle_on_hub_chain_states_and_their_toggles(n, hubs, seed):
+    star = Graph(n, [(0, v) for v in range(1, n)])
+    summary = run_chain(hub_law(n, range(hubs), 4.0, 0.5), init=star, steps=300, thin=100, seed=seed)
+    rng = random.Random(seed)
+    pairs = _pairs(n)
+    chordal = not_chordal = 0
+    for record in summary.records:
+        g = record.graph
+        assert assert_search_matches_oracle(n, g.adj) is not None
+        # Random pairs are nearly all additions; deletions break chordality more often.
+        for i, j in rng.sample(pairs, 15) + rng.sample(g.edges(), 15):
+            if assert_search_matches_oracle(n, g.with_edge_toggled(i, j).adj) is None:
+                not_chordal += 1
+            else:
+                chordal += 1
+    assert chordal and not_chordal
+    assert len({r.graph for r in summary.records}) == len(summary.records)
+
+
+@pytest.mark.parametrize("n", [10, 65, 130])
+def test_search_matches_oracle_on_random_chordal_graphs(n):
+    rng = random.Random(n)
+    for _ in range(10):
+        g = random_chordal(n, rng)
+        assert assert_search_matches_oracle(n, g.adj) is not None
+        a = rng.getrandbits(n)
+        h = induced_subgraph(g, a)
+        assert assert_search_matches_oracle(n, h.adj, a) is not None
+
+
+@pytest.mark.parametrize("n", [10, 65, 130])
+def test_search_matches_oracle_on_random_graphs(n):
+    rng = random.Random(n)
+    not_chordal = 0
+    for p in (2 / n, 3 / n, 5 / n, 0.3, 0.7):
+        for _ in range(4):
+            g = Graph(n, [e for e in _pairs(n) if rng.random() < p])
+            not_chordal += assert_search_matches_oracle(n, g.adj) is None
+    assert not_chordal >= 10
+
+
+def test_search_bucket_edge_cases():
+    n = 100
+    assert assert_search_matches_oracle(n, Graph.empty(n).adj) == [[1 << v for v in range(n)], [0] * (n - 1)]
+    path = assert_search_matches_oracle(n, path_graph(n).adj)
+    assert path == [[3 << v for v in range(n - 1)], [1 << v for v in range(1, n - 1)]]
+    star = Graph(n, [(7, v) for v in range(n) if v != 7])
+    hub = 1 << 7
+    assert assert_search_matches_oracle(n, star.adj) == [
+        [hub | 1 << v for v in range(n) if v != 7], [hub] * (n - 2)
+    ]
+    # Cliques of sizes 1..13 on shuffled labels: after each one is done,
+    # ``top`` must fall back to bucket 0 for the next component.
+    labels = random.Random(0).sample(range(n), 91)
+    blocks = [vset(labels[k * (k - 1) // 2 : k * (k + 1) // 2]) for k in range(1, 14)]
+    cl, seps = assert_search_matches_oracle(n, complete_sets_graph(n, blocks).adj, vset(labels))
+    assert sorted(cl) == sorted(blocks) and seps == [0] * 12
+    assert assert_search_matches_oracle(MAX_VERTICES, Graph.complete(MAX_VERTICES).adj) == [
+        [(1 << MAX_VERTICES) - 1], []
+    ]
+    assert _mcs(n, Graph.empty(n).adj, 0) == [[], []]
 
 
 # ---------------------------------------------------------------------------

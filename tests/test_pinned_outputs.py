@@ -4,7 +4,9 @@ The constants were taken from the library before its clique, enumeration
 and chain loops were folded together; the decomposition index's from the
 scan over covering pairs that builds it; the ``check`` outputs' from the
 dict-based cross-ratio sweep, before it was vectorised; the hub
-``sample`` output's once hub chains started at the star. Clique emission order fixes the
+``sample`` output's once hub chains started at the star; the 200-vertex
+hub chain's from the search that scanned every unvisited vertex for the
+next one, before it kept them in buckets by weight. Clique emission order fixes the
 floating-point summation order of ``log_density_unnorm``, so these
 digests also catch a reordering of cliques that leaves the clique sets
 unchanged.
@@ -18,12 +20,14 @@ import pytest
 from cliquesep import (
     CsfLaw,
     Graph,
+    hub_law,
     PotentialTable,
     density_to_json,
     enumerate_decomposable,
     log_density_unnorm,
     normalize_by_enumeration,
     perturb_density,
+    run_chain,
     visit_counts,
 )
 from cliquesep.cli import run_command
@@ -45,6 +49,17 @@ def test_sample_hub_stdout_digest(capsys):
                     "--steps", "300", "--thin", "50", "--seed", "0")
     # Starts at the star on hub 0; from the complete graph the chain never moved.
     assert digest(out) == "6ed20bd18be364caac9bbf9f62915954b25a2f2f43be50b95fd1593e6d0873ce"
+
+
+def test_hub_chain_n200_digest():
+    # Searches at n=200 cross the 64-bit word and reach weights far above n=6's.
+    n = 200
+    star = Graph(n, [(0, v) for v in range(1, n)])
+    s = run_chain(hub_law(n, range(20), 4.0, 0.5), init=star, steps=300, thin=100, seed=11)
+    lines = [str(round(s.acceptance_rate * s.steps))] + [
+        f"{r.graph.edge_mask:x} {r.num_cliques} {r.max_clique} {r.separator_sizes}" for r in s.records
+    ]
+    assert digest("\n".join(lines)) == "29047434d35f3bee0c08fea7fb1d33bb9c8479da62883f7a8c44356e35ea4700"
 
 
 def test_visit_counts_digest():
