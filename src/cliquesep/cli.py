@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import DomainError
@@ -122,6 +123,12 @@ def _need_n(args) -> int:
     return args.n
 
 
+def _need_tol(args) -> float:
+    if not 0.0 <= args.tol < math.inf:
+        raise DomainError(f"--tol must be finite and nonnegative, got {args.tol!r}")
+    return args.tol
+
+
 def _read_table(path: str) -> dict:
     """Parsed JSON object of a law or density file."""
     with open(path) as fh:
@@ -203,13 +210,14 @@ def _cmd_density(args) -> None:
 
 
 def _cmd_check(args) -> None:
+    tol = _need_tol(args)
     density = _load_density(args)
-    report = check_property(density, PropertyKind(args.property), args.tol)
+    report = check_property(density, PropertyKind(args.property), tol)
     obj = {
         "property": report.kind.value,
         "passed": report.passed,
         "worst_violation": report.worst_violation,
-        "tol": args.tol,
+        "tol": tol,
         "witness": _witness_obj(report.witness),
     }
     _emit(args, json.dumps(obj, sort_keys=True) + "\n")
@@ -225,6 +233,7 @@ def _cmd_fit(args) -> None:
 
 
 def _cmd_lemma_check(args) -> None:
+    tol = _need_tol(args)
     density = _load_density(args)
     n = density.n
     product_dev = 0.0
@@ -237,8 +246,8 @@ def _cmd_lemma_check(args) -> None:
     obj = {
         "product_identity_max_deviation": product_dev,
         "ratio_spread_max": ratio_dev,
-        "tol": args.tol,
-        "passed": max(product_dev, ratio_dev) <= args.tol,
+        "tol": tol,
+        "passed": max(product_dev, ratio_dev) <= tol,
     }
     _emit(args, json.dumps(obj, sort_keys=True) + "\n")
 

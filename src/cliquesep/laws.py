@@ -36,11 +36,19 @@ from .graphs import (
 INF = math.inf
 
 
+def _check_finite(value: float, what: str) -> None:
+    if not math.isfinite(value):
+        raise DomainError(f"{what} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExpLinearRule:
-    """Log-potential -rate * |A|."""
+    """Log-potential -rate * |A|; the rate must be finite."""
 
     rate: float
+
+    def __post_init__(self):
+        _check_finite(self.rate, "rule rate")
 
     def log_potential(self, size: int) -> float:
         return -self.rate * size
@@ -48,9 +56,12 @@ class ExpLinearRule:
 
 @dataclass(frozen=True)
 class ConstRule:
-    """Constant log-potential, independent of set size."""
+    """Constant log-potential, independent of set size; it must be finite."""
 
     value: float = 0.0
+
+    def __post_init__(self):
+        _check_finite(self.value, "rule value")
 
     def log_potential(self, size: int) -> float:
         return self.value
@@ -58,9 +69,13 @@ class ConstRule:
 
 @dataclass(frozen=True)
 class QuadraticRule:
-    """Log-potential coef * |A|(|A|-1)/2, one unit per vertex pair."""
+    """Log-potential coef * |A|(|A|-1)/2, one unit per vertex pair; the
+    coefficient must be finite."""
 
     coef: float
+
+    def __post_init__(self):
+        _check_finite(self.coef, "rule coefficient")
 
     def log_potential(self, size: int) -> float:
         return self.coef * (size * (size - 1) // 2)
@@ -144,7 +159,9 @@ def t_minus(g: Graph, a: int) -> int:
 
 def log_density_unnorm(law: CsfLaw, g: Graph) -> float:
     """Sum of clique log-potentials minus multiplicity-weighted separator
-    log-potentials; -inf iff some separator potential is +inf."""
+    log-potentials; -inf (zero density) when some separator potential is
+    +inf or the clique terms reach -inf. A sum that potentials overflow
+    to +inf, or to -inf plus +inf, raises ``DomainError``."""
     if g.n != law.n:
         raise DomainError(f"graph on {g.n} vertices under a law for {law.n}")
     cl, seps = clique_separators(g)
@@ -159,6 +176,8 @@ def log_density_unnorm(law: CsfLaw, g: Graph) -> float:
         if lp == INF:
             return -INF
         total -= mult * lp
+    if not total < INF:
+        raise DomainError(f"log-density is {total!r}: the law's potentials overflow")
     return total
 
 
@@ -297,8 +316,8 @@ def perturb_density(density: DensityTable, g: Graph, factor: float) -> DensityTa
     """Multiply one graph's probability by ``factor`` and renormalise."""
     if g not in density.probs:
         raise DomainError("graph is not in the density's support set")
-    if factor <= 0.0:
-        raise DomainError("perturbation factor must be positive")
+    if not 0.0 < factor < INF:
+        raise DomainError(f"perturbation factor must be finite and positive, got {factor!r}")
     probs = dict(density.probs)
     probs[g] *= factor
     z = math.fsum(sorted(probs.values()))

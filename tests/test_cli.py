@@ -290,6 +290,12 @@ def test_law_n_mismatch(capsys, tmp_path):
         pytest.param("density", '{"n": 3, "phi": {"rule": {"type": "exp_linear", "rate": 1' + "0" * 400 + '}}}',
                      id="rate-beyond-float-range"),
         pytest.param("check", '{"n": -1, "entries": []}', id="negative-density-n"),
+        pytest.param("density", '{"n": 3, "phi": {}, "psi": {"rule": {"type": "exp_linear", "rate": "nan"}}}',
+                     id="nan-rate"),
+        pytest.param("density", '{"n": 3, "phi": {}, "psi": {"rule": {"type": "const", "value": "-inf"}}}',
+                     id="infinite-const-value"),
+        pytest.param("check", '{"n": 3, "phi": {}, "psi": {"rule": {"type": "quadratic", "coef": Infinity}}}',
+                     id="infinite-coef"),
     ],
 )
 def test_malformed_law_or_density_file_is_a_domain_error(capsys, tmp_path, command, content):
@@ -384,19 +390,48 @@ def test_bad_integer_flags_end_in_one_error_line(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-# Which integer flags each command takes; ``--law`` picks the law the others feed.
+_HUB4 = ["--n", "4", "--law", "hub", "--hubs", "0"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["density", "--n", "3", "--law", "hub", "--hubs", "0", "--psi-rate", "inf"], id="density-inf-rate"),
+    pytest.param(["sample", "--n", "3", "--law", "hub", "--hubs", "0", "--phi-rate", "nan"], id="sample-nan-rate"),
+    pytest.param(["check", "--n", "3", "--law", "hub", "--hubs", "0", "--phi-rate=-inf"], id="check-inf-rate"),
+    pytest.param(["check", "--n", "3", "--tol", "nan"], id="check-nan-tol"),
+    pytest.param(["check", "--n", "3", "--tol", "-1"], id="check-negative-tol"),
+    pytest.param(["check", "--n", "3", "--tol", "inf"], id="check-inf-tol"),
+    pytest.param(["lemma-check", "--n", "3", "--tol", "nan"], id="lemma-check-nan-tol"),
+    # Finite rates whose log-density sums overflow to +inf.
+    pytest.param(["density", *_HUB4, "--phi-rate", "0", "--psi-rate", "1e308"], id="density-overflow"),
+    pytest.param(["sample", *_HUB4, "--phi-rate", "0", "--psi-rate", "1e308", "--steps", "5"], id="sample-overflow"),
+    pytest.param(["check", *_HUB4, "--phi-rate", "0", "--psi-rate", "1e308"], id="check-overflow"),
+])
+def test_bad_float_flags_end_in_one_error_line(capsys, argv):
+    status, out, err = run(capsys, *argv)
+    assert status == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Which integer and float flags each command takes; ``--law`` picks the law
+# the others feed.
 _FLAGS = {
     "enumerate": ("--n",),
     "dim": ("--n",),
     "ewsm-rank": ("--n",),
-    "density": ("--n", "--law", "--hubs"),
-    "check": ("--n", "--law", "--hubs"),
-    "sample": ("--n", "--law", "--hubs", "--steps", "--thin", "--seed"),
+    "density": ("--n", "--law", "--hubs", "--phi-rate", "--psi-rate"),
+    "check": ("--n", "--law", "--hubs", "--phi-rate", "--psi-rate", "--tol"),
+    "sample": ("--n", "--law", "--hubs", "--phi-rate", "--psi-rate", "--steps", "--thin", "--seed"),
 }
+# Valid sizes and hubs are drawn often, so that commands also get to exit
+# 0; so are the extremes of the floats, where potentials overflow.
+_floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0])
 _FLAG_VALUES = {
-    "--n": _ints,
+    "--n": st.integers(min_value=1, max_value=5) | _ints,
     "--law": st.sampled_from(["uniform", "hub"]),
-    "--hubs": st.lists(_ints, max_size=3).map(lambda vs: ",".join(map(str, vs))),
+    "--hubs": st.lists(st.integers(min_value=0, max_value=4) | _ints, max_size=3).map(lambda vs: ",".join(map(str, vs))),
+    "--phi-rate": _floats,
+    "--psi-rate": _floats,
+    "--tol": _floats,
     "--steps": st.integers(max_value=30),
     "--thin": _ints,
     "--seed": _ints,
@@ -417,3 +452,5 @@ def test_integer_flags_exit_zero_or_one_error_line(command, data):
     if status != 0:
         assert status == 1 and out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:  # JSON has no NaN or Infinity
+        assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()

@@ -298,6 +298,13 @@ def test_perturb_density():
         perturb_density(d, g, 0.0)
 
 
+@pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf])
+def test_perturb_density_needs_a_finite_factor(factor):
+    d = normalize_by_enumeration(uniform_csf(3))
+    with pytest.raises(DomainError):
+        perturb_density(d, Graph.empty(3), factor)
+
+
 # ---------------------------------------------------------------------------
 # Serialisation
 
@@ -372,3 +379,34 @@ def test_exp_linear_rule_values():
     assert ExpLinearRule(4.0).log_potential(3) == -12.0
     assert ConstRule(1.25).log_potential(7) == 1.25
     assert QuadraticRule(2.0).log_potential(4) == 12.0
+
+
+@pytest.mark.parametrize("rule", [ExpLinearRule, ConstRule, QuadraticRule])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_rules_reject_non_finite_parameters(rule, value):
+    with pytest.raises(DomainError):
+        rule(value)
+
+
+def test_non_finite_rates_are_rejected_where_the_law_is_built():
+    with pytest.raises(DomainError):
+        hub_law(3, [0], 4.0, math.inf)
+    with pytest.raises(DomainError):
+        law_from_json('{"n": 3, "phi": {"rule": {"type": "exp_linear", "rate": "nan"}}, "psi": {}}')
+    # +inf stays available per set and through the hub mask.
+    law = CsfLaw(3, PotentialTable(), PotentialTable(overrides={0: math.inf}))
+    assert log_density_unnorm(law, Graph.empty(3)) == -math.inf
+    assert log_density_unnorm(hub_law(3, [0]), Graph.empty(3)) == -math.inf
+
+
+@pytest.mark.parametrize("phi_rate, expected", [(0.0, "inf"), (1e308, "nan")])
+def test_overflowing_log_density_is_a_domain_error(phi_rate, expected):
+    # The star's separator {0} has multiplicity 2, so at separator rate
+    # 1e308 its term 2 * 1e308 overflows to +inf; at clique rate 1e308
+    # the cliques' terms have reached -inf first, and the sum is NaN.
+    law = hub_law(4, [0], phi_rate, 1e308)
+    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    with pytest.raises(DomainError, match=f"is {expected}"):
+        log_density_unnorm(law, star)
+    with pytest.raises(DomainError):
+        normalize_by_enumeration(law)

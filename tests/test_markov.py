@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from cliquesep import (
     DensityTable,
     DomainError,
     Graph,
+    PreconditionError,
     check_property,
     clique_separators,
     complete_sets_graph,
@@ -31,7 +33,8 @@ from cliquesep.graphs import members
 from cliquesep.markov import (
     CrossRatioWitness,
     PropertyKind,
-    _ewsm_constraints,
+    _ewsm_rows,
+    _exact_rank,
     _pair_tables,
     _worst_spread,
     ewsm_constraint_column_support,
@@ -395,18 +398,24 @@ def test_dimension_analysis_other_sizes_need_force():
     assert analysis.csf_dimension == 7
 
 
+def test_dimension_analysis_at_five_vertices():
+    analysis = ewsm_dimension_analysis(5, force=True)
+    assert (analysis.num_constraints_bound, analysis.rank, analysis.free_dimension_bound) == (1275, 695, 126)
+    assert analysis.csf_dimension == 51
+
+
 def test_every_factorisation_density_satisfies_the_constraints():
-    matrix = _ewsm_constraints(4)
+    rows = list(_ewsm_rows(4))
     graphs = list(enumerate_decomposable(4))
     for seed in range(3):
         d = wsm_density(4, seed=seed + 50)
-        logs = np.array([math.log(d.prob(g)) for g in graphs])
-        assert np.abs(matrix @ logs).max() < 1e-9
+        logs = [math.log(d.prob(g)) for g in graphs]
+        assert max(abs(sum(v * logs[c] for c, v in row.items())) for row in rows) < 1e-9
 
 
 def dict_constraint_rows(n):
     """The anchored constraint rows as {graph index: coefficient} dicts,
-    built cell by cell: the builder the constraint matrix replaced."""
+    built cell by cell: the oracle for ``_ewsm_rows``."""
     rows = []
     for t in _pair_tables(n)[1]:
         cells = {(ga, gb): gi for gi, ga, gb, sa, sb in table_rows(t) if sa and sb}
@@ -429,16 +438,63 @@ def dict_constraint_rows(n):
     return rows
 
 
+def dense_rows(rows, cols):
+    """The rows as a dense list of lists over the columns ``cols``."""
+    return [[row.get(c, 0) for c in cols] for row in rows]
+
+
+def fraction_rank(matrix):
+    """Rank of a dense list-of-lists integer matrix by Gaussian elimination
+    over ``Fraction``s: the oracle for the sparse ``_exact_rank``."""
+    mat = [[Fraction(v) for v in row] for row in matrix]
+    nrows, ncols = len(mat), len(mat[0]) if mat else 0
+    rank = 0
+    col = 0
+    while rank < nrows and col < ncols:
+        pivot = next((r for r in range(rank, nrows) if mat[r][col] != 0), None)
+        if pivot is None:
+            col += 1
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        prow = mat[rank]
+        inv = 1 / prow[col]
+        for r in range(rank + 1, nrows):
+            factor = mat[r][col] * inv
+            if factor:
+                mrow = mat[r]
+                for c in range(col, ncols):
+                    mrow[c] -= factor * prow[c]
+        rank += 1
+        col += 1
+    return rank
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 def test_constraint_matrix_matches_dict_rows(n):
-    ncols = len(_pair_tables(n)[0])
     rows = dict_constraint_rows(n)
     assert len(rows) == {2: 0, 3: 0, 4: 24, 5: 1275}[n]
-    matrix = _ewsm_constraints(n)
-    assert matrix.dtype == np.int64 and matrix.shape == (len(rows), ncols)
-    for k, row in enumerate(rows):
-        assert matrix[k].tolist() == [row.get(c, 0) for c in range(ncols)], k
+    assert list(_ewsm_rows(n)) == rows
     assert ewsm_constraint_column_support(n) == {c for row in rows for c, v in row.items() if v}
+
+
+@pytest.mark.parametrize("n, prefix", [(2, None), (3, None), (4, None), (5, 300)])
+def test_sparse_rank_matches_fraction_elimination(n, prefix):
+    # Columns no row touches add nothing to the rank, so the oracle skips them.
+    rows = dict_constraint_rows(n)[:prefix]
+    assert _exact_rank(rows) == fraction_rank(dense_rows(rows, sorted({c for row in rows for c in row})))
+
+
+def test_sparse_rank_matches_numpy_rank_at_five_vertices():
+    matrix = np.array(dense_rows(dict_constraint_rows(5), range(len(_pair_tables(5)[0]))), dtype=float)
+    assert matrix.shape == (1275, 822)
+    assert _exact_rank(_ewsm_rows(5)) == np.linalg.matrix_rank(matrix) == 695
+
+
+def test_sparse_rank_rejects_a_pivot_other_than_one():
+    # The second row reduces to {0: 2} against the first.
+    with pytest.raises(PreconditionError):
+        _exact_rank([{0: 1, 1: 1}, {0: 1, 1: -1}])
+    assert _exact_rank([{0: 1, 1: 1}, {0: 1}, {0: 0, 1: 2}]) == 2
 
 
 def test_constraints_ignore_connected_graphs_with_few_cliques():
