@@ -6,7 +6,9 @@ scan over covering pairs that builds it; the ``check`` outputs' from the
 dict-based cross-ratio sweep, before it was vectorised; the hub
 ``sample`` output's once hub chains started at the star; the 200-vertex
 hub chain's from the search that scanned every unvisited vertex for the
-next one, before it kept them in buckets by weight. Clique emission order fixes the
+next one, before it kept them in buckets by weight; the ``density``,
+``fit`` and ``posterior`` outputs' from the density table that kept one
+dict keyed by ``Graph`` and one by edge mask. Clique emission order fixes the
 floating-point summation order of ``log_density_unnorm``, so these
 digests also catch a reordering of cliques that leaves the clique sets
 unchanged.
@@ -23,6 +25,7 @@ from cliquesep import (
     hub_law,
     PotentialTable,
     density_to_json,
+    law_to_json,
     enumerate_decomposable,
     log_density_unnorm,
     normalize_by_enumeration,
@@ -98,17 +101,20 @@ def test_decomposition_index_digest():
 
 @pytest.fixture(scope="module")
 def n6_density_files(tmp_path_factory):
-    """The seed-11 n=6 density of the ``check-n6`` benchmark workload, and
-    its copy with one single-edge graph's probability doubled (ln 2)."""
+    """The seed-11 n=6 law of the ``check-n6`` benchmark workload, its
+    density, and the density's copy with one single-edge graph's
+    probability doubled (ln 2)."""
     n = 6
     rng = random.Random(11)
     phi = {m: rng.gauss(0.0, 0.6) for m in range(1 << n)}
     psi = {m: rng.gauss(0.0, 0.6) for m in range(1 << n)}
-    density = normalize_by_enumeration(CsfLaw(n, PotentialTable(overrides=phi), PotentialTable(overrides=psi)))
+    law = CsfLaw(n, PotentialTable(overrides=phi), PotentialTable(overrides=psi))
+    density = normalize_by_enumeration(law)
     i, j = sorted(rng.sample(range(n), 2))
     perturbed = perturb_density(density, Graph(n, [(i, j)]), 2.0)
     tmp = tmp_path_factory.mktemp("check_n6")
-    paths = {}
+    paths = {"law": tmp / "law.json"}
+    paths["law"].write_text(law_to_json(law))
     for name, d in (("density", density), ("perturbed", perturbed)):
         paths[name] = tmp / f"{name}.json"
         paths[name].write_text(density_to_json(d))
@@ -138,3 +144,41 @@ def test_check_sm_hub_stdout_digest(capsys):
     # Graphs with a separator off the hub have probability zero: their cells are left out.
     out = stdout_of(capsys, "check", "--law", "hub", "--n", "5", "--hubs", "0", "--property", "sm")
     assert digest(out) == "272eddf51d58b14dd7a562363eee614a1c19d418640709991ca8900feffd4a14"
+
+
+# The ``density``, ``fit`` and ``posterior`` digests pin every probability
+# to the last bit and the order of the entries.
+
+
+def test_density_n6_law_file_stdout_digest(capsys, n6_density_files):
+    out = stdout_of(capsys, "density", "--law", str(n6_density_files["law"]))
+    assert digest(out) == (
+        "1bee51a31473b4877308053d931f4a53a7115a055bced0f1a1d060bbc51ee53b"
+    )
+
+
+def test_density_hub_zero_weights_stdout_digest(capsys):
+    # Graphs with a separator off the hub get probability exactly zero.
+    out = stdout_of(capsys, "density", "--law", "hub", "--n", "5", "--hubs", "0")
+    assert digest(out) == (
+        "afb5ba9c2a3a748931bb8d16e6abb7357a50e41bad543123dd3f813eaaa2df96"
+    )
+
+
+def test_fit_n6_stdout_digest(capsys, n6_density_files):
+    assert run_command(["fit", "--law", str(n6_density_files["density"])]) == 0
+    captured = capsys.readouterr()
+    assert digest(captured.out) == (
+        "4cd6a51e5a81166a27e17ba23c6ae0de79a3f066b4e89359ed7bd4ba0c5b5391"
+    )
+    assert captured.err == "max relative reconstruction error: 1.696e-14\n"
+
+
+def test_posterior_uniform_n5_stdout_digest(capsys, tmp_path):
+    rng = random.Random(5)
+    data = tmp_path / "data.csv"
+    data.write_text("".join(",".join(str(rng.randrange(2)) for _ in range(5)) + "\n" for _ in range(40)))
+    out = stdout_of(capsys, "posterior", "--law", "uniform", "--n", "5", "--data", str(data))
+    assert digest(out) == (
+        "49b966262702fe858b13b0f4ffbfaccf7055a0f19bc7dff7945d5aecac274b22"
+    )
