@@ -227,7 +227,7 @@ def _cmd_fit(args) -> None:
     density = _load_density(args)
     law = fit_csf_from_density(density)
     check = normalize_by_enumeration(law)
-    err = max(abs(check.prob(g) - p) / p for g, p in density.items())
+    err = max(abs(q - p) / p for q, p in zip(check.p, density.p))
     print(f"max relative reconstruction error: {err:.3e}", file=sys.stderr)
     _emit(args, law_to_json(law) + "\n")
 

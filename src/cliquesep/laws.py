@@ -11,13 +11,15 @@ Potential tables are sparse: a size rule provides the default
 log-potential, explicit per-set overrides take precedence, and an
 optional hub mask sends every hub-free set to +inf. An optional additive
 set-function hook supports exact reparameterisations and conjugate
-updates without materialising 2^n entries.
+updates without materialising 2^n entries. A density table holds one
+probability per decomposable graph, in enumeration order, all or none.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -26,7 +28,9 @@ from .graphs import (
     MAX_VERTICES,
     Graph,
     _check_vertex_count,
+    _chordal_walk,
     _graph_from_fields,
+    _pairs,
     clique_separators,
     enumerate_decomposable,
     members,
@@ -269,59 +273,68 @@ def standardize(law: CsfLaw) -> CsfLaw:
 
 
 class DensityTable:
-    """Explicit probabilities over every decomposable graph on n vertices."""
+    """``p[k]`` is the probability of the k-th decomposable graph on n vertices, whose edge
+    mask ``masks[k]`` ascends with k; the keys of ``probs`` must be exactly those graphs."""
 
-    __slots__ = ("n", "probs", "_by_mask")
+    __slots__ = ("n", "masks", "p")
 
     def __init__(self, n: int, probs: Mapping[Graph, float]):
         self.n = n
-        self.probs = dict(probs)
-        self._by_mask = {g.edge_mask: p for g, p in self.probs.items()}
-
-    def prob(self, g: Graph) -> float:
-        return self.probs[g]
+        self.masks = [m for m, _ in _chordal_walk(n)]
+        by_mask = {g.edge_mask: q for g, q in probs.items() if (g.n, g.vertices) == (n, (1 << n) - 1)}
+        if len(by_mask) != len(probs) or by_mask.keys() != set(self.masks):
+            raise DomainError(f"entries must be exactly the {len(self.masks)} decomposable graphs on {n} vertices")
+        self.p = [by_mask[m] for m in self.masks]
 
     def prob_of_mask(self, edge_mask: int) -> float:
-        return self._by_mask[edge_mask]
+        k = bisect_left(self.masks, edge_mask)
+        if k == len(self.masks) or self.masks[k] != edge_mask:
+            raise KeyError(edge_mask)
+        return self.p[k]
+
+    def prob(self, g: Graph) -> float:
+        if (g.n, g.vertices) != (self.n, (1 << self.n) - 1):
+            raise KeyError(g)
+        return self.prob_of_mask(g.edge_mask)
 
     def items(self):
-        return self.probs.items()
+        return zip(enumerate_decomposable(self.n), self.p)
 
     def __len__(self):
-        return len(self.probs)
+        return len(self.p)
+
+
+def _normalised(n: int, masks: list[int], weights: list[float]) -> DensityTable:
+    """``weights`` over ``masks`` divided by their sum, taken smallest-first by ``math.fsum``."""
+    z = math.fsum(sorted(weights))
+    table = object.__new__(DensityTable)
+    table.n, table.masks, table.p = n, masks, [w / z for w in weights]
+    return table
 
 
 def normalize_by_enumeration(law: CsfLaw) -> DensityTable:
-    """Exact normalisation of a law over the enumerated decomposable graphs.
-
-    Weights are exponentiated against the largest finite log-density and
-    summed smallest-first with compensated summation, so the constant is
-    reproducible across platforms.
-    """
-    logs: list[tuple[Graph, float]] = []
-    best = -INF
+    """Exact normalisation of a law over the enumerated decomposable graphs,
+    with weights exponentiated against the largest finite log-density."""
+    masks, logs = [], []
     for g in enumerate_decomposable(law.n):
-        ld = log_density_unnorm(law, g)
-        logs.append((g, ld))
-        if ld > best:
-            best = ld
+        masks.append(g.edge_mask)
+        logs.append(log_density_unnorm(law, g))
+    best = max(logs)
     if best == -INF:
         raise EmptySupportError("law puts zero mass on every decomposable graph")
-    weights = [(g, math.exp(ld - best) if ld > -INF else 0.0) for g, ld in logs]
-    z = math.fsum(sorted(w for _, w in weights))
-    return DensityTable(law.n, {g: w / z for g, w in weights})
+    return _normalised(law.n, masks, [math.exp(ld - best) if ld > -INF else 0.0 for ld in logs])
 
 
 def perturb_density(density: DensityTable, g: Graph, factor: float) -> DensityTable:
     """Multiply one graph's probability by ``factor`` and renormalise."""
-    if g not in density.probs:
-        raise DomainError("graph is not in the density's support set")
+    try:
+        density.prob(g)
+    except KeyError:
+        raise DomainError("graph is not in the density's support set") from None
     if not 0.0 < factor < INF:
         raise DomainError(f"perturbation factor must be finite and positive, got {factor!r}")
-    probs = dict(density.probs)
-    probs[g] *= factor
-    z = math.fsum(sorted(probs.values()))
-    return DensityTable(density.n, {h: p / z for h, p in probs.items()})
+    weights = [q * factor if m == g.edge_mask else q for m, q in zip(density.masks, density.p)]
+    return _normalised(density.n, density.masks, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -440,18 +453,14 @@ def _law_from_obj(obj) -> CsfLaw:
 
 
 def density_to_json(density: DensityTable) -> str:
-    entries = sorted(density.items(), key=lambda item: item[0].edge_mask)
-    return json.dumps(
-        {
-            "n": density.n,
-            "entries": [{"edges": [[i, j] for i, j in g.edges()], "p": p} for g, p in entries],
-        }
-    )
+    pairs = _pairs(density.n)
+    entries = [{"edges": [pairs[k] for k in members(m)], "p": q} for m, q in zip(density.masks, density.p)]
+    return json.dumps({"n": density.n, "entries": entries})
 
 
 def density_from_json(text: str) -> DensityTable:
-    """Parse a density table, checking it covers exactly the decomposable
-    graphs of its size; probabilities are renormalised exactly."""
+    """Parse a density table whose entries, in any order, are exactly the
+    decomposable graphs of its size; probabilities are renormalised exactly."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
@@ -477,12 +486,8 @@ def _density_from_obj(obj) -> DensityTable:
         if g in probs:
             raise DomainError(f"duplicate entry for {g!r}")
         probs[g] = p
-    expected = {g for g in enumerate_decomposable(n)}
-    if set(probs) != expected:
-        raise DomainError(
-            f"entries must cover exactly the {len(expected)} decomposable graphs on {n} vertices"
-        )
-    z = math.fsum(sorted(probs.values()))
+    table = DensityTable(n, probs)
+    z = math.fsum(table.p)
     if not math.isfinite(z) or abs(z - 1.0) > 1e-6:
         raise DomainError(f"probabilities sum to {z}, not 1")
-    return DensityTable(n, {g: p / z for g, p in probs.items()})
+    return _normalised(n, table.masks, table.p)

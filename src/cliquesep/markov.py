@@ -250,11 +250,7 @@ def check_property(density: DensityTable, kind: PropertyKind, tol: float = 1e-9)
     that reaches the largest value gives the witness.
     """
     graphs, tables = _pair_tables(density.n)
-    try:
-        probs = [density.prob(g) for g in graphs]
-    except KeyError as e:
-        raise DomainError("density does not cover the decomposable graphs of its size") from e
-    logp = np.array([math.log(p) if p > 0.0 else math.nan for p in probs])
+    logp = np.array([math.log(p) if p > 0.0 else math.nan for p in density.p])
     positive = ~np.isnan(logp)
     worst = 0.0
     witness = None
@@ -273,7 +269,7 @@ def _log_prob_fn(density: DensityTable):
         try:
             p = density.prob_of_mask(edge_mask)
         except KeyError:
-            raise DomainError("density does not cover the decomposable graphs of its size") from None
+            raise DomainError(f"edge mask {edge_mask} names no decomposable graph on {density.n} vertices") from None
         if p <= 0.0:
             raise DomainError("density must be strictly positive here")
         return math.log(p)
@@ -293,13 +289,11 @@ def fit_csf_from_density(density: DensityTable) -> CsfLaw:
     law reproduces the density with proportionality constant one.
     """
     n = density.n
-    for g, p in density.items():
+    for m, p in zip(density.masks, density.p):
         if p <= 0.0:
-            raise DomainError(f"full support required, but {g!r} has zero probability")
+            raise DomainError(f"full support required, but {Graph.from_edge_mask(n, m)!r} has zero probability")
     logpi = _log_prob_fn(density)
-    phi_over = {}
-    for mask in range(1 << n):
-        phi_over[mask] = logpi(within_edge_mask(n, mask))
+    phi_over = {mask: logpi(within_edge_mask(n, mask)) for mask in range(1 << n)}
     psi_over = {}
     full = (1 << n) - 1
     for mask in range(1 << n):

@@ -454,3 +454,70 @@ def test_integer_flags_exit_zero_or_one_error_line(command, data):
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
     else:  # JSON has no NaN or Infinity
         assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()
+
+
+# Valid documents with n <= 3, each changed by one drawn mutation, so that
+# most of them still load and ``check`` gets to run on them.
+_BASE_LAWS = {"uniform": uniform_csf, "hub": lambda n: hub_law(n, [0]), "random": lambda n: random_csf(n, 7)}
+
+
+@st.composite
+def _mutated_documents(draw):
+    n = draw(st.integers(min_value=1, max_value=3), label="n")
+    law = _BASE_LAWS[draw(st.sampled_from(sorted(_BASE_LAWS)), label="law")](n)
+    anything = _values | _floats
+    if draw(st.booleans(), label="density"):
+        doc = json.loads(density_to_json(normalize_by_enumeration(law)))
+        entries = doc["entries"]
+        k = draw(st.integers(min_value=0, max_value=len(entries) - 1), label="entry")
+        mutation = draw(st.sampled_from(["shuffle", "drop", "duplicate", "n", "p", "edges"]), label="mutation")
+        if mutation == "shuffle":
+            doc["entries"] = draw(st.permutations(entries))
+        elif mutation == "drop":
+            del entries[k]
+        elif mutation == "duplicate":
+            entries.insert(draw(st.integers(min_value=0, max_value=len(entries))), dict(entries[k]))
+        elif mutation == "n":
+            doc["n"] = draw(anything)
+        else:
+            entries[k][mutation] = draw(anything)
+        return doc
+    doc = json.loads(law_to_json(law))
+    table = doc[draw(st.sampled_from(["phi", "psi"]), label="table")]
+    overrides = list(table["overrides"].items())
+    mutation = draw(st.sampled_from(["shuffle", "drop", "n", "rule"]), label="mutation")
+    if mutation == "shuffle":
+        table["overrides"] = dict(draw(st.permutations(overrides)))
+    elif mutation == "drop" and overrides:
+        del table["overrides"][draw(st.sampled_from(overrides))[0]]
+    elif mutation == "n":
+        doc["n"] = draw(anything)
+    elif mutation == "rule":
+        table["rule"][draw(st.sampled_from(sorted(table["rule"])))] = draw(anything)
+    return doc
+
+
+@given(doc=_mutated_documents())
+@settings(max_examples=300, deadline=None)
+def test_check_on_mutated_laws_and_densities_exits_zero_or_one_error_line(doc, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = run_command(["check", "--law", str(path)])
+    if status != 0:
+        assert status == 1 and out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()
+        assert json.loads(out.getvalue())["property"] == "wsm"
+
+
+@given(n=st.integers(min_value=1, max_value=4), seed=st.integers(0, 100), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_shuffled_density_parses_to_the_same_table(n, seed, data):
+    doc = json.loads(density_to_json(normalize_by_enumeration(random_csf(n, seed))))
+    table = density_from_json(json.dumps(doc))
+    doc["entries"] = data.draw(st.permutations(doc["entries"]), label="entries")
+    shuffled = density_from_json(json.dumps(doc))
+    assert (shuffled.masks, shuffled.p) == (table.masks, table.p)

@@ -22,6 +22,7 @@ from cliquesep import (
     enumerate_decomposable,
     erdos_renyi_csf,
     hub_law,
+    induced_subgraph,
     law_from_json,
     law_to_json,
     log_density_unnorm,
@@ -283,7 +284,7 @@ def test_unused_coordinates_do_not_matter():
     moved = normalize_by_enumeration(other)
     for g, p in base.items():
         assert moved.prob(g) == pytest.approx(p, rel=1e-12)
-    assert full not in [s for g in base.probs for s in clique_separators(g)[1]]
+    assert full not in [s for g, _ in base.items() for s in clique_separators(g)[1]]
 
 
 def test_perturb_density():
@@ -303,6 +304,63 @@ def test_perturb_density_needs_a_finite_factor(factor):
     d = normalize_by_enumeration(uniform_csf(3))
     with pytest.raises(DomainError):
         perturb_density(d, Graph.empty(3), factor)
+
+
+# ---------------------------------------------------------------------------
+# Density layout: one probability per graph, in enumeration order
+
+
+class DictDensityTable:
+    """The density table before its enumeration-order layout, as the
+    oracle: one dict keyed by ``Graph`` and one by edge mask, filled by
+    the normalisation that kept every ``Graph``, and emitted as JSON
+    sorted by edge mask."""
+
+    def __init__(self, law):
+        logs = [(g, log_density_unnorm(law, g)) for g in enumerate_decomposable(law.n)]
+        best = max(ld for _, ld in logs)
+        weights = [(g, math.exp(ld - best) if ld > -math.inf else 0.0) for g, ld in logs]
+        z = math.fsum(sorted(w for _, w in weights))
+        self.n = law.n
+        self.probs = {g: w / z for g, w in weights}
+        self.by_mask = {g.edge_mask: p for g, p in self.probs.items()}
+
+    def to_json(self):
+        entries = sorted(self.probs.items(), key=lambda item: item[0].edge_mask)
+        return json.dumps(
+            {"n": self.n, "entries": [{"edges": [[i, j] for i, j in g.edges()], "p": p} for g, p in entries]}
+        )
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("kind", ["random", "hub"])
+def test_density_layout_matches_the_dict_table(n, kind):
+    law = random_csf(n, seed=n) if kind == "random" else hub_law(n, [0])  # the hub law has zeros
+    density = normalize_by_enumeration(law)
+    oracle = DictDensityTable(law)
+    graphs = list(enumerate_decomposable(n))
+    assert density.masks == [g.edge_mask for g in graphs]
+    assert list(density.items()) == list(zip(graphs, density.p))
+    assert len(density) == len(graphs)
+    for g in graphs:
+        assert density.prob(g) == oracle.probs[g]
+        assert density.prob_of_mask(g.edge_mask) == oracle.by_mask[g.edge_mask]
+    assert density_to_json(density) == oracle.to_json()
+    # Graphs on other vertex sets, and masks past the last pair bit or below every mask.
+    absent = [Graph.empty(n + 1), induced_subgraph(Graph.empty(n), (1 << n) - 2)]
+    absent_masks = [1 << (n * (n - 1) // 2), -1]
+    if n > 1:
+        absent.append(Graph.empty(n - 1))
+    if n >= 4:
+        cycle = Graph(n, [(0, 1), (1, 2), (2, 3), (0, 3)])  # chordless
+        absent.append(cycle)
+        absent_masks.append(cycle.edge_mask)
+    for g in absent:
+        with pytest.raises(KeyError):
+            density.prob(g)
+    for mask in absent_masks:
+        with pytest.raises(KeyError):
+            density.prob_of_mask(mask)
 
 
 # ---------------------------------------------------------------------------

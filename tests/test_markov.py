@@ -110,23 +110,30 @@ def test_witness_quadruple_reproduces_the_violation():
 
 
 def test_check_property_requires_full_coverage():
+    # A partial table cannot be built, so nothing that reads one re-checks coverage.
     graphs = list(enumerate_decomposable(4))
-    partial = DensityTable(4, {g: 1.0 / 10 for g in graphs[:10]})
-    with pytest.raises(DomainError):
-        check_property(partial, PropertyKind.WSM)
+    with pytest.raises(DomainError, match="exactly the 61 decomposable graphs on 4 vertices"):
+        DensityTable(4, {g: 1.0 / 10 for g in graphs[:10]})
 
 
 def test_partial_density_is_a_domain_error_everywhere():
     graphs = list(enumerate_decomposable(4))
-    partial = DensityTable(4, {g: 1.0 / 10 for g in graphs[:10]})
+    full = {g: 1.0 / len(graphs) for g in graphs}
+    cycle = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    # The empty graph's edge mask, on vertices {0, 1, 2} of four.
+    induced = induced_subgraph(graphs[0], vset([0, 1, 2]))
+    for probs in (
+        {g: 1.0 / 10 for g in graphs[:10]},
+        {**full, cycle: 0.0},
+        {**full, Graph.empty(3): 0.0},
+        {**{g: p for g, p in full.items() if g != graphs[0]}, induced: full[graphs[0]]},
+    ):
+        with pytest.raises(DomainError):
+            DensityTable(4, probs)
+    # Masks outside the table can still reach the lookups by mask.
+    logpi = markov._log_prob_fn(DensityTable(4, full))
     with pytest.raises(DomainError):
-        check_property(partial, PropertyKind.SM)
-    with pytest.raises(DomainError):
-        fit_csf_from_density(partial)
-    with pytest.raises(DomainError):
-        verify_lemma2_ratio(partial, 0)
-    with pytest.raises(DomainError):
-        verify_lemma1_identity(partial, graphs[-1])
+        logpi(cycle.edge_mask)
 
 
 def test_zero_mass_graphs_are_ignored_not_fatal():
