@@ -23,16 +23,22 @@ the top bucket keeps the tie-break toward the lowest index, which fixes
 the order in which cliques are emitted. Junction-tree orderings from
 any start clique are built from the cliques. Exhaustive enumeration
 extends chordal graphs one vertex at a time, which is enough because
-chordality is hereditary, and yields them in ascending edge-mask order.
+chordality is hereditary, and yields them in ascending edge-mask order;
+one cached table per vertex count lists every enumerated graph's cliques
+and separators, with their signs, as compact numpy columns. Graphs and
+the edge fields of graph and density files share one set of edge checks.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import CapacityError, DomainError, PreconditionError
 
@@ -168,6 +174,26 @@ def _mcs(n: int, adj, vmask: int):
     return [cl, seps]
 
 
+def _checked_edges(n: int, edges: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+    """Adjacency rows and edge mask of ``edges`` on 0..n-1, rejecting
+    self-loops, edges out of range and duplicate edges, in that order
+    for each edge."""
+    adj = [0] * n
+    for i, j in edges:
+        if i == j:
+            raise DomainError(f"self-loop at vertex {i}")
+        if i > j:
+            i, j = j, i
+        if not (0 <= i and j < n):
+            raise DomainError(f"edge ({i},{j}) out of range for n={n}")
+        if adj[i] >> j & 1:
+            raise DomainError(f"duplicate edge ({i},{j})")
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    # Row i above the diagonal is vertex i's block; disjoint blocks sum to their union.
+    return adj, sum((a >> (i + 1)) << _row_shift(n, i) for i, a in enumerate(adj))
+
+
 class Graph:
     """Immutable undirected graph on labelled vertices 0..n-1.
 
@@ -186,23 +212,10 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         _check_vertex_count(n)
-        adj = [0] * n
-        for i, j in edges:
-            if i == j:
-                raise DomainError(f"self-loop at vertex {i}")
-            if i > j:
-                i, j = j, i
-            if not (0 <= i and j < n):
-                raise DomainError(f"edge ({i},{j}) out of range for n={n}")
-            if adj[i] >> j & 1:
-                raise DomainError(f"duplicate edge ({i},{j})")
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
+        adj, self.edge_mask = _checked_edges(n, edges)
         self.n = n
         self.vertices = _full_mask(n)
         self.adj = tuple(adj)
-        # Row i above the diagonal is vertex i's block; disjoint blocks sum to their union.
-        self.edge_mask = sum((a >> (i + 1)) << _row_shift(n, i) for i, a in enumerate(adj))
         self._summary = None
 
     @classmethod
@@ -402,17 +415,25 @@ def is_decomposition(g: Graph, a: int, b: int) -> bool:
     Because ``a | b`` covers every vertex, the separation condition is
     equivalent to there being no edge joining the two set differences.
     """
-    _check_subset(a, g.vertices, "first part")
-    _check_subset(b, g.vertices, "second part")
+    # Parts that cover the vertices lie inside them, so only a failed cover
+    # needs the subset checks, which come first to keep the error order.
     if a | b != g.vertices:
+        _check_subset(a, g.vertices, "first part")
+        _check_subset(b, g.vertices, "second part")
         raise PreconditionError("parts do not cover the vertex set")
-    if not is_complete(g, a & b):
-        return False
+    adj = g.adj
+    s = a & b
+    m = s
+    while m:
+        bit = m & -m
+        if s & ~(adj[bit.bit_length() - 1] | bit):
+            return False
+        m ^= bit
     only_b = b & ~a
     m = a & ~b
     while m:
         bit = m & -m
-        if g.adj[bit.bit_length() - 1] & only_b:
+        if adj[bit.bit_length() - 1] & only_b:
             return False
         m ^= bit
     return True
@@ -569,6 +590,50 @@ def _chordal_walk(n: int) -> Iterator[tuple[int, list[int]]]:
     return extend(n - 1, 0)
 
 
+@dataclass(frozen=True, eq=False)
+class _CliqueSeparatorTable:
+    """Every decomposable graph on n vertices as a signed list of vertex sets.
+
+    ``masks`` are the edge masks that :func:`_chordal_walk` yields, in
+    its ascending order. Entry k gives graph ``gi[k]`` (an index into
+    ``masks``) the set ``sets[k]`` with coefficient ``coef[k]``: +1 for
+    each clique, in the order :func:`_mcs` emits them, then minus the
+    multiplicity for each separator, in order of first emission. A
+    graph's entries are contiguous, and the graphs ascend. The dtypes
+    are compact: sets of up to 8 vertices fit in a byte, and so does a
+    multiplicity.
+    """
+
+    masks: tuple[int, ...]
+    gi: np.ndarray
+    sets: np.ndarray
+    coef: np.ndarray
+
+
+@lru_cache(maxsize=4)
+def _clique_separator_table(n: int) -> _CliqueSeparatorTable:
+    """The cached :class:`_CliqueSeparatorTable` of n vertices, read off one
+    search per graph on the walk's own adjacency."""
+    walk = _chordal_walk(n)  # checks n before 1 << n is built
+    full = _full_mask(n)
+    masks = []
+    counts, sets, coef = array("B"), array("B"), array("b")
+    ones = b"\x01" * n  # a graph has at most n cliques
+    for mask, adj in walk:
+        cl, seps = _mcs(n, adj, full)
+        minus = {}  # minus each separator's multiplicity, in order of first emission
+        for s in seps:
+            minus[s] = minus.get(s, 0) - 1
+        masks.append(mask)
+        counts.append(len(cl) + len(minus))
+        sets.extend(cl)
+        sets.extend(minus)
+        coef.frombytes(ones[: len(cl)])
+        coef.extend(minus.values())
+    gi = np.repeat(np.arange(len(masks), dtype=np.int32), np.frombuffer(counts, dtype=np.uint8))
+    return _CliqueSeparatorTable(tuple(masks), gi, np.frombuffer(sets, dtype=np.uint8), np.frombuffer(coef, dtype=np.int8))
+
+
 def enumerate_decomposable(n: int) -> Iterator[Graph]:
     """Yield every decomposable labelled graph on n vertices exactly once,
     in ascending edge-mask order."""
@@ -599,19 +664,22 @@ def graph_from_json(text: str) -> Graph:
         raise DomainError(f"invalid graph JSON: {e}") from e
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise DomainError("graph JSON must have fields 'n' and 'edges'")
-    return _graph_from_fields(obj["n"], obj["edges"])
-
-
-def _graph_from_fields(n, edges) -> Graph:
-    """Graph from parsed ``n`` and ``edges`` JSON values, checking their types."""
-    # ``type(v) is int``: JSON true and false parse as bool, a subclass of int.
+    n = obj["n"]
     if type(n) is not int:
         raise DomainError("'n' must be an integer")
+    return Graph.from_edge_mask(n, _edge_mask_from_fields(n, obj["edges"]))
+
+
+def _edge_mask_from_fields(n: int, edges) -> int:
+    """Edge mask of a parsed ``edges`` JSON value on n vertices: the value's
+    types are checked, then ``n``, then each edge as :class:`Graph` checks it."""
+    # ``type(v) is int``: JSON true and false parse as bool, a subclass of int.
     if not isinstance(edges, list) or not all(
-        isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e) for e in edges
+        isinstance(e, list) and len(e) == 2 and type(e[0]) is int and type(e[1]) is int for e in edges
     ):
         raise DomainError("'edges' must be an array of 2-element arrays of vertex indices")
-    return Graph(n, [tuple(e) for e in edges])
+    _check_vertex_count(n)
+    return _checked_edges(n, edges)[1]
 
 
 def to_dot(g: Graph, hubs: int = 0) -> str:

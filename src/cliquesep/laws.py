@@ -13,6 +13,10 @@ optional hub mask sends every hub-free set to +inf. An optional additive
 set-function hook supports exact reparameterisations and conjugate
 updates without materialising 2^n entries. A density table holds one
 probability per decomposable graph, in enumeration order, all or none.
+Normalisation needs no graphs: the cached clique/separator table of n
+vertices gives each graph's signed sets, each potential is evaluated
+once per set, and each graph's terms are added in the search's order.
+The density parser keys each entry by its edge mask, also without a graph.
 """
 
 from __future__ import annotations
@@ -23,13 +27,16 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
+import numpy as np
+
 from .errors import DomainError, EmptySupportError
 from .graphs import (
     MAX_VERTICES,
     Graph,
     _check_vertex_count,
     _chordal_walk,
-    _graph_from_fields,
+    _clique_separator_table,
+    _edge_mask_from_fields,
     _pairs,
     clique_separators,
     enumerate_decomposable,
@@ -280,11 +287,10 @@ class DensityTable:
 
     def __init__(self, n: int, probs: Mapping[Graph, float]):
         self.n = n
-        self.masks = [m for m, _ in _chordal_walk(n)]
-        by_mask = {g.edge_mask: q for g, q in probs.items() if (g.n, g.vertices) == (n, (1 << n) - 1)}
-        if len(by_mask) != len(probs) or by_mask.keys() != set(self.masks):
-            raise DomainError(f"entries must be exactly the {len(self.masks)} decomposable graphs on {n} vertices")
-        self.p = [by_mask[m] for m in self.masks]
+        # ``g.n == n`` first: 1 << n is huge for a huge n, which the walk rejects.
+        by_mask = {g.edge_mask: q for g, q in probs.items() if g.n == n and g.vertices == (1 << n) - 1}
+        # An empty mapping fails the check: some graph was on other vertices.
+        self.masks, self.p = _in_walk_order(n, by_mask if len(by_mask) == len(probs) else {})
 
     def prob_of_mask(self, edge_mask: int) -> float:
         k = bisect_left(self.masks, edge_mask)
@@ -304,6 +310,15 @@ class DensityTable:
         return len(self.p)
 
 
+def _in_walk_order(n: int, by_mask: Mapping[int, float]) -> tuple[list[int], list[float]]:
+    """The masks of the decomposable graphs on n vertices, ascending, and
+    ``by_mask``'s values in their order, if those are exactly its keys."""
+    masks = [m for m, _ in _chordal_walk(n)]
+    if len(by_mask) != len(masks) or not all(m in by_mask for m in masks):
+        raise DomainError(f"entries must be exactly the {len(masks)} decomposable graphs on {n} vertices")
+    return masks, [by_mask[m] for m in masks]
+
+
 def _normalised(n: int, masks: list[int], weights: list[float]) -> DensityTable:
     """``weights`` over ``masks`` divided by their sum, taken smallest-first by ``math.fsum``."""
     z = math.fsum(sorted(weights))
@@ -314,15 +329,40 @@ def _normalised(n: int, masks: list[int], weights: list[float]) -> DensityTable:
 
 def normalize_by_enumeration(law: CsfLaw) -> DensityTable:
     """Exact normalisation of a law over the enumerated decomposable graphs,
-    with weights exponentiated against the largest finite log-density."""
-    masks, logs = [], []
-    for g in enumerate_decomposable(law.n):
-        masks.append(g.edge_mask)
-        logs.append(log_density_unnorm(law, g))
+    with weights exponentiated against the largest finite log-density.
+
+    The log-densities are :func:`log_density_unnorm`'s, to the last bit,
+    read off the cached clique/separator table of n vertices: ``phi`` is
+    evaluated once on each set that is some graph's clique and ``psi``
+    once on each set that is some graph's separator, and ``np.bincount``
+    adds each graph's signed terms in the table's order, the scalar
+    loop's. The first graph, in enumeration order, with an infinite
+    clique potential or an overflowing sum raises the scalar loop's error.
+    """
+    n = law.n
+    t = _clique_separator_table(n)
+    is_sep = t.coef < 0
+    vals = np.empty(len(t.sets))
+    for table, rows in ((law.phi, ~is_sep), (law.psi, is_sep)):
+        sets = t.sets[rows]
+        occurs = np.flatnonzero(np.bincount(sets, minlength=1 << n))
+        by_set = np.zeros(1 << n)
+        by_set[occurs] = [table.log_potential(int(s)) for s in occurs]
+        vals[rows] = by_set[sets]
+    with np.errstate(over="ignore", invalid="ignore"):  # overflows are reported below
+        logs = np.bincount(t.gi, weights=t.coef * vals, minlength=len(t.masks))
+    infinite = vals == INF
+    logs[t.gi[infinite & is_sep]] = -INF
+    bad = ~(logs < INF)
+    bad[t.gi[infinite & ~is_sep]] = True
+    if bad.any():
+        # The scalar loop adds the same terms in the same order, so it raises.
+        log_density_unnorm(law, Graph.from_edge_mask(n, t.masks[int(bad.argmax())]))
+    logs = logs.tolist()
     best = max(logs)
     if best == -INF:
         raise EmptySupportError("law puts zero mass on every decomposable graph")
-    return _normalised(law.n, masks, [math.exp(ld - best) if ld > -INF else 0.0 for ld in logs])
+    return _normalised(n, list(t.masks), [math.exp(ld - best) if ld > -INF else 0.0 for ld in logs])
 
 
 def perturb_density(density: DensityTable, g: Graph, factor: float) -> DensityTable:
@@ -475,19 +515,19 @@ def _density_from_obj(obj) -> DensityTable:
     n = obj["n"]
     if type(n) is not int or not isinstance(obj["entries"], list):
         raise DomainError("density 'n' must be an integer and 'entries' an array")
-    probs: dict[Graph, float] = {}
+    probs: dict[int, float] = {}
     for entry in obj["entries"]:
         if not isinstance(entry, dict) or "edges" not in entry or "p" not in entry:
             raise DomainError("each density entry must be an object with fields 'edges' and 'p'")
-        g = _graph_from_fields(n, entry["edges"])
+        mask = _edge_mask_from_fields(n, entry["edges"])
         p = _as_float(entry["p"], "entry probability")
         if p < 0.0 or not math.isfinite(p):
             raise DomainError("probabilities must be finite and nonnegative")
-        if g in probs:
-            raise DomainError(f"duplicate entry for {g!r}")
-        probs[g] = p
-    table = DensityTable(n, probs)
-    z = math.fsum(table.p)
+        if mask in probs:
+            raise DomainError(f"duplicate entry for {Graph.from_edge_mask(n, mask)!r}")
+        probs[mask] = p
+    masks, ps = _in_walk_order(n, probs)
+    z = math.fsum(ps)
     if not math.isfinite(z) or abs(z - 1.0) > 1e-6:
         raise DomainError(f"probabilities sum to {z}, not 1")
-    return _normalised(n, table.masks, table.p)
+    return _normalised(n, masks, ps)

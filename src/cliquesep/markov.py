@@ -11,7 +11,10 @@ and the induced-piece partition are precomputed per pair.
 
 Each pair's decompositions are packed as numpy columns (graph index, the
 two induced pieces, the two maximality flags), and each conditioning
-family is a boolean mask over those rows. The sweep drops the graphs of
+family is a boolean mask over those rows. The index tests every graph
+against every covering pair once; the pieces and flags of the graphs
+that pass are then taken from numpy arrays of all the graphs' edge
+masks and adjacency rows at once. The sweep drops the graphs of
 probability zero from a family's rows and lays the rest out as a dense
 grid of log probabilities, NaN where a cell is missing, with rows in
 order of first appearance. The spread of the differences of two rows
@@ -46,7 +49,6 @@ import numpy as np
 from .errors import DomainError, PreconditionError
 from .graphs import (
     Graph,
-    _is_maximal_within,
     cliques,
     enumerate_decomposable,
     in_U_plus,
@@ -134,33 +136,35 @@ class _PairTable:
         return (self.star_a & self.star_b,)
 
 
+def _maximal_within(adj: np.ndarray, s: int, part: int) -> np.ndarray:
+    """Row-wise ``graphs._is_maximal_within``: for each graph, given by its
+    row of adjacency masks in ``adj``, whether no vertex of ``part``
+    outside ``s`` is adjacent to all of ``s``."""
+    extends = np.zeros(len(adj), dtype=bool)
+    for v in members(part & ~s):
+        extends |= adj[:, v] & s == s
+    return ~extends
+
+
 @lru_cache(maxsize=4)
 def _pair_tables(n: int) -> tuple[tuple[Graph, ...], tuple[_PairTable, ...]]:
     graphs = tuple(enumerate_decomposable(n))
+    edge_masks = np.array([g.edge_mask for g in graphs], dtype=np.int64)
+    adj = np.array([g.adj for g in graphs], dtype=np.int64).reshape(len(graphs), n)
     full = (1 << n) - 1
     tables = []
     for a, b in [(a, b) for a in range(full) for b in range(a + 1, full) if a | b == full]:
-        wa = within_edge_mask(n, a)
-        wb = within_edge_mask(n, b)
-        s = a & b
-        gis, pas, pbs, sas, sbs = [], [], [], [], []
-        for gi, g in enumerate(graphs):
-            if not is_decomposition(g, a, b):
-                continue
-            gis.append(gi)
-            pas.append(g.edge_mask & wa)
-            pbs.append(g.edge_mask & wb)
-            sas.append(_is_maximal_within(g, s, a))
-            sbs.append(_is_maximal_within(g, s, b))
+        gi = np.array([k for k, g in enumerate(graphs) if is_decomposition(g, a, b)], dtype=np.intp)
+        rows = adj[gi]
         tables.append(
             _PairTable(
                 a,
                 b,
-                np.array(gis, dtype=np.intp),
-                np.array(pas, dtype=np.int64),
-                np.array(pbs, dtype=np.int64),
-                np.array(sas, dtype=bool),
-                np.array(sbs, dtype=bool),
+                gi,
+                edge_masks[gi] & within_edge_mask(n, a),
+                edge_masks[gi] & within_edge_mask(n, b),
+                _maximal_within(rows, a & b, a),
+                _maximal_within(rows, a & b, b),
             )
         )
     return graphs, tuple(tables)

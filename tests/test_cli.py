@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,8 +19,10 @@ from cliquesep import (
     normalize_by_enumeration,
     uniform_csf,
 )
+from cliquesep import cli
 from cliquesep.cli import run_command
 from cliquesep.graphs import MAX_VERTICES
+from cliquesep.laws import DensityTable, _as_float, _density_from_obj, _normalised
 from conftest import random_csf
 
 
@@ -521,3 +524,114 @@ def test_shuffled_density_parses_to_the_same_table(n, seed, data):
     doc["entries"] = data.draw(st.permutations(doc["entries"]), label="entries")
     shuffled = density_from_json(json.dumps(doc))
     assert (shuffled.masks, shuffled.p) == (table.masks, table.p)
+
+
+# The density parser against the one that built a ``Graph`` per entry.
+
+
+def graph_keyed_density_from_obj(obj):
+    """The density parser that keyed its entries by ``Graph``, as the oracle:
+    a graph per entry, checked by ``Graph`` itself, then the coverage check
+    of ``DensityTable``."""
+    if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
+        raise DomainError("density JSON must have fields 'n' and 'entries'")
+    n = obj["n"]
+    if type(n) is not int or not isinstance(obj["entries"], list):
+        raise DomainError("density 'n' must be an integer and 'entries' an array")
+    probs = {}
+    for entry in obj["entries"]:
+        if not isinstance(entry, dict) or "edges" not in entry or "p" not in entry:
+            raise DomainError("each density entry must be an object with fields 'edges' and 'p'")
+        edges = entry["edges"]
+        if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e) for e in edges
+        ):
+            raise DomainError("'edges' must be an array of 2-element arrays of vertex indices")
+        g = Graph(n, [tuple(e) for e in edges])
+        p = _as_float(entry["p"], "entry probability")
+        if p < 0.0 or not math.isfinite(p):
+            raise DomainError("probabilities must be finite and nonnegative")
+        if g in probs:
+            raise DomainError(f"duplicate entry for {g!r}")
+        probs[g] = p
+    table = DensityTable(n, probs)
+    z = math.fsum(table.p)
+    if not math.isfinite(z) or abs(z - 1.0) > 1e-6:
+        raise DomainError(f"probabilities sum to {z}, not 1")
+    return _normalised(n, table.masks, table.p)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("law", ["random", "hub"])
+def test_density_parser_matches_the_graph_keyed_parser(n, law):
+    law = random_csf(n, seed=n) if law == "random" else hub_law(n, [0])  # the hub law has zeros
+    doc = json.loads(density_to_json(normalize_by_enumeration(law)))
+    random.Random(n).shuffle(doc["entries"])
+    for entry in doc["entries"]:
+        entry["edges"] = [e[::-1] for e in entry["edges"][::-1]]
+    ours, oracle = _density_from_obj(doc), graph_keyed_density_from_obj(doc)
+    assert (ours.n, ours.masks, ours.p) == (oracle.n, oracle.masks, oracle.p)
+
+
+def _set(key, value):
+    return lambda doc, entry: entry.__setitem__(key, value)
+
+
+def _set_edges(edges):
+    return _set("edges", edges)
+
+
+# Each changes one entry of the n=4 uniform density, or the document around it.
+_MALFORMED = {
+    "entry-not-an-object": lambda doc, entry: doc["entries"].append([entry]),
+    "entry-without-edges": lambda doc, entry: entry.pop("edges"),
+    "entry-without-p": lambda doc, entry: entry.pop("p"),
+    "edges-text": _set_edges("x"),
+    "edges-number": _set_edges(5),
+    "edges-null": _set_edges(None),
+    "edges-object": _set_edges({"0": 1}),
+    "edge-not-an-array": _set_edges([5]),
+    "short-edge": _set_edges([[0]]),
+    "long-edge": _set_edges([[0, 1, 2]]),
+    "boolean-vertex": _set_edges([[False, True]]),
+    "float-vertex": _set_edges([[0.0, 1]]),
+    "text-vertex": _set_edges([["0", 1]]),
+    "self-loop": _set_edges([[0, 1], [2, 2]]),
+    "vertex-out-of-range": _set_edges([[0, 4]]),
+    "negative-vertex": _set_edges([[-1, 0]]),
+    "huge-vertex": _set_edges([[0, 10**30]]),
+    "duplicate-edge": _set_edges([[0, 1], [1, 0]]),
+    "self-loop-after-duplicate": _set_edges([[0, 1], [0, 1], [3, 3]]),
+    "chordless-cycle": _set_edges([[0, 1], [1, 2], [2, 3], [0, 3]]),
+    "p-text": _set("p", "x"),
+    "p-null": _set("p", None),
+    "p-array": _set("p", []),
+    "p-negative": _set("p", -0.5),
+    "p-nan": _set("p", "nan"),
+    "p-infinite": _set("p", math.inf),
+    "p-doubled": lambda doc, entry: entry.__setitem__("p", 2 * entry["p"] + 0.1),
+    "duplicate-entry": lambda doc, entry: doc["entries"].append(dict(entry)),
+    "duplicate-graph": lambda doc, entry: doc["entries"].append(
+        {"edges": [e[::-1] for e in entry["edges"][::-1]], "p": 0.0}),
+    "dropped-entry": lambda doc, entry: doc["entries"].remove(entry),
+    "entries-not-an-array": lambda doc, entry: doc.__setitem__("entries", {"0": entry}),
+    **{f"n={n!r}": (lambda n: lambda doc, entry: doc.__setitem__("n", n))(n)
+       for n in (0, -1, 3, 5, 8, MAX_VERTICES + 1, 10**30, True, "4", 4.0, None)},
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_MALFORMED))
+def test_malformed_density_gives_the_graph_keyed_parsers_error(capsys, tmp_path, monkeypatch, mutation):
+    base = json.loads(density_to_json(normalize_by_enumeration(uniform_csf(4))))
+    for k in (0, 30, len(base["entries"]) - 1):  # the empty graph, a middle one, the complete graph
+        doc = json.loads(json.dumps(base))
+        _MALFORMED[mutation](doc, doc["entries"][k])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        results = []
+        for parser in (_density_from_obj, graph_keyed_density_from_obj):
+            monkeypatch.setattr(cli, "_density_from_obj", parser)
+            results.append(run(capsys, "check", "--law", str(path)))
+        (status, out, err), oracle = results
+        assert status == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert (status, out, err) == oracle

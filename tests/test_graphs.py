@@ -595,6 +595,39 @@ def test_is_decomposition_matches_path_search():
                 assert is_decomposition(g, a, b) == expected
 
 
+def five_step_is_decomposition(g, a, b):
+    """``is_decomposition`` before its single pass, as the oracle: both
+    subset checks, the cover check, ``is_complete`` on the intersection,
+    then the cross edges."""
+    for part, what in ((a, "first part"), (b, "second part")):
+        if part & ~g.vertices:
+            raise DomainError(f"{what} contains vertices outside the graph: {members(part & ~g.vertices)}")
+    if a | b != g.vertices:
+        raise PreconditionError("parts do not cover the vertex set")
+    if not is_complete(g, a & b):
+        return False
+    return not any(g.adj[v] & b & ~a for v in members(a & ~b))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_is_decomposition_matches_the_five_step_test_on_any_parts(n):
+    # Parts range over every pair of subsets of n + 1 vertices, so some
+    # miss the graph or its cover; induced subgraphs have fewer vertices.
+    def outcome(test, g, a, b):
+        try:
+            return test(g, a, b)
+        except DomainError as e:
+            return type(e), str(e)
+
+    full = (1 << n) - 1
+    graphs = list(enumerate_decomposable(n))
+    graphs += [induced_subgraph(g, full & ~(1 << (k % n))) for k, g in enumerate(graphs)]
+    for g in graphs:
+        for a in range(2 << n):
+            for b in range(2 << n):
+                assert outcome(is_decomposition, g, a, b) == outcome(five_step_is_decomposition, g, a, b)
+
+
 def test_in_U_star_rejects_extendable_intersection():
     # a & b = {1}; vertex 0 inside a is adjacent to all of it
     g = Graph(3, [(0, 1)])

@@ -1,6 +1,8 @@
 import json
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,7 @@ from cliquesep import (
     PotentialTable,
     PreconditionError,
     QuadraticRule,
+    bernoulli_dirichlet_score,
     cef_dimension,
     clique_separators,
     complete_sets_graph,
@@ -28,6 +31,7 @@ from cliquesep import (
     log_density_unnorm,
     normalize_by_enumeration,
     perturb_density,
+    posterior_law,
     standardize,
     t_minus,
     t_plus,
@@ -35,7 +39,7 @@ from cliquesep import (
     uniform_csf,
     vset,
 )
-from cliquesep.graphs import MAX_VERTICES
+from cliquesep.graphs import MAX_VERTICES, _clique_separator_table
 from conftest import random_csf
 
 PATH3 = complete_sets_graph(3, [vset([0, 1]), vset([1, 2])])
@@ -361,6 +365,116 @@ def test_density_layout_matches_the_dict_table(n, kind):
     for mask in absent_masks:
         with pytest.raises(KeyError):
             density.prob_of_mask(mask)
+
+
+# ---------------------------------------------------------------------------
+# Normalisation from the clique/separator table, against the scalar loop
+
+
+def scalar_normalisation(law):
+    """The normalisation before the clique/separator table, as the oracle:
+    ``log_density_unnorm`` on each enumerated graph, then the weights
+    against the largest log-density, summed smallest-first."""
+    masks, logs = [], []
+    for g in enumerate_decomposable(law.n):
+        masks.append(g.edge_mask)
+        logs.append(log_density_unnorm(law, g))
+    best = max(logs)
+    weights = [math.exp(ld - best) if ld > -math.inf else 0.0 for ld in logs]
+    z = math.fsum(sorted(weights))
+    return masks, [w / z for w in weights]
+
+
+def _posterior(n):
+    rng = random.Random(n)
+    data = [[rng.randrange(2) for _ in range(n)] for _ in range(12)]
+    return posterior_law(random_csf(n, seed=n + 20), bernoulli_dirichlet_score(data))
+
+
+_NORMALISED_LAWS = {
+    "uniform": uniform_csf,
+    "random": lambda n: random_csf(n, seed=n),
+    "hub": lambda n: hub_law(n, [0], 0.7, 0.3),  # zero weights from infinite separators
+    "posterior": _posterior,  # an ``extra`` hook on both tables
+    "standardized": lambda n: standardize(random_csf(n, seed=n + 10)),
+}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("kind", sorted(_NORMALISED_LAWS))
+def test_table_normalisation_matches_the_scalar_loop(n, kind):
+    law = _NORMALISED_LAWS[kind](n)
+    density = normalize_by_enumeration(law)
+    masks, p = scalar_normalisation(law)
+    assert density.masks == masks
+    assert density.p == p
+
+
+def first_scalar_error(law):
+    """Type and message of the first ``log_density_unnorm`` error in enumeration order."""
+    for g in enumerate_decomposable(law.n):
+        try:
+            log_density_unnorm(law, g)
+        except DomainError as e:
+            return type(e), str(e)
+    return None
+
+
+def _with_overrides(law, phi=None, psi=None):
+    return CsfLaw(
+        law.n,
+        PotentialTable(law.phi.rule, {**law.phi.overrides, **(phi or {})}, law.phi.hubs),
+        PotentialTable(law.psi.rule, {**law.psi.overrides, **(psi or {})}, law.psi.hubs),
+    )
+
+
+_FAILING_LAWS = {
+    # Two infinite cliques: the first graph in enumeration order holding either one fails.
+    "infinite-cliques": lambda n: _with_overrides(random_csf(n, 3), phi={vset([1, n - 1]): math.inf,
+                                                                         vset([0, 2]): math.inf}),
+    # The empty graph has both; its cliques are summed first.
+    "infinite-clique-beside-infinite-separator": lambda n: _with_overrides(
+        uniform_csf(n), phi={1 << (n - 1): math.inf}, psi={0: math.inf}),
+    # 2 x 1e308 overflows on the star's separator {0}; with 1e308 on the cliques too the sum is NaN.
+    "overflow": lambda n: hub_law(n, [0], 0.0, 1e308),
+    "overflow-to-nan": lambda n: hub_law(n, [0], 1e308, 1e308),
+}
+
+
+@pytest.mark.parametrize("n", range(4, 7))  # the star's separator {0} has multiplicity 2 from n=4
+@pytest.mark.parametrize("kind", sorted(_FAILING_LAWS))
+def test_table_normalisation_raises_the_scalar_loops_first_error(n, kind):
+    law = _FAILING_LAWS[kind](n)
+    expected = first_scalar_error(law)
+    assert expected is not None
+    with pytest.raises(DomainError) as info:
+        normalize_by_enumeration(law)
+    assert (type(info.value), str(info.value)) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_clique_separator_table_lists_each_graphs_summary_in_search_order(n):
+    t = _clique_separator_table(n)
+    graphs = list(enumerate_decomposable(n))
+    assert t.masks == tuple(g.edge_mask for g in graphs)
+    assert (t.gi.dtype, t.sets.dtype, t.coef.dtype) == (np.int32, np.uint8, np.int8)
+    assert (np.diff(t.gi) >= 0).all()
+    starts = np.searchsorted(t.gi, np.arange(len(graphs) + 1))
+    sets, coef = t.sets.tolist(), t.coef.tolist()
+    for k, g in enumerate(graphs):
+        cl, seps = clique_separators(g)
+        entries = list(zip(sets[starts[k]:starts[k + 1]], coef[starts[k]:starts[k + 1]]))
+        assert entries == [(c, 1) for c in cl] + [(s, -m) for s, m in seps.items()]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_clique_separator_table_sums_to_the_t_statistic(n):
+    # The table T(G, A) of every graph and set, as a dense matrix.
+    t = _clique_separator_table(n)
+    table = np.zeros((len(t.masks), 1 << n), dtype=int)
+    np.add.at(table, (t.gi, t.sets), t.coef)
+    expected = [[t_statistic(g, a) for a in range(1 << n)] for g in enumerate_decomposable(n)]
+    assert table.tolist() == expected
 
 
 # ---------------------------------------------------------------------------
