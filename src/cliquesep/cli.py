@@ -10,6 +10,7 @@ domain error, 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -253,16 +254,8 @@ def _cmd_lemma_check(args) -> None:
 
 
 def _cmd_ewsm_rank(args) -> None:
-    n = _need_n(args)
-    analysis = ewsm_dimension_analysis(n)
-    obj = {
-        "n": analysis.n,
-        "num_constraints_bound": analysis.num_constraints_bound,
-        "rank": analysis.rank,
-        "free_dimension_bound": analysis.free_dimension_bound,
-        "csf_dimension": analysis.csf_dimension,
-    }
-    _emit(args, json.dumps(obj, sort_keys=True) + "\n")
+    analysis = ewsm_dimension_analysis(_need_n(args))
+    _emit(args, json.dumps(dataclasses.asdict(analysis), sort_keys=True) + "\n")
 
 
 def _cmd_sample(args) -> None:

@@ -59,12 +59,16 @@ def vset(vertices: Iterable[int]) -> int:
     """Bit mask of a collection of vertex indices."""
     m = 0
     for v in vertices:
+        if v < 0:
+            raise DomainError(f"negative vertex index {v}")
         m |= 1 << v
     return m
 
 
 def members(mask: int) -> list[int]:
     """Sorted vertex indices packed in a bit mask."""
+    if mask < 0:  # its set bits never run out
+        raise DomainError(f"negative vertex mask {mask}")
     out = []
     while mask:
         b = mask & -mask
@@ -202,10 +206,8 @@ class Graph:
     Equality and hashing use ``(n, vertices, edge_mask)``.
 
     ``_summary`` holds the one search of the graph: None before it,
-    False if the graph is not chordal, the ``[cliques, separators]``
-    list of :func:`_mcs`, and, once :func:`clique_separators` has read
-    it, that function's ``(cliques, separator multiset)`` tuple; the
-    type tells the last two apart.
+    False if the graph is not chordal, else the ``[cliques, separators]``
+    list of :func:`_mcs`.
     """
 
     __slots__ = ("n", "vertices", "adj", "edge_mask", "_summary")
@@ -248,14 +250,18 @@ class Graph:
         return [(i, j) for i, a in enumerate(self.adj) for j in members(a & -(2 << i))]
 
     def has_edge(self, i: int, j: int) -> bool:
-        if not (self.vertices >> i & 1 and self.vertices >> j & 1):
+        if min(i, j) < 0 or not (self.vertices >> i & 1 and self.vertices >> j & 1):
             raise DomainError(f"vertex pair ({i},{j}) not active")
         return bool(self.adj[i] >> j & 1)
 
     def with_edge_toggled(self, i: int, j: int) -> "Graph":
         if i == j:
             raise DomainError("cannot toggle a self-loop")
-        if not (self.vertices >> i & 1 and self.vertices >> j & 1):
+        try:
+            active = self.vertices >> i & self.vertices >> j & 1
+        except ValueError:  # a negative shift count: a negative vertex
+            active = 0
+        if not active:
             raise DomainError(f"vertex pair ({i},{j}) not active")
         if i > j:
             i, j = j, i
@@ -325,23 +331,21 @@ def _require_decomposable(g: Graph) -> None:
 
 def cliques(g: Graph) -> tuple[int, ...]:
     """Maximal complete vertex sets of a decomposable graph, as masks."""
-    return clique_separators(g)[0]
+    _require_decomposable(g)
+    return tuple(g._summary[0])
 
 
 def clique_separators(g: Graph) -> tuple[tuple[int, ...], Counter]:
-    """Cached ``(cliques, separator multiset)`` of a decomposable graph.
+    """``(cliques, separator multiset)`` of a decomposable graph, built
+    afresh on each call from the graph's one search, so the caller owns it.
 
-    The separator multiset maps each separator mask to its multiplicity;
-    it is invariant across junction trees, so the separators that the
-    search emitted with the cliques suffice. The first call replaces the
-    search's lists with this tuple in the graph's one slot.
+    The separator multiset maps each separator mask to its multiplicity,
+    in order of first emission; it is invariant across junction trees, so
+    the separators that the search emitted with the cliques suffice.
     """
-    s = g._summary
-    if type(s) is not tuple:
-        _require_decomposable(g)
-        cl, seps = g._summary
-        s = g._summary = (tuple(cl), Counter(seps))
-    return s
+    _require_decomposable(g)
+    cl, seps = g._summary
+    return tuple(cl), Counter(seps)
 
 
 @dataclass(frozen=True)
@@ -459,12 +463,7 @@ def in_U_star(g: Graph, a: int, b: int) -> bool:
 def in_U_plus(g: Graph, a: int, b: int) -> bool:
     """True iff ``(a, b)`` decomposes ``g`` and ``a & b`` is a clique of ``g``
     itself, i.e. maximal within both parts."""
-    s = a & b
-    return (
-        is_decomposition(g, a, b)
-        and _is_maximal_within(g, s, a)
-        and _is_maximal_within(g, s, b)
-    )
+    return in_U_star(g, a, b) and _is_maximal_within(g, a & b, b)
 
 
 def _reach(adj, start: int, within: int) -> int:

@@ -32,9 +32,9 @@ Also here: the constructive fit of a factorisation law from any positive
 density satisfying the clique-in-part property, identity checkers for
 the telescoping product over a junction-tree ordering and for the
 two-clique ratio, and the exact rank of the constraint system of the
-weakest conditioning family, sparse rows of four +1/-1 entries: rank
-24, 695 and 17,760 at n = 4, 5, 6, leaving 36, 126 and 393 free
-dimensions against factorisation-law dimensions of 21, 51 and 113.
+weakest conditioning family, sparse rows of four +1/-1 entries: at
+n = 2..6 rank 0, 0, 24, 695 and 17,760 leaves 1, 7, 36, 126 and 393
+free dimensions against factorisation-law dimensions of 1, 7, 21, 51, 113.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import CapacityError, DomainError, PreconditionError
 from .graphs import (
     Graph,
     cliques,
@@ -399,22 +399,28 @@ def verify_lemma2_ratio(density: DensityTable, s: int) -> float:
 # ---------------------------------------------------------------------------
 # Constraint-system analysis for the weakest conditioning family
 
+#: Cap on the constraint analysis: the n=7 index would hold 13,426,672 rows.
+EWSM_RANK_LIMIT = 6
+
 
 def _ewsm_rows(n: int):
     """Anchored cross-ratio equality constraints on log-probabilities, as
     ``{graph index: coefficient}`` dicts. Each clique-in-whole-graph table
-    with two or more pieces on each side is a full grid, rows (pieces on
-    ``a``) and columns (on ``b``) ascending; each free cell (x, y) gives,
+    with two or more pieces on each side must be a full grid, rows (pieces
+    on ``a``) and columns (on ``b``) ascending; each free cell (x, y) gives,
     row-major, +1 on (x, y) and on the anchor (x0, y0) and -1 on (x, y0)
     and (x0, y), four distinct graphs."""
+    if n > EWSM_RANK_LIMIT:
+        raise CapacityError(f"the ewsm rank over {n} vertices exceeds the limit of {EWSM_RANK_LIMIT}")
     for t in _pair_tables(n)[1]:
         (family,) = t.families(PropertyKind.EWSM)
         row_keys, row_of = np.unique(t.piece_a[family], return_inverse=True)
         col_keys, col_of = np.unique(t.piece_b[family], return_inverse=True)
         if len(row_keys) < 2 or len(col_keys) < 2:
             continue
-        grid = np.empty((len(row_keys), len(col_keys)), dtype=np.intp)
-        grid[row_of, col_of] = t.gi[family]
+        if len(row_of) != len(row_keys) * len(col_keys):
+            raise PreconditionError(f"ewsm table of ({members(t.a)}, {members(t.b)}) is not a full grid")
+        grid = t.gi[family][np.lexsort((col_of, row_of))].reshape(len(row_keys), len(col_keys))
         (anchor, *top), *rest = grid.tolist()
         for left, *cells in rest:
             for up, cell in zip(top, cells):
@@ -454,19 +460,18 @@ class EwsmDimensionAnalysis:
     csf_dimension: int
 
 
-def ewsm_dimension_analysis(n: int = 4, force: bool = False) -> EwsmDimensionAnalysis:
+def ewsm_dimension_analysis(n: int = 4) -> EwsmDimensionAnalysis:
     """Exact rank of the constraint system of the weakest conditioning family.
 
     At n=4 there are 6 two-vertex intersections, each contributing a 3x3
     table and so at most 4 independent constraints: a bound of 24 over
     the 60-dimensional simplex of laws on the 61 decomposable graphs,
     leaving free dimension at least 36 against a factorisation-law
-    dimension of 21. Other sizes are permitted with ``force=True``: the
-    sparse rows have rank 695 of 1275 at n=5 (126 free against 51) and
+    dimension of 21. At n = 2, 3 there are no constraints and the free
+    dimension equals the factorisation-law dimension, 1 and 7; from n=4
+    it exceeds it: rank 695 of 1275 at n=5 (126 free against 51) and
     17,760 of 59,085 at n=6 (393 free against 113).
     """
-    if n != 4 and not force:
-        raise DomainError("the dimension analysis is defined at n=4; pass force=True to generalise")
     rows = list(_ewsm_rows(n))
     rank = _exact_rank(rows)
     return EwsmDimensionAnalysis(

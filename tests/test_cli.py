@@ -166,6 +166,13 @@ def test_ewsm_rank(capsys):
     }
 
 
+def test_ewsm_rank_at_five_vertices(capsys):
+    status, out, _ = run(capsys, "ewsm-rank", "--n", "5")
+    assert status == 0
+    obj = json.loads(out)
+    assert (obj["rank"], obj["free_dimension_bound"]) == (695, 126)
+
+
 def test_sample_output_format_and_determinism(capsys):
     args = ("sample", "--law", "uniform", "--n", "4", "--steps", "500", "--thin", "100", "--seed", "7")
     status, out1, _ = run(capsys, *args)
@@ -386,6 +393,7 @@ def test_parsers_and_check_accept_or_reject_any_json(doc, tmp_path_factory):
     ["sample", "--n", "1", "--steps", "1"],
     ["density", "--n", "-1", "--law", "hub", "--hubs", "0"],
     ["sample", "--n", "4", "--law", "hub", f"--hubs=0,{10**400}"],
+    ["ewsm-rank", "--n", "7"],
 ])
 def test_bad_integer_flags_end_in_one_error_line(capsys, argv):
     status, out, err = run(capsys, *argv)

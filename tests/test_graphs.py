@@ -256,6 +256,28 @@ def test_vertex_cap_fits_in_linear_memory():
     assert proc.returncode == 0, proc.stderr
 
 
+# Each call once looped forever on the negative mask (or raised a bare
+# ValueError on a negative shift), so it runs in a child with a timeout.
+@pytest.mark.parametrize("call", [
+    "is_complete(Graph(3), -1)",
+    "to_dot(Graph(3), -1)",
+    "induced_subgraph(Graph(3), -2)",
+    "is_decomposition(Graph(3), -1, 7)",
+    "verify_lemma2_ratio(normalize_by_enumeration(uniform_csf(4)), -8)",
+    "Graph(4).has_edge(-1, 2)",
+    "Graph(4).with_edge_toggled(-1, 2)",
+    "Graph(4).with_edge_toggled(2, -1)",
+    "vset([-1])",
+    "hub_law(4, [-1])",
+])
+def test_negative_masks_and_vertices_raise_domain_error(call):
+    script = f"from cliquesep import *\ntry:\n    {call}\nexcept DomainError:\n    pass\nelse:\n    raise SystemExit('no error')\n"
+    src = os.path.dirname(os.path.dirname(cliquesep.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # Completeness, induced subgraphs
 

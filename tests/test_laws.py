@@ -67,6 +67,16 @@ def test_t_statistic_needs_decomposable():
         t_statistic(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), 1)
 
 
+def test_mutating_a_returned_separator_multiset_changes_no_later_score():
+    path = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    law = random_csf(4, seed=3)
+    before = log_density_unnorm(law, path)
+    _, seps = clique_separators(path)
+    seps[vset([1])] += 5
+    assert clique_separators(path)[1] == {vset([1]): 1, vset([2]): 1}
+    assert log_density_unnorm(law, path) == before
+
+
 def test_t_plus_minus_split():
     for g in enumerate_decomposable(4):
         for a in range(16):

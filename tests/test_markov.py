@@ -1,10 +1,13 @@
+import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cliquesep import (
+    CapacityError,
     DensityTable,
     DomainError,
     Graph,
@@ -398,17 +401,43 @@ def test_dimension_analysis_at_four_vertices():
     assert analysis.csf_dimension == 21
 
 
-def test_dimension_analysis_other_sizes_need_force():
-    with pytest.raises(DomainError):
-        ewsm_dimension_analysis(3)
-    analysis = ewsm_dimension_analysis(3, force=True)
-    assert analysis.csf_dimension == 7
+# (constraints, rank, free dimension, factorisation dimension) by n; n=6
+# gives (59085, 17760, 393, 113) and runs in CI, after a 4 s index build.
+_EWSM_DIMENSIONS = {2: (0, 0, 1, 1), 3: (0, 0, 7, 7), 4: (24, 24, 36, 21), 5: (1275, 695, 126, 51)}
 
 
-def test_dimension_analysis_at_five_vertices():
-    analysis = ewsm_dimension_analysis(5, force=True)
-    assert (analysis.num_constraints_bound, analysis.rank, analysis.free_dimension_bound) == (1275, 695, 126)
-    assert analysis.csf_dimension == 51
+@pytest.mark.parametrize("n", sorted(_EWSM_DIMENSIONS))
+def test_dimension_analysis_at_every_size(n):
+    a = ewsm_dimension_analysis(n)
+    assert (a.num_constraints_bound, a.rank, a.free_dimension_bound, a.csf_dimension) == _EWSM_DIMENSIONS[n]
+    # No constraints below n=4, so the free dimension is the factorisation
+    # dimension there; from n=4 it is larger.
+    assert (a.free_dimension_bound > a.csf_dimension) == (n >= 4)
+
+
+def test_dimension_analysis_past_the_limit_builds_nothing(monkeypatch):
+    def no_index(n):
+        raise AssertionError(f"index built for n={n}")
+
+    monkeypatch.setattr(markov, "_pair_tables", no_index)
+    with pytest.raises(CapacityError):
+        ewsm_dimension_analysis(markov.EWSM_RANK_LIMIT + 1)
+
+
+def test_dimension_analysis_rejects_a_table_that_is_not_a_full_grid(monkeypatch):
+    # Drop one cell from the first ewsm table of at least four cells, a 3x3
+    # table at n=4: 8 cells remain over the same rows and columns.
+    graphs, tables = _pair_tables(4)
+    k, t = next((k, t) for k, t in enumerate(tables) if t.families(PropertyKind.EWSM)[0].sum() >= 4)
+    drop = np.flatnonzero(t.families(PropertyKind.EWSM)[0])[0]
+    keep = np.arange(len(t.gi)) != drop
+    cut = dataclasses.replace(
+        t, **{f: getattr(t, f)[keep] for f in ("gi", "piece_a", "piece_b", "star_a", "star_b")}
+    )
+    mutated = tables[:k] + (cut,) + tables[k + 1 :]
+    monkeypatch.setattr(markov, "_pair_tables", lambda n: (graphs, mutated))
+    with pytest.raises(PreconditionError, match=re.escape(f"({members(t.a)}, {members(t.b)})")):
+        ewsm_dimension_analysis(4)
 
 
 def test_every_factorisation_density_satisfies_the_constraints():
