@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -34,7 +35,7 @@ from cliquesep import (
     to_dot,
     vset,
 )
-from cliquesep.graphs import MAX_VERTICES, _mcs, _pairs, members, within_edge_mask
+from cliquesep.graphs import MAX_VERTICES, _chordal_walk, _mcs, _pairs, members, within_edge_mask
 
 
 def path_graph(n):
@@ -691,6 +692,20 @@ def test_enumeration_matches_mask_walk(n):
     expected = list(mask_walk(n))
     assert [g.edge_mask for g in enumerate_decomposable(n)] == expected
     assert count_decomposable(n) == len(expected)
+
+
+def test_walk_n7_mask_stream_digest():
+    # Pins the order as well as the set of the 617,675 graphs at the enumeration limit.
+    h = hashlib.sha256()
+    for mask, _ in _chordal_walk(7):
+        h.update(f"{mask:x};".encode())
+    assert h.hexdigest() == "4d332be9199d35a9757b3b62ff3c73f7c066c22079c0d868668e86c59c8c5d7d"
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_walk_adjacency_matches_its_edge_mask(n):
+    for mask, adj in _chordal_walk(n):
+        assert tuple(adj) == Graph.from_edge_mask(n, mask).adj
 
 
 def test_enumeration_capacity():
