@@ -10,7 +10,9 @@ domain error, 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -173,12 +175,17 @@ def _load_density(args) -> DensityTable:
     return normalize_by_enumeration(_load_law(args, obj))
 
 
-def _emit(args, text: str) -> None:
+def _output(args):
+    """Context for the primary output: the ``--out`` file, opened for
+    writing, or stdout."""
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return open(args.out, "w")
+    return contextlib.nullcontext(sys.stdout)
+
+
+def _emit(args, text: str) -> None:
+    with _output(args) as fh:
+        fh.write(text)
 
 
 def _witness_obj(witness):
@@ -197,8 +204,10 @@ def _cmd_enumerate(args) -> None:
     if args.count_only:
         _emit(args, f"{count_decomposable(n)}\n")
         return
-    lines = [graph_to_json(g) for g in enumerate_decomposable(n)]
-    _emit(args, "\n".join(lines) + "\n")
+    graphs = enumerate_decomposable(n)
+    first = next(graphs)  # the walk checks n before --out is opened
+    with _output(args) as fh:
+        fh.writelines(graph_to_json(g) + "\n" for g in itertools.chain((first,), graphs))
 
 
 def _cmd_dim(args) -> None:

@@ -323,6 +323,8 @@ def verify_lemma1_identity(density: DensityTable, g: Graph) -> float:
     absolute deviation on the log scale.
     """
     n = density.n
+    if g.n != n:
+        raise DomainError(f"graph on {g.n} vertices under a density on {n}")
     logpi = _log_prob_fn(density)
     cl = cliques(g)
     logd = logpi(g.edge_mask)
@@ -372,6 +374,8 @@ def verify_lemma2_ratio(density: DensityTable, s: int) -> float:
     """
     n = density.n
     full = (1 << n) - 1
+    if s < 0 or s & ~full:
+        raise DomainError(f"separator mask {s} is not a set of vertices in 0..{n - 1}")
     comp = full & ~s
     if comp.bit_count() < 2:
         raise DomainError("needs at least two vertices outside the separator")

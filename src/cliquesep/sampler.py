@@ -26,7 +26,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .graphs import ENUMERATION_LIMIT, Graph, _pairs, clique_separators, is_decomposable
+from .graphs import ENUMERATION_LIMIT, Graph, clique_separators, is_decomposable, members
 from .laws import INF, CsfLaw, log_density_unnorm
 
 _MASK64 = (1 << 64) - 1
@@ -127,6 +127,8 @@ def initial_state(law: CsfLaw, init: Graph | None = None) -> ChainState:
     g = default_init(law) if init is None else init
     if g.n != law.n:
         raise DomainError(f"initial graph on {g.n} vertices under a law for {law.n}")
+    if g.vertices != (1 << g.n) - 1:  # every proposal draws among all n vertices
+        raise DomainError(f"initial graph leaves vertices {members((1 << g.n) - 1 & ~g.vertices)} inactive")
     if not is_decomposable(g):
         raise DomainError("initial graph is not decomposable")
     ld = log_density_unnorm(law, g)
@@ -140,9 +142,8 @@ def propose_edge_flip(state: ChainState, rand) -> Graph | None:
     decomposability. The pair choice is symmetric between a graph and
     any single-toggle neighbour."""
     g = state.graph
-    pairs = _pairs(g.n)
-    i, j = pairs[int(rand.integers(len(pairs)))]
-    cand = g.with_edge_toggled(i, j)
+    n = g.n
+    cand = g._with_bit_toggled(int(rand.integers(n * (n - 1) // 2)))
     return cand if is_decomposable(cand) else None
 
 

@@ -56,6 +56,37 @@ def test_enumerate_out_file(capsys, tmp_path):
     assert target.read_text() == "8\n"
 
 
+def test_enumerate_out_file_matches_stdout(capsys, tmp_path):
+    target = tmp_path / "graphs.txt"
+    _, out, _ = run(capsys, "enumerate", "--n", "4")
+    assert run(capsys, "enumerate", "--n", "4", "--out", str(target)) == (0, "", "")
+    assert target.read_text() == out and out.count("\n") == 61
+
+
+def test_enumerate_writes_each_graph_as_the_walk_yields_it(capsys, monkeypatch):
+    def walk(n):
+        yield Graph(n)
+        raise RuntimeError("walk stopped after one graph")
+
+    monkeypatch.setattr(cli, "enumerate_decomposable", walk)
+    with pytest.raises(RuntimeError):
+        run_command(["enumerate", "--n", "3"])
+    assert capsys.readouterr().out == '{"edges": [], "n": 3}\n'
+
+
+@pytest.mark.parametrize("n", ["0", "8"])
+def test_enumerate_bad_n_neither_creates_nor_truncates_the_out_file(capsys, tmp_path, n):
+    kept = tmp_path / "kept.txt"
+    kept.write_text("earlier output\n")
+    fresh = tmp_path / "fresh.txt"
+    for target in (kept, fresh):
+        status, out, err = run(capsys, "enumerate", "--n", n, "--out", str(target))
+        assert status == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert kept.read_text() == "earlier output\n"
+    assert not fresh.exists()
+
+
 def test_dim(capsys):
     status, out, _ = run(capsys, "dim", "--n", "4")
     assert status == 0 and out == "21 11\n"

@@ -35,7 +35,17 @@ from cliquesep import (
     to_dot,
     vset,
 )
-from cliquesep.graphs import MAX_VERTICES, _chordal_walk, _mcs, _pairs, members, within_edge_mask
+from cliquesep.graphs import (
+    MAX_VERTICES,
+    _chordal_walk,
+    _extension_table,
+    _mcs,
+    _pair_at,
+    _pairs,
+    _row_shift,
+    members,
+    within_edge_mask,
+)
 
 
 def path_graph(n):
@@ -232,6 +242,18 @@ def test_edge_mask_layout_matches_pair_order(n):
         assert Graph(n, edges).edge_mask == mask
         for k, (i, j) in enumerate(pairs):
             assert g.with_edge_toggled(i, j).edge_mask == mask ^ 1 << k
+
+
+def test_pair_at_decodes_every_bit_up_to_64_vertices():
+    for n in range(1, 65):
+        assert [_pair_at(n, k) for k in range(n * (n - 1) // 2)] == list(_pairs(n))
+
+
+def test_pair_at_decodes_the_ends_of_every_row_up_to_the_vertex_cap():
+    for n in range(2, MAX_VERTICES + 1):
+        for i in range(n - 1):
+            assert _pair_at(n, _row_shift(n, i)) == (i, i + 1)
+            assert _pair_at(n, _row_shift(n, i + 1) - 1) == (i, n - 1)
 
 
 # The child caps its own address space at 1 GiB, so a layout whose memory
@@ -706,6 +728,17 @@ def test_walk_n7_mask_stream_digest():
 def test_walk_adjacency_matches_its_edge_mask(n):
     for mask, adj in _chordal_walk(n):
         assert tuple(adj) == Graph.from_edge_mask(n, mask).adj
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_extension_table_matches_recognition_of_the_grown_graph(k):
+    # Vertex k joined to nbrs keeps g chordal iff the table says so at the complement.
+    full = (1 << k) - 1
+    for g in enumerate_decomposable(k):
+        ok = _extension_table(list(g.adj))
+        for nbrs in range(1 << k):
+            grown = Graph(k + 1, g.edges() + [(v, k) for v in members(nbrs)])
+            assert ok[full ^ nbrs] == is_decomposable(grown), (g, nbrs)
 
 
 def test_enumeration_capacity():

@@ -388,6 +388,22 @@ def test_ratio_invariance_domain():
         verify_lemma2_ratio(d, vset([0, 1]))
 
 
+@pytest.mark.parametrize("s", [16, 0b10001, -1])
+def test_ratio_invariance_rejects_a_separator_past_the_vertex_set(s):
+    # 16 at n=4 once bled into the next row's edge bits and named no graph.
+    d = normalize_by_enumeration(uniform_csf(4))
+    with pytest.raises(DomainError, match="not a set of vertices in 0..3"):
+        verify_lemma2_ratio(d, s)
+
+
+@pytest.mark.parametrize("g", [Graph.complete(3), Graph.complete(5)])
+def test_product_identity_rejects_a_graph_of_another_size(g):
+    # The triangle once scored 0.0 against the n=4 density.
+    d = normalize_by_enumeration(uniform_csf(4))
+    with pytest.raises(DomainError, match=f"graph on {g.n} vertices under a density on 4"):
+        verify_lemma1_identity(d, g)
+
+
 # ---------------------------------------------------------------------------
 # Constraint-system analysis
 

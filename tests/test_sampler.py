@@ -15,6 +15,7 @@ from cliquesep import (
     complete_sets_graph,
     default_init,
     hub_law,
+    induced_subgraph,
     initial_state,
     log_density_unnorm,
     mh_step,
@@ -25,7 +26,7 @@ from cliquesep import (
     visit_counts,
     vset,
 )
-from cliquesep.graphs import ENUMERATION_LIMIT
+from cliquesep.graphs import ENUMERATION_LIMIT, _pairs
 from cliquesep.laws import INF
 from conftest import random_csf
 
@@ -63,6 +64,13 @@ def test_proposal_rejects_chordless_cycle():
     assert propose_edge_flip(state, ScriptedRandom([2])) is None
     cand = propose_edge_flip(state, ScriptedRandom([0]))
     assert cand is not None and not cand.has_edge(0, 1)
+
+
+def test_proposals_build_no_pair_table():
+    # The pair tuple of a 300-vertex graph would hold 44,850 pairs for the life of the process.
+    _pairs.cache_clear()
+    run_chain(uniform_csf(300), steps=50, thin=50, seed=1)
+    assert _pairs.cache_info().currsize == 0
 
 
 def test_proposal_frequencies_are_uniform():
@@ -124,6 +132,15 @@ def test_initial_state_validates_support():
         initial_state(law, Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
     with pytest.raises(DomainError):
         initial_state(law, Graph.empty(5))
+
+
+def test_initial_state_rejects_inactive_vertices():
+    # A proposal may draw any pair of the n vertices, so every vertex must be active.
+    part = induced_subgraph(Graph.complete(4), vset([0, 1, 2]))
+    with pytest.raises(DomainError, match=r"vertices \[3\] inactive"):
+        initial_state(uniform_csf(4), part)
+    with pytest.raises(DomainError, match="inactive"):
+        run_chain(uniform_csf(4), init=part, steps=0)
 
 
 def test_default_init():
