@@ -29,9 +29,13 @@ Each graph on the k vertices added so far fills three tables over its
 whether every component has a complete outer neighbourhood), and the
 last one answers, for every neighbourhood of the next vertex, whether
 it keeps the graph chordal. One cached table per vertex count lists
-every enumerated graph's cliques and separators, with their signs, as
-compact numpy columns. Graphs and the edge fields of graph and density
-files share one set of edge checks.
+every enumerated graph's cliques and separators, with their signs, and
+its adjacency rows, as compact numpy columns. It holds the one walk per
+vertex count that normalisation, the density parser and the
+decomposition index read; only the streaming consumers (counting,
+:func:`enumerate_decomposable` and ``markov.conditioning_set``) walk
+again. Graphs and the edge fields of graph and density files share one
+set of edge checks, and graph lines are written by one formatter.
 """
 
 from __future__ import annotations
@@ -66,8 +70,8 @@ def vset(vertices: Iterable[int]) -> int:
     """Bit mask of a collection of vertex indices."""
     m = 0
     for v in vertices:
-        if v < 0:
-            raise DomainError(f"negative vertex index {v}")
+        if not 0 <= v < MAX_VERTICES:  # before 1 << v, huge for a huge v
+            raise DomainError(f"vertex index {v} outside 0..{MAX_VERTICES - 1}")
         m |= 1 << v
     return m
 
@@ -122,6 +126,7 @@ def _pair_at(n: int, k: int) -> tuple[int, int]:
 
 def within_edge_mask(n: int, vmask: int) -> int:
     """Edge mask of the complete graph on the vertices in ``vmask``."""
+    _check_subset(vmask, _full_mask(n), "vertex set")  # a vertex past n would bleed into the next row
     m = 0
     for i in members(vmask):
         m |= (vmask >> (i + 1)) << _row_shift(n, i)
@@ -650,7 +655,8 @@ class _CliqueSeparatorTable:
     ``masks``) the set ``sets[k]`` with coefficient ``coef[k]``: +1 for
     each clique, in the order :func:`_mcs` emits them, then minus the
     multiplicity for each separator, in order of first emission. A
-    graph's entries are contiguous, and the graphs ascend. The dtypes
+    graph's entries are contiguous, and the graphs ascend. Row k of
+    ``adj`` holds graph k's n adjacency masks, the walk's own. The dtypes
     are compact: sets of up to 8 vertices fit in a byte, and so does a
     multiplicity.
     """
@@ -659,6 +665,7 @@ class _CliqueSeparatorTable:
     gi: np.ndarray
     sets: np.ndarray
     coef: np.ndarray
+    adj: np.ndarray
 
 
 @lru_cache(maxsize=4)
@@ -668,7 +675,7 @@ def _clique_separator_table(n: int) -> _CliqueSeparatorTable:
     walk = _chordal_walk(n)  # checks n before 1 << n is built
     full = _full_mask(n)
     masks = []
-    counts, sets, coef = array("B"), array("B"), array("b")
+    counts, sets, coef, rows = array("B"), array("B"), array("b"), array("B")
     ones = b"\x01" * n  # a graph has at most n cliques
     for mask, adj in walk:
         cl, seps = _mcs(n, adj, full)
@@ -676,13 +683,20 @@ def _clique_separator_table(n: int) -> _CliqueSeparatorTable:
         for s in seps:
             minus[s] = minus.get(s, 0) - 1
         masks.append(mask)
+        rows.extend(adj)
         counts.append(len(cl) + len(minus))
         sets.extend(cl)
         sets.extend(minus)
         coef.frombytes(ones[: len(cl)])
         coef.extend(minus.values())
     gi = np.repeat(np.arange(len(masks), dtype=np.int32), np.frombuffer(counts, dtype=np.uint8))
-    return _CliqueSeparatorTable(tuple(masks), gi, np.frombuffer(sets, dtype=np.uint8), np.frombuffer(coef, dtype=np.int8))
+    return _CliqueSeparatorTable(
+        tuple(masks),
+        gi,
+        np.frombuffer(sets, dtype=np.uint8),
+        np.frombuffer(coef, dtype=np.int8),
+        np.frombuffer(rows, dtype=np.uint8).reshape(len(masks), n),
+    )
 
 
 def enumerate_decomposable(n: int) -> Iterator[Graph]:
@@ -699,9 +713,16 @@ def count_decomposable(n: int) -> int:
     return sum(1 for _ in _chordal_walk(n))
 
 
+def _edges_json(n: int, edges: Iterable[tuple[int, int]]) -> str:
+    """``{"edges": [[i, j], ...], "n": n}`` in the exact bytes of
+    ``json.dumps(..., sort_keys=True)``, without building the object."""
+    body = ", ".join([f"[{i}, {j}]" for i, j in edges])
+    return f'{{"edges": [{body}], "n": {n}}}'
+
+
 def graph_to_json(g: Graph) -> str:
     """Serialise a graph to the ``{"n":..., "edges":[[i,j],...]}`` format."""
-    return json.dumps({"n": g.n, "edges": [[i, j] for i, j in g.edges()]}, sort_keys=True)
+    return _edges_json(g.n, g.edges())
 
 
 def graph_from_json(text: str) -> Graph:

@@ -16,7 +16,10 @@ probability per decomposable graph, in enumeration order, all or none.
 Normalisation needs no graphs: the cached clique/separator table of n
 vertices gives each graph's signed sets, each potential is evaluated
 once per set, and each graph's terms are added in the search's order.
-The density parser keys each entry by its edge mask, also without a graph.
+The density parser keys each entry by its edge mask, also without a
+graph, and checks the keys against the same table's masks, so parsing
+a density file builds the table (one search per graph) if no earlier
+call in the process has.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .graphs import (
     MAX_VERTICES,
     Graph,
     _check_vertex_count,
-    _chordal_walk,
     _clique_separator_table,
     _edge_mask_from_fields,
     _pairs,
@@ -313,7 +315,7 @@ class DensityTable:
 def _in_walk_order(n: int, by_mask: Mapping[int, float]) -> tuple[list[int], list[float]]:
     """The masks of the decomposable graphs on n vertices, ascending, and
     ``by_mask``'s values in their order, if those are exactly its keys."""
-    masks = [m for m, _ in _chordal_walk(n)]
+    masks = list(_clique_separator_table(n).masks)
     if len(by_mask) != len(masks) or not all(m in by_mask for m in masks):
         raise DomainError(f"entries must be exactly the {len(masks)} decomposable graphs on {n} vertices")
     return masks, [by_mask[m] for m in masks]

@@ -9,24 +9,27 @@ those whose intersection is a clique of the first part; those whose
 intersection is a clique of the whole graph), because membership flags
 and the induced-piece partition are precomputed per pair.
 
-Each pair's decompositions are packed as numpy columns (graph index, the
-two induced pieces, the two maximality flags), and each conditioning
-family is a boolean mask over those rows. The index tests every graph
-against every covering pair once; the pieces and flags of the graphs
-that pass are then taken from numpy arrays of all the graphs' edge
-masks and adjacency rows at once. The sweep drops the graphs of
-probability zero from a family's rows and lays the rest out as a dense
-grid of log probabilities, NaN where a cell is missing, with rows in
-order of first appearance. The spread of the differences of two rows
-over their common columns is the worst log cross-ratio over that row
-pair, and all row pairs are taken at once, in blocks. Ties break as a
-scalar loop over the rows in that order would break them: the first
-largest spread over row pairs, then the first strict extremes of the
-difference in the set order of the two rows' common column keys, which
-only the winning row pair of a table that beats the running worst is
-scanned for. The log probabilities are ``math.log`` values and the
-differences are taken in one order, so the worst value is the same to
-the last bit.
+Each pair's decompositions are packed as numpy columns (graph index,
+the two induced pieces, the two maximality flags), and each
+conditioning family is a boolean mask over those rows. The index walks
+no graphs of its own: it reads them, their edge masks and their
+adjacency rows from the cached clique/separator table of n vertices,
+which normalisation and the density parser read too; only the
+brute-force :func:`conditioning_set` walks them again. The index tests
+every graph against every covering pair once; the pieces and flags of
+the graphs that pass are then taken from the table's arrays at once.
+The sweep drops the graphs of probability zero from a family's rows and
+lays the rest out as a dense grid of log probabilities, NaN where a
+cell is missing, with rows in order of first appearance. The spread of
+the differences of two rows over their common columns is the worst log
+cross-ratio over that row pair, and all row pairs are taken at once, in
+blocks. Ties break as a scalar loop over the rows in that order would
+break them: the first largest spread over row pairs, then the first
+strict extremes of the difference in the set order of the two rows'
+common column keys, which only the winning row pair of a table that
+beats the running worst is scanned for. The log probabilities are
+``math.log`` values and the differences are taken in one order, so the
+worst value is the same to the last bit.
 
 Also here: the constructive fit of a factorisation law from any positive
 density satisfying the clique-in-part property, identity checkers for
@@ -49,6 +52,7 @@ import numpy as np
 from .errors import CapacityError, DomainError, PreconditionError
 from .graphs import (
     Graph,
+    _clique_separator_table,
     cliques,
     enumerate_decomposable,
     in_U_plus,
@@ -148,14 +152,14 @@ def _maximal_within(adj: np.ndarray, s: int, part: int) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def _pair_tables(n: int) -> tuple[tuple[Graph, ...], tuple[_PairTable, ...]]:
-    graphs = tuple(enumerate_decomposable(n))
-    edge_masks = np.array([g.edge_mask for g in graphs], dtype=np.int64)
-    adj = np.array([g.adj for g in graphs], dtype=np.int64).reshape(len(graphs), n)
+    t = _clique_separator_table(n)
     full = (1 << n) - 1
+    graphs = tuple(Graph._from_parts(n, full, tuple(row), m) for row, m in zip(t.adj.tolist(), t.masks))
+    edge_masks = np.array(t.masks, dtype=np.int64)
     tables = []
     for a, b in [(a, b) for a in range(full) for b in range(a + 1, full) if a | b == full]:
         gi = np.array([k for k, g in enumerate(graphs) if is_decomposition(g, a, b)], dtype=np.intp)
-        rows = adj[gi]
+        rows = t.adj[gi]
         tables.append(
             _PairTable(
                 a,

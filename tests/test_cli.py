@@ -19,7 +19,7 @@ from cliquesep import (
     normalize_by_enumeration,
     uniform_csf,
 )
-from cliquesep import cli
+from cliquesep import cli, graphs, laws, markov
 from cliquesep.cli import run_command
 from cliquesep.graphs import MAX_VERTICES
 from cliquesep.laws import DensityTable, _as_float, _density_from_obj, _normalised
@@ -65,10 +65,10 @@ def test_enumerate_out_file_matches_stdout(capsys, tmp_path):
 
 def test_enumerate_writes_each_graph_as_the_walk_yields_it(capsys, monkeypatch):
     def walk(n):
-        yield Graph(n)
+        yield 0, [0] * n
         raise RuntimeError("walk stopped after one graph")
 
-    monkeypatch.setattr(cli, "enumerate_decomposable", walk)
+    monkeypatch.setattr(cli, "_chordal_walk", walk)
     with pytest.raises(RuntimeError):
         run_command(["enumerate", "--n", "3"])
     assert capsys.readouterr().out == '{"edges": [], "n": 3}\n'
@@ -359,6 +359,27 @@ def test_law_file_is_parsed_once(capsys, tmp_path, monkeypatch, kind):
     status, out, _ = run(capsys, "check", "--law", str(path))
     assert len(calls) == 1
     assert status == 0 and loads(out)["passed"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--law", "<density>"],
+    ["fit", "--law", "<density>"],
+    ["check", "--law", "uniform", "--n", "5"],
+], ids=["check-density", "fit-density", "check-law"])
+def test_each_command_walks_the_graphs_once(capsys, tmp_path, monkeypatch, argv):
+    # The density parser, the normalisation and the decomposition index all
+    # read the one cached clique/separator table of n vertices.
+    path = tmp_path / "density.json"
+    path.write_text(density_to_json(normalize_by_enumeration(random_csf(5, seed=5))))
+    walk = graphs._chordal_walk
+    calls = []
+    for module in (graphs, laws):  # wherever a module keeps its own name for the walk
+        if hasattr(module, "_chordal_walk"):
+            monkeypatch.setattr(module, "_chordal_walk", lambda n: calls.append(n) or walk(n))
+    graphs._clique_separator_table.cache_clear()
+    markov._pair_tables.cache_clear()
+    status, _, _ = run(capsys, *[str(path) if a == "<density>" else a for a in argv])
+    assert status == 0 and calls == [5]
 
 
 @pytest.mark.parametrize("hubs", [None, ""])

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -38,6 +39,7 @@ from cliquesep import (
 from cliquesep.graphs import (
     MAX_VERTICES,
     _chordal_walk,
+    _edges_json,
     _extension_table,
     _mcs,
     _pair_at,
@@ -299,6 +301,71 @@ def test_negative_masks_and_vertices_raise_domain_error(call):
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=20)
     assert proc.returncode == 0, proc.stderr
+
+
+# Every public function that takes a vertex mask or a vertex index, at n=4,
+# with ``v`` standing for the value under test; ``g`` is a path on 0..3.
+_VERTEX_ARGUMENT_CALLS = [
+    "vset([v])",
+    "members(v)",
+    "within_edge_mask(4, v)",
+    "Graph(4, [(0, v)])",
+    "Graph(4, [(v, 1)])",
+    "graph_from_json(json.dumps({'n': 4, 'edges': [[0, v]]}))",
+    "g.has_edge(0, v)",
+    "g.has_edge(v, 0)",
+    "g.with_edge_toggled(0, v)",
+    "g.with_edge_toggled(v, 0)",
+    "is_complete(g, v)",
+    "induced_subgraph(g, v)",
+    "is_decomposition(g, v, 15)",
+    "is_decomposition(g, 15, v)",
+    "in_U_star(g, v, 15)",
+    "in_U_star(g, 15, v)",
+    "in_U_plus(g, v, 15)",
+    "in_U_plus(g, 15, v)",
+    "complete_sets_graph(4, [v])",
+    "to_dot(g, v)",
+    "t_statistic(g, v)",
+    "t_plus(g, v)",
+    "t_minus(g, v)",
+    "hub_law(4, v)",
+    "hub_law(4, [v])",
+    "conditioning_set(4, v, 15, PropertyKind.WSM)",
+    "conditioning_set(4, 15, v, PropertyKind.EWSM)",
+    "verify_lemma2_ratio(density, v)",
+    "bernoulli_dirichlet_score([[0, 1, 1, 0], [1, 1, 0, 0]]).log_marginal(v)",
+]
+
+# -1, 0, the full mask, the full mask + 1 (which is 1 << n), 1 << MAX_VERTICES,
+# and 2**64 as an index: 1 << 2**64 cannot be built. No value lies between
+# about 2^25 and 2^40, where 1 << v would really allocate.
+_VERTEX_ARGUMENT_VALUES = [-1, 0, 15, 16, 1 << MAX_VERTICES, 2**64]
+
+_VERTEX_ARGUMENT_SCRIPT = """
+import json, sys
+from cliquesep import *
+from cliquesep.graphs import within_edge_mask
+g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+density = normalize_by_enumeration(uniform_csf(4))
+for v in {values}:
+    print(v, flush=True)  # the last value printed names a call that hung
+    try:
+        {call}
+    except DomainError:
+        pass
+"""
+
+
+@pytest.mark.parametrize("call", _VERTEX_ARGUMENT_CALLS)
+def test_vertex_arguments_return_or_raise_domain_error(call):
+    # One child per call runs it on every value, under a timeout: some of
+    # these once looped forever or tried to build 1 << v.
+    script = _VERTEX_ARGUMENT_SCRIPT.format(values=_VERTEX_ARGUMENT_VALUES, call=call)
+    src = os.path.dirname(os.path.dirname(cliquesep.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -781,6 +848,20 @@ def test_graph_json_round_trip():
         graph_from_json('{"edges":[]}')
     with pytest.raises(DomainError):
         graph_from_json("not json")
+
+
+def dumped(g):
+    """The graph format as ``json.dumps`` writes it: the oracle for the formatter."""
+    return json.dumps({"n": g.n, "edges": [[i, j] for i, j in g.edges()]}, sort_keys=True)
+
+
+def test_graph_json_is_json_dumps_bytes():
+    graphs = [Graph.from_edge_mask(n, m) for n in range(1, 6) for m in range(1 << n * (n - 1) // 2)]
+    graphs += [Graph.empty(7), induced_subgraph(Graph.complete(5), vset([1, 3, 4]))]
+    for g in graphs:
+        assert graph_to_json(g) == dumped(g), g
+    pairs = _pairs(4)
+    assert all(_edges_json(4, [pairs[k] for k in members(m)]) == dumped(Graph.from_edge_mask(4, m)) for m in range(64))
 
 
 def test_complete_sets_graph_absorbs_subsets():

@@ -467,7 +467,8 @@ def test_clique_separator_table_lists_each_graphs_summary_in_search_order(n):
     t = _clique_separator_table(n)
     graphs = list(enumerate_decomposable(n))
     assert t.masks == tuple(g.edge_mask for g in graphs)
-    assert (t.gi.dtype, t.sets.dtype, t.coef.dtype) == (np.int32, np.uint8, np.int8)
+    assert (t.gi.dtype, t.sets.dtype, t.coef.dtype, t.adj.dtype) == (np.int32, np.uint8, np.int8, np.uint8)
+    assert [tuple(row) for row in t.adj.tolist()] == [Graph.from_edge_mask(n, m).adj for m in t.masks]
     assert (np.diff(t.gi) >= 0).all()
     starts = np.searchsorted(t.gi, np.arange(len(graphs) + 1))
     sets, coef = t.sets.tolist(), t.coef.tolist()
