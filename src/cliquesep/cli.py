@@ -5,6 +5,10 @@ lemma-check, ewsm-rank, sample, posterior, export-dot. Primary output is
 machine-readable (plain numbers, JSON, or newline-delimited JSON) on
 stdout; diagnostics go to stderr. Exit status 0 on success, 1 on a
 domain error, 2 on a usage error.
+
+Every JSON file the CLI opens, graph, law or density, is read by one
+reader, and ``--law`` by one loader: a file with ``entries`` is a
+density, and the commands that need a law refuse it before parsing it.
 """
 
 from __future__ import annotations
@@ -20,10 +24,10 @@ from .errors import DomainError
 from .graphs import (
     _chordal_walk,
     _edges_json,
+    _graph_from_obj,
     _pairs,
     count_decomposable,
     enumerate_decomposable,
-    graph_from_json,
     members,
     to_dot,
     vset,
@@ -131,19 +135,20 @@ def _need_tol(args) -> float:
 
 
 def _read_table(path: str) -> dict:
-    """Parsed JSON object of a law or density file."""
+    """Parsed JSON object of a graph, law or density file."""
     with open(path) as fh:
         try:
             obj = json.loads(fh.read())
-        except ValueError as e:  # undecodable bytes or invalid JSON
-            raise DomainError(f"{path}: not a JSON law or density file: {e}") from e
+        except (ValueError, RecursionError) as e:  # undecodable bytes, invalid JSON, or nesting too deep
+            raise DomainError(f"{path}: not a JSON file: {e}") from e
     if not isinstance(obj, dict):
-        raise DomainError(f"{path}: not a JSON law or density file: expected an object")
+        raise DomainError(f"{path}: not a JSON file: expected an object")
     return obj
 
 
-def _load_law(args, obj: dict | None = None) -> CsfLaw:
-    """Law named by ``--law``; ``obj`` is the ``--law`` file if already parsed."""
+def _load(args, densities: bool) -> CsfLaw | DensityTable:
+    """Law named by ``--law``, or the density of a density file if
+    ``densities``; otherwise a density file is refused before it is parsed."""
     if args.law is None or args.law == "uniform":
         return uniform_csf(_need_n(args))
     if args.law == "hub":
@@ -151,26 +156,19 @@ def _load_law(args, obj: dict | None = None) -> CsfLaw:
         if not hubs:
             raise DomainError("--law hub needs a non-empty --hubs list")
         return hub_law(_need_n(args), hubs, args.phi_rate, args.psi_rate)
-    if obj is None:
-        obj = _read_table(args.law)
-    if "entries" in obj:
+    obj = _read_table(args.law)
+    kind = "density" if "entries" in obj else "law"
+    if kind == "density" and not densities:
         raise DomainError("this subcommand needs a law, not a density table")
-    law = _law_from_obj(obj)
-    if args.n is not None and args.n != law.n:
-        raise DomainError(f"--n {args.n} disagrees with the law file's n={law.n}")
-    return law
+    loaded = _density_from_obj(obj) if kind == "density" else _law_from_obj(obj)
+    if args.n is not None and args.n != loaded.n:
+        raise DomainError(f"--n {args.n} disagrees with the {kind} file's n={loaded.n}")
+    return loaded
 
 
 def _load_density(args) -> DensityTable:
-    obj = None
-    if args.law is not None and args.law not in ("uniform", "hub"):
-        obj = _read_table(args.law)
-        if "entries" in obj:
-            density = _density_from_obj(obj)
-            if args.n is not None and args.n != density.n:
-                raise DomainError(f"--n {args.n} disagrees with the density file's n={density.n}")
-            return density
-    return normalize_by_enumeration(_load_law(args, obj))
+    loaded = _load(args, densities=True)
+    return loaded if isinstance(loaded, DensityTable) else normalize_by_enumeration(loaded)
 
 
 def _output(args):
@@ -214,7 +212,7 @@ def _cmd_dim(args) -> None:
 
 
 def _cmd_density(args) -> None:
-    _emit(args, density_to_json(normalize_by_enumeration(_load_law(args))) + "\n")
+    _emit(args, density_to_json(normalize_by_enumeration(_load(args, densities=False))) + "\n")
 
 
 def _cmd_check(args) -> None:
@@ -266,7 +264,7 @@ def _cmd_ewsm_rank(args) -> None:
 
 
 def _cmd_sample(args) -> None:
-    law = _load_law(args)
+    law = _load(args, densities=False)
     summary = run_chain(law, steps=args.steps, thin=args.thin, seed=args.seed)
     lines = []
     for rec in summary.records:
@@ -297,7 +295,7 @@ def _cmd_sample(args) -> None:
 
 
 def _cmd_posterior(args) -> None:
-    prior = _load_law(args)
+    prior = _load(args, densities=False)
     data = load_binary_csv(args.data, skip_header=args.skip_header)
     if data and len(data[0]) != prior.n:
         raise DomainError(f"data has {len(data[0])} columns but the law has n={prior.n}")
@@ -307,9 +305,7 @@ def _cmd_posterior(args) -> None:
 
 
 def _cmd_export_dot(args) -> None:
-    with open(args.graph) as fh:
-        g = graph_from_json(fh.read())
-    _emit(args, to_dot(g, _parse_hubs(args.hubs)))
+    _emit(args, to_dot(_graph_from_obj(_read_table(args.graph)), _parse_hubs(args.hubs)))
 
 
 _COMMANDS = {

@@ -725,15 +725,24 @@ def graph_to_json(g: Graph) -> str:
     return _edges_json(g.n, g.edges())
 
 
+def _json_value(text: str, what: str):
+    """Parsed JSON value of ``text``; invalid JSON is an "invalid ``what`` JSON" error."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: arrays or objects nested too deep
+        raise DomainError(f"invalid {what} JSON: {e}") from e
+
+
 def graph_from_json(text: str) -> Graph:
     """Parse the ``{"n":..., "edges":[[i,j],...]}`` format.
 
     Edges are unordered within pairs; duplicate pairs are rejected.
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DomainError(f"invalid graph JSON: {e}") from e
+    return _graph_from_obj(_json_value(text, "graph"))
+
+
+def _graph_from_obj(obj) -> Graph:
+    """Graph from a parsed JSON value; see :func:`graph_from_json`."""
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise DomainError("graph JSON must have fields 'n' and 'edges'")
     n = obj["n"]

@@ -39,6 +39,7 @@ from .graphs import (
     _check_vertex_count,
     _clique_separator_table,
     _edge_mask_from_fields,
+    _json_value,
     _pairs,
     clique_separators,
     enumerate_decomposable,
@@ -410,10 +411,12 @@ def _rule_to_obj(rule: SizeRule) -> dict:
 
 
 def _as_float(value, what: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as e:  # OverflowError: an integer beyond float range
-        raise DomainError(f"{what} must be a number, got {value!r}") from e
+    if not isinstance(value, bool):  # JSON true and false parse as bool, which float() reads as 1 and 0
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):  # OverflowError: an integer beyond float range
+            pass
+    raise DomainError(f"{what} must be a number, got {value!r}")
 
 
 def _rule_from_obj(obj) -> SizeRule:
@@ -477,11 +480,7 @@ def law_to_json(law: CsfLaw) -> str:
 
 
 def law_from_json(text: str) -> CsfLaw:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DomainError(f"invalid law JSON: {e}") from e
-    return _law_from_obj(obj)
+    return _law_from_obj(_json_value(text, "law"))
 
 
 def _law_from_obj(obj) -> CsfLaw:
@@ -503,11 +502,7 @@ def density_to_json(density: DensityTable) -> str:
 def density_from_json(text: str) -> DensityTable:
     """Parse a density table whose entries, in any order, are exactly the
     decomposable graphs of its size; probabilities are renormalised exactly."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DomainError(f"invalid density JSON: {e}") from e
-    return _density_from_obj(obj)
+    return _density_from_obj(_json_value(text, "density"))
 
 
 def _density_from_obj(obj) -> DensityTable:

@@ -66,11 +66,16 @@ class BernoulliDirichletScore:
                 cell |= (row >> v & 1) << k
             counts[cell] = counts.get(cell, 0) + 1
         alpha = self.alpha
-        ncells = float(2 ** len(positions))
-        value = math.lgamma(ncells * alpha) - math.lgamma(ncells * alpha + self.num_rows)
-        base = math.lgamma(alpha)
-        for c in counts.values():
-            value += math.lgamma(alpha + c) - base
+        try:
+            ncells = float(2 ** len(positions))
+            value = math.lgamma(ncells * alpha) - math.lgamma(ncells * alpha + self.num_rows)
+            base = math.lgamma(alpha)
+            for c in counts.values():
+                value += math.lgamma(alpha + c) - base
+        except OverflowError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise DomainError(f"concentration {alpha!r} overflows the log evidence of vertex set {positions}")
         self._cache[mask] = value
         return value
 
@@ -92,16 +97,19 @@ def load_binary_csv(path: str, skip_header: bool = False) -> list[list[int]]:
     """Read 0/1 data, one observation per row, columns indexed 0..n-1."""
     rows: list[list[int]] = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for i, row in enumerate(reader):
-            if skip_header and i == 0:
-                continue
-            if not row:
-                continue
-            try:
-                rows.append([int(tok) for tok in row])
-            except ValueError as e:
-                raise DomainError(f"line {i + 1}: values must be integers") from e
+        try:
+            lines = list(csv.reader(fh))
+        except (UnicodeDecodeError, csv.Error) as e:
+            raise DomainError(f"{path}: not a CSV file: {e}") from e
+    for i, row in enumerate(lines):
+        if skip_header and i == 0:
+            continue
+        if not row:
+            continue
+        try:
+            rows.append([int(tok) for tok in row])
+        except ValueError as e:
+            raise DomainError(f"line {i + 1}: values must be integers") from e
     if not rows:
         raise DomainError(f"no data rows in {path}")
     return rows

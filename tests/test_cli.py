@@ -273,6 +273,20 @@ def test_export_dot_bad_file(capsys, tmp_path):
     assert status == 1
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["export-dot", "--graph", "<bytes>"], id="export-dot-undecodable-graph"),
+    pytest.param(["posterior", "--n", "2", "--data", "<bytes>"], id="posterior-undecodable-data"),
+    pytest.param(["posterior", "--n", "2", "--data", "<csv>", "--alpha", "1e308"], id="posterior-overflowing-alpha"),
+])
+def test_unreadable_input_ends_in_one_error_line(capsys, tmp_path, argv):
+    files = {"<bytes>": tmp_path / "bytes", "<csv>": tmp_path / "rows.csv"}
+    files["<bytes>"].write_bytes(b"\xff\xfe")
+    files["<csv>"].write_text("0,1\n1,0\n")
+    status, out, err = run(capsys, *[str(files.get(a, a)) for a in argv])
+    assert status == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "bogus")[0] == 2
     assert run(capsys)[0] == 2
@@ -328,6 +342,14 @@ def test_law_n_mismatch(capsys, tmp_path):
         pytest.param("density", '{"n": 3, "phi": {}, "psi": {"hub_constraint": {"hubs": [true], "no_hub": "inf"}}}',
                      id="boolean-hub"),
         pytest.param("export-dot", '{"n": 2, "edges": [[false, true]]}', id="boolean-graph-vertices"),
+        pytest.param("check", "[" * 100_000, id="nested-too-deep"),
+        pytest.param("export-dot", "[" * 100_000, id="graph-nested-too-deep"),
+        pytest.param("check", '{"n": 2, "entries": [{"edges": [], "p": 0.0}, {"edges": [[0, 1]], "p": true}]}',
+                     id="boolean-p"),
+        pytest.param("density", '{"n": 3, "phi": {"rule": {"type": "exp_linear", "rate": true}}, "psi": {}}',
+                     id="boolean-rule-field"),
+        pytest.param("density", '{"n": 3, "phi": {}, "psi": {"overrides": {"0": false}}}',
+                     id="boolean-override"),
         pytest.param("density", '{"n": 3, "phi": {"rule": {"type": "exp_linear", "rate": 1' + "0" * 400 + '}}}',
                      id="rate-beyond-float-range"),
         pytest.param("check", '{"n": -1, "entries": []}', id="negative-density-n"),
@@ -346,6 +368,12 @@ def test_malformed_law_or_density_file_is_a_domain_error(capsys, tmp_path, comma
     assert status == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("parse, what", [(graph_from_json, "graph"), (law_from_json, "law"), (density_from_json, "density")])
+def test_json_nested_too_deep_is_a_domain_error(parse, what):
+    with pytest.raises(DomainError, match=f"invalid {what} JSON"):
+        parse("[" * 100_000)
 
 
 @pytest.mark.parametrize("kind", ["law", "density"])

@@ -12,10 +12,12 @@ from cliquesep import (
     DomainError,
     Graph,
     PreconditionError,
+    cef_dimension,
     check_property,
     clique_separators,
     complete_sets_graph,
     conditioning_set,
+    csf_dimension,
     enumerate_decomposable,
     ewsm_dimension_analysis,
     ewsm_not_wsm_density,
@@ -32,7 +34,7 @@ from cliquesep import (
     vset,
 )
 from cliquesep import markov
-from cliquesep.graphs import members
+from cliquesep.graphs import _clique_separator_table, members
 from cliquesep.markov import (
     CrossRatioWitness,
     PropertyKind,
@@ -418,7 +420,7 @@ def test_dimension_analysis_at_four_vertices():
 
 
 # (constraints, rank, free dimension, factorisation dimension) by n; n=6
-# gives (59085, 17760, 393, 113) and runs in CI, after a 4 s index build.
+# gives (59085, 17760, 393, 113) and runs in CI, after a 2-4 s index build.
 _EWSM_DIMENSIONS = {2: (0, 0, 1, 1), 3: (0, 0, 7, 7), 4: (24, 24, 36, 21), 5: (1275, 695, 126, 51)}
 
 
@@ -465,28 +467,32 @@ def test_every_factorisation_density_satisfies_the_constraints():
         assert max(abs(sum(v * logs[c] for c, v in row.items())) for row in rows) < 1e-9
 
 
-def dict_constraint_rows(n):
-    """The anchored constraint rows as {graph index: coefficient} dicts,
-    built cell by cell: the oracle for ``_ewsm_rows``."""
+def dict_constraint_rows(n, kind=PropertyKind.EWSM):
+    """The anchored constraint rows of family ``kind`` as {graph index:
+    coefficient} dicts, built cell by cell: the oracle for ``_ewsm_rows``.
+    Every conditioning table must be a full grid, so that the anchored rows
+    span all its 2x2 cross-ratio constraints."""
     rows = []
     for t in _pair_tables(n)[1]:
-        cells = {(ga, gb): gi for gi, ga, gb, sa, sb in table_rows(t) if sa and sb}
-        row_keys = sorted({ga for ga, _ in cells})
-        col_keys = sorted({gb for _, gb in cells})
-        if len(row_keys) < 2 or len(col_keys) < 2:
-            continue
-        x0, y0 = row_keys[0], col_keys[0]
-        for x in row_keys[1:]:
-            for y in col_keys[1:]:
-                row = {}
-                for idx, coef in (
-                    (cells[(x, y)], 1),
-                    (cells[(x0, y0)], 1),
-                    (cells[(x, y0)], -1),
-                    (cells[(x0, y)], -1),
-                ):
-                    row[idx] = row.get(idx, 0) + coef
-                rows.append(row)
+        for family in t.families(kind):
+            cells = {(ga, gb): gi for (gi, ga, gb, _, _), keep in zip(table_rows(t), family.tolist()) if keep}
+            row_keys = sorted({ga for ga, _ in cells})
+            col_keys = sorted({gb for _, gb in cells})
+            assert len(cells) == len(row_keys) * len(col_keys), (kind, members(t.a), members(t.b))
+            if len(row_keys) < 2 or len(col_keys) < 2:
+                continue
+            x0, y0 = row_keys[0], col_keys[0]
+            for x in row_keys[1:]:
+                for y in col_keys[1:]:
+                    row = {}
+                    for idx, coef in (
+                        (cells[(x, y)], 1),
+                        (cells[(x0, y0)], 1),
+                        (cells[(x, y0)], -1),
+                        (cells[(x0, y)], -1),
+                    ):
+                        row[idx] = row.get(idx, 0) + coef
+                    rows.append(row)
     return rows
 
 
@@ -540,6 +546,37 @@ def test_sparse_rank_matches_numpy_rank_at_five_vertices():
     matrix = np.array(dense_rows(dict_constraint_rows(5), range(len(_pair_tables(5)[0]))), dtype=float)
     assert matrix.shape == (1275, 822)
     assert _exact_rank(_ewsm_rows(5)) == np.linalg.matrix_rank(matrix) == 695
+
+
+# Constraint rows of each family by n, from 3 to 5.
+_CONSTRAINT_ROWS = {PropertyKind.WSM: (0, 84, 4280), PropertyKind.SM: (3, 141, 5105)}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("kind", [PropertyKind.WSM, PropertyKind.SM])
+def test_constraint_kernel_is_the_factorisation_family(n, kind):
+    # A positive density has the property iff its log-probabilities lie in
+    # the kernel of the family's constraint rows. Each law of the family
+    # has log-probabilities in the column space of the basis: [T+, T-, 1]
+    # for the clique-separator factorisations (wsm), [T+ + T-, 1] for the
+    # clique exponential family (sm), where T has +1 for each clique and
+    # minus the multiplicity for each separator. (a) The kernel holds the
+    # column space, and (b) and (c) give both the same dimension, so they
+    # are equal: Green & Thomas's theorem at this n, for every density at once.
+    table = _clique_separator_table(n)
+    t = np.zeros((len(table.masks), 1 << n), dtype=np.int64)
+    t[table.gi, table.sets] = table.coef
+    plus, minus, ones = np.maximum(t, 0), np.minimum(t, 0), np.ones((len(t), 1), dtype=np.int64)
+    if kind is PropertyKind.WSM:
+        basis, dimension = np.hstack([plus, minus, ones]), csf_dimension(n) + 1
+    else:
+        basis, dimension = np.hstack([plus + minus, ones]), cef_dimension(n) + 1
+    rows = dict_constraint_rows(n, kind)
+    assert len(rows) == _CONSTRAINT_ROWS[kind][n - 3]
+    for row in rows:  # (a), exactly, in integers
+        assert not sum(v * basis[c] for c, v in row.items()).any()
+    assert fraction_rank(basis.T.tolist()) == dimension  # (b)
+    assert len(t) - _exact_rank(rows) == dimension  # (c)
 
 
 def test_sparse_rank_rejects_a_pivot_other_than_one():

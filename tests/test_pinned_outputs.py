@@ -8,7 +8,9 @@ dict-based cross-ratio sweep, before it was vectorised; the hub
 hub chain's from the search that scanned every unvisited vertex for the
 next one, before it kept them in buckets by weight; the ``density``,
 ``fit`` and ``posterior`` outputs' from the density table that kept one
-dict keyed by ``Graph`` and one by edge mask. Clique emission order fixes the
+dict keyed by ``Graph`` and one by edge mask; the ``lemma-check`` and
+``ewsm-rank`` outputs' from the per-graph lemma checks and the sparse
+``ewsm`` elimination with ±1 pivots. Clique emission order fixes the
 floating-point summation order of ``log_density_unnorm``, so these
 digests also catch a reordering of cliques that leaves the clique sets
 unchanged.
@@ -181,4 +183,21 @@ def test_posterior_uniform_n5_stdout_digest(capsys, tmp_path):
     out = stdout_of(capsys, "posterior", "--law", "uniform", "--n", "5", "--data", str(data))
     assert digest(out) == (
         "49b966262702fe858b13b0f4ffbfaccf7055a0f19bc7dff7945d5aecac274b22"
+    )
+
+
+def test_lemma_check_random_n5_stdout_digest(capsys, tmp_path):
+    # A random law, since the uniform one gives deviations of 0 and 8.9e-16.
+    path = tmp_path / "law.json"
+    path.write_text(law_to_json(random_csf(5, seed=5)))
+    out = stdout_of(capsys, "lemma-check", "--law", str(path))
+    assert digest(out) == (
+        "415d763cc74d85376a17d4fccd080aef1bd2b0b8b47b11d656f1e50c7799ddc8"
+    )
+
+
+def test_ewsm_rank_n5_stdout_digest(capsys):
+    out = stdout_of(capsys, "ewsm-rank", "--n", "5")
+    assert digest(out) == (
+        "bcecf1580acc0132b5b89a21b74ac998012659f6090d09d89529784f4f32839f"
     )

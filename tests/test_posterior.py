@@ -152,3 +152,22 @@ def test_load_binary_csv(tmp_path):
     empty.write_text("")
     with pytest.raises(DomainError):
         load_binary_csv(str(empty))
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe", b"0" * 200_000 + b"\n"], ids=["undecodable", "field-past-csv-limit"])
+def test_unreadable_csv_is_a_domain_error(tmp_path, content):
+    path = tmp_path / "data.csv"
+    path.write_bytes(content)
+    with pytest.raises(DomainError, match="not a CSV file"):
+        load_binary_csv(str(path))
+
+
+@pytest.mark.parametrize("alpha, ncols", [(1e308, 2), (1e305, 2), (1e305, 11), (1.0, 1024)])
+def test_overflowing_concentration_is_a_domain_error(alpha, ncols):
+    # lgamma overflows on alpha itself, then only on the 2^|A| cells times
+    # alpha, then the cells times alpha is inf and the difference of two
+    # lgammas NaN; 2^1024 cells are past float range whatever alpha is.
+    data = [[0] * ncols, [1] * ncols]
+    with pytest.raises(DomainError, match="overflows"):
+        bernoulli_dirichlet_score(data, alpha=alpha).log_marginal((1 << ncols) - 1)
+    assert math.isfinite(bernoulli_dirichlet_score(data, alpha=1e300).log_marginal(0b11))
