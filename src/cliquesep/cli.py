@@ -25,7 +25,6 @@ from .graphs import (
     _chordal_walk,
     _edges_json,
     _graph_from_obj,
-    _pairs,
     count_decomposable,
     enumerate_decomposable,
     members,
@@ -190,7 +189,7 @@ def _witness_obj(witness):
     return {
         "a": members(witness.a),
         "b": members(witness.b),
-        "graphs": [[[i, j] for i, j in g.edges()] for g in witness.graphs],
+        "graphs": [g.edges() for g in witness.graphs],
         "value": witness.value,
     }
 
@@ -201,9 +200,8 @@ def _cmd_enumerate(args) -> None:
         _emit(args, f"{count_decomposable(n)}\n")
         return
     walk = _chordal_walk(n)  # checks n before --out is opened
-    pairs = _pairs(n)
     with _output(args) as fh:
-        fh.writelines(_edges_json(n, [pairs[k] for k in members(m)]) + "\n" for m, _ in walk)
+        fh.writelines(f'{{"edges": {_edges_json(n, m)}, "n": {n}}}\n' for m, _ in walk)
 
 
 def _cmd_dim(args) -> None:
@@ -272,7 +270,7 @@ def _cmd_sample(args) -> None:
             json.dumps(
                 {
                     "step": rec.step,
-                    "edges": [[i, j] for i, j in rec.graph.edges()],
+                    "edges": rec.graph.edges(),
                     "logd": rec.log_density,
                     "cliques": rec.num_cliques,
                     "max_clique": rec.max_clique,

@@ -11,7 +11,9 @@ An edge mask has one bit per vertex pair, in ascending (i, j) order:
 vertex i's pairs with the higher vertices i+1..n-1 fill one contiguous
 block of n-i-1 bits starting at bit ``_row_shift(n, i)``, so a row of
 the adjacency above the diagonal moves in and out of the mask with one
-shift.
+shift. This module is the only one that knows the layout: one decoder
+peels a mask's blocks into its vertex pairs, and one formatter writes
+those pairs as the JSON text of graph lines and density entries.
 
 Recognition is one maximum cardinality search that reads the cliques
 and separators off its running clique as it goes and tests chordality
@@ -35,7 +37,7 @@ vertex count that normalisation, the density parser and the
 decomposition index read; only the streaming consumers (counting,
 :func:`enumerate_decomposable` and ``markov.conditioning_set``) walk
 again. Graphs and the edge fields of graph and density files share one
-set of edge checks, and graph lines are written by one formatter.
+set of edge checks, and a graph file is checked and converted once.
 """
 
 from __future__ import annotations
@@ -92,17 +94,6 @@ def _full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
-@lru_cache(maxsize=None)
-def _pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """Unordered vertex pairs of an n-vertex graph, in ascending (i, j) order.
-
-    Position k in this tuple is bit k of an edge mask: the pairs of each
-    vertex i with i+1..n-1 form one block, and the blocks follow each
-    other in ascending i, so pair (i, j) is bit ``_row_shift(n, i) + j - i - 1``.
-    """
-    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
-
-
 def _row_shift(n: int, i: int) -> int:
     """Edge-mask bit of the pair (i, i+1), where vertex i's block starts."""
     return i * (2 * n - i - 1) // 2
@@ -122,6 +113,29 @@ def _pair_at(n: int, k: int) -> tuple[int, int]:
         i -= 1
         start = i * (m - i) // 2
     return i, k - start + i + 1
+
+
+def _mask_edges(n: int, mask: int, i: int = 0) -> list[tuple[int, int]]:
+    """The vertex pairs at the set bits of an edge mask on n vertices, ascending.
+    Bit 0 of ``mask`` starts vertex i's block, the next n-1-i bits; each block
+    in turn is peeled off the low end. A peel copies the rest of the mask, so a
+    long mask is halved at a block boundary first: O(pairs log n) bit copies."""
+    if mask.bit_length() > 2 * MAX_VERTICES:  # blocks are shorter than MAX_VERTICES: i < h <= top
+        top = _pair_at(n, _row_shift(n, i) + mask.bit_length() - 1)[0]
+        h = (i + top + 1) // 2
+        w = _row_shift(n, h) - _row_shift(n, i)
+        return _mask_edges(n, mask & ~(-1 << w), i) + _mask_edges(n, mask >> w, h)
+    edges = []
+    while mask:
+        w = n - 1 - i
+        row = mask & ~(-1 << w)
+        mask >>= w
+        while row:
+            b = row & -row
+            edges.append((i, i + b.bit_length()))
+            row ^= b
+        i += 1
+    return edges
 
 
 def within_edge_mask(n: int, vmask: int) -> int:
@@ -271,11 +285,10 @@ class Graph:
         _check_vertex_count(n)
         if edge_mask >> (n * (n - 1) // 2):
             raise DomainError("edge mask has bits beyond the pair range")
-        rows = (edge_mask >> _row_shift(n, i) & _full_mask(n - i - 1) for i in range(n))
-        return cls(n, [(i, i + 1 + k) for i, row in enumerate(rows) for k in members(row)])
+        return cls(n, _mask_edges(n, edge_mask))
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i, a in enumerate(self.adj) for j in members(a & -(2 << i))]
+        return _mask_edges(self.n, self.edge_mask)
 
     def has_edge(self, i: int, j: int) -> bool:
         if min(i, j) < 0 or not (self.vertices >> i & 1 and self.vertices >> j & 1):
@@ -600,7 +613,7 @@ def _chordal_walk(n: int) -> Iterator[tuple[int, list[int]]]:
     reaches on the k vertices added so far tests all 2^k neighbourhoods
     of the next vertex at once, from one :func:`_extension_table` over
     its subsets. Vertex v's edges to higher vertices fill one contiguous
-    block of ``_pairs`` bits, below every block added before it, so the
+    block of edge-mask bits, below every block added before it, so the
     graphs come out in ascending mask order without a sort or a stored
     level. The search keeps its own stack of candidate iterators, one per
     vertex, so that each graph is yielded from a single frame, and it
@@ -713,16 +726,16 @@ def count_decomposable(n: int) -> int:
     return sum(1 for _ in _chordal_walk(n))
 
 
-def _edges_json(n: int, edges: Iterable[tuple[int, int]]) -> str:
-    """``{"edges": [[i, j], ...], "n": n}`` in the exact bytes of
-    ``json.dumps(..., sort_keys=True)``, without building the object."""
-    body = ", ".join([f"[{i}, {j}]" for i, j in edges])
-    return f'{{"edges": [{body}], "n": {n}}}'
+def _edges_json(n: int, mask: int) -> str:
+    """The pairs of an edge mask as ``[[i, j], ...]``, in the exact bytes
+    that ``json.dumps`` writes for them."""
+    return "[" + ", ".join([f"[{i}, {j}]" for i, j in _mask_edges(n, mask)]) + "]"
 
 
 def graph_to_json(g: Graph) -> str:
-    """Serialise a graph to the ``{"n":..., "edges":[[i,j],...]}`` format."""
-    return _edges_json(g.n, g.edges())
+    """Serialise a graph to the ``{"n":..., "edges":[[i,j],...]}`` format,
+    in the exact bytes of ``json.dumps(..., sort_keys=True)``."""
+    return f'{{"edges": {_edges_json(g.n, g.edge_mask)}, "n": {g.n}}}'
 
 
 def _json_value(text: str, what: str):
@@ -748,19 +761,20 @@ def _graph_from_obj(obj) -> Graph:
     n = obj["n"]
     if type(n) is not int:
         raise DomainError("'n' must be an integer")
-    return Graph.from_edge_mask(n, _edge_mask_from_fields(n, obj["edges"]))
+    adj, mask = _checked_edge_fields(n, obj["edges"])
+    return Graph._from_parts(n, _full_mask(n), tuple(adj), mask)
 
 
-def _edge_mask_from_fields(n: int, edges) -> int:
-    """Edge mask of a parsed ``edges`` JSON value on n vertices: the value's
-    types are checked, then ``n``, then each edge as :class:`Graph` checks it."""
+def _checked_edge_fields(n: int, edges) -> tuple[list[int], int]:
+    """:func:`_checked_edges` of a parsed ``edges`` JSON value: its types
+    are checked, then ``n``, then each edge as :class:`Graph` checks it."""
     # ``type(v) is int``: JSON true and false parse as bool, a subclass of int.
     if not isinstance(edges, list) or not all(
         isinstance(e, list) and len(e) == 2 and type(e[0]) is int and type(e[1]) is int for e in edges
     ):
         raise DomainError("'edges' must be an array of 2-element arrays of vertex indices")
     _check_vertex_count(n)
-    return _checked_edges(n, edges)[1]
+    return _checked_edges(n, edges)
 
 
 def to_dot(g: Graph, hubs: int = 0) -> str:

@@ -19,7 +19,10 @@ once per set, and each graph's terms are added in the search's order.
 The density parser keys each entry by its edge mask, also without a
 graph, and checks the keys against the same table's masks, so parsing
 a density file builds the table (one search per graph) if no earlier
-call in the process has.
+call in the process has. A density is written as the text of its entries,
+the edges by the graph module's formatter and the probabilities as
+``json.dumps`` writes them, without an object per entry; only JSON
+numbers are read as numbers.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -37,10 +41,10 @@ from .graphs import (
     MAX_VERTICES,
     Graph,
     _check_vertex_count,
+    _checked_edge_fields,
     _clique_separator_table,
-    _edge_mask_from_fields,
+    _edges_json,
     _json_value,
-    _pairs,
     clique_separators,
     enumerate_decomposable,
     members,
@@ -411,10 +415,12 @@ def _rule_to_obj(rule: SizeRule) -> dict:
 
 
 def _as_float(value, what: str) -> float:
-    if not isinstance(value, bool):  # JSON true and false parse as bool, which float() reads as 1 and 0
+    """A JSON number as a float. Strings are not numbers, nor are JSON
+    true and false, which parse as bool, a subclass of int."""
+    if type(value) in (int, float):
         try:
             return float(value)
-        except (TypeError, ValueError, OverflowError):  # OverflowError: an integer beyond float range
+        except OverflowError:  # an integer beyond float range
             pass
     raise DomainError(f"{what} must be a number, got {value!r}")
 
@@ -494,9 +500,11 @@ def _law_from_obj(obj) -> CsfLaw:
 
 
 def density_to_json(density: DensityTable) -> str:
-    pairs = _pairs(density.n)
-    entries = [{"edges": [pairs[k] for k in members(m)], "p": q} for m, q in zip(density.masks, density.p)]
-    return json.dumps({"n": density.n, "entries": entries})
+    """``json.dumps({"n": n, "entries": [{"edges": ..., "p": q}, ...]})``, byte for byte."""
+    p, n = density.p, density.n  # p's text is dumped 4096 at a time to bound memory; no number holds ", "
+    ps = chain.from_iterable(json.dumps(p[k : k + 4096])[1:-1].split(", ") for k in range(0, len(p), 4096))
+    entries = ", ".join([f'{{"edges": {_edges_json(n, m)}, "p": {q}}}' for m, q in zip(density.masks, ps)])
+    return f'{{"n": {n}, "entries": [{entries}]}}'
 
 
 def density_from_json(text: str) -> DensityTable:
@@ -516,7 +524,7 @@ def _density_from_obj(obj) -> DensityTable:
     for entry in obj["entries"]:
         if not isinstance(entry, dict) or "edges" not in entry or "p" not in entry:
             raise DomainError("each density entry must be an object with fields 'edges' and 'p'")
-        mask = _edge_mask_from_fields(n, entry["edges"])
+        mask = _checked_edge_fields(n, entry["edges"])[1]
         p = _as_float(entry["p"], "entry probability")
         if p < 0.0 or not math.isfinite(p):
             raise DomainError("probabilities must be finite and nonnegative")

@@ -25,6 +25,15 @@ class BernoulliDirichletScore:
     For a vertex set A, the 2^|A|-cell contingency table of the columns
     in A is scored with a symmetric Dirichlet(alpha per cell) prior. The
     empty set scores zero, and results are cached per subset.
+
+    With K = 2^|A| cells, N rows and cell counts c, the evidence is
+    lgamma(K alpha) - lgamma(K alpha + N) + sum_c [lgamma(alpha + c) -
+    lgamma(alpha)]. Each difference of lgammas loses digits as alpha
+    grows: its relative error is about 2^-52 K alpha / N. Up to K alpha
+    = 2^12 N, where that error is about 2^-40 (1e-12), the lgamma form
+    is used; past it, the same value written without cancellation,
+    because the counts sum to N: -N log K + sum_c sum_{k<c} log1p(k /
+    alpha) - sum_{k<N} log1p(k / (K alpha)).
     """
 
     def __init__(self, data: Sequence[Sequence[int]], alpha: float = 1.0):
@@ -65,17 +74,24 @@ class BernoulliDirichletScore:
             for k, v in enumerate(positions):
                 cell |= (row >> v & 1) << k
             counts[cell] = counts.get(cell, 0) + 1
-        alpha = self.alpha
+        alpha, rows = self.alpha, self.num_rows
         try:
             ncells = float(2 ** len(positions))
-            value = math.lgamma(ncells * alpha) - math.lgamma(ncells * alpha + self.num_rows)
+            x = ncells * alpha
+            top = math.lgamma(x + rows)
+        except OverflowError:
+            top = math.inf
+        if not math.isfinite(top):  # past the lgamma form's range, which both forms keep as their domain
+            raise DomainError(f"concentration {alpha!r} overflows the log evidence of vertex set {positions}")
+        if x <= 4096 * rows:
+            value = math.lgamma(x) - top
             base = math.lgamma(alpha)
             for c in counts.values():
                 value += math.lgamma(alpha + c) - base
-        except OverflowError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise DomainError(f"concentration {alpha!r} overflows the log evidence of vertex set {positions}")
+        else:
+            terms = [math.log1p(k / alpha) for c in counts.values() for k in range(c)]
+            terms += [-math.log1p(k / x) for k in range(rows)]
+            value = math.fsum(terms) - rows * math.log(ncells)
         self._cache[mask] = value
         return value
 

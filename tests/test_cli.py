@@ -359,6 +359,13 @@ def test_law_n_mismatch(capsys, tmp_path):
                      id="infinite-const-value"),
         pytest.param("check", '{"n": 3, "phi": {}, "psi": {"rule": {"type": "quadratic", "coef": Infinity}}}',
                      id="infinite-coef"),
+        # Numbers written as JSON strings are not numbers; only the "inf" override is a string.
+        pytest.param("check", '{"n": 2, "entries": [{"edges": [], "p": "0.5"}, {"edges": [[0, 1]], "p": 0.5}]}',
+                     id="numeric-string-p"),
+        pytest.param("density", '{"n": 3, "phi": {"rule": {"type": "exp_linear", "rate": "4"}}, "psi": {}}',
+                     id="numeric-string-rate"),
+        pytest.param("density", '{"n": 3, "phi": {"overrides": {"0,1": "0.5"}}, "psi": {}}',
+                     id="numeric-string-override"),
     ],
 )
 def test_malformed_law_or_density_file_is_a_domain_error(capsys, tmp_path, command, content):

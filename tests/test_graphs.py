@@ -41,9 +41,9 @@ from cliquesep.graphs import (
     _chordal_walk,
     _edges_json,
     _extension_table,
+    _mask_edges,
     _mcs,
     _pair_at,
-    _pairs,
     _row_shift,
     members,
     within_edge_mask,
@@ -210,6 +210,12 @@ def brute_separates(g, a, b):
     return reach & targets == 0
 
 
+def _pairs(n):
+    """Unordered vertex pairs on n vertices, in ascending (i, j) order: the
+    oracle of the edge-mask layout, where pair k is bit k of the mask."""
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
+
+
 def pair_encode(n, edges):
     """Edge mask with bit k set for each edge that is pair k of ``_pairs(n)``."""
     pairs = _pairs(n)
@@ -238,12 +244,35 @@ def test_edge_mask_layout_matches_pair_order(n):
         assert within_edge_mask(n, v) == pair_encode(n, [(i, j) for i, j in pairs if v >> i & v >> j & 1])
     for mask in _layout_masks(n):
         edges = pair_decode(n, mask)
+        assert _mask_edges(n, mask) == edges
         g = Graph.from_edge_mask(n, mask)
         assert g.edge_mask == mask
         assert g.edges() == edges
         assert Graph(n, edges).edge_mask == mask
         for k, (i, j) in enumerate(pairs):
             assert g.with_edge_toggled(i, j).edge_mask == mask ^ 1 << k
+
+
+def bit_decode(n, mask):
+    """Edges of an edge mask by :func:`_pair_at` on each set bit, read off
+    the mask's binary digits: an oracle for masks too long for ``_pairs``."""
+    return [_pair_at(n, k) for k, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
+
+
+@pytest.mark.parametrize("n", [64, 65, 66, 100, 333, MAX_VERTICES])
+def test_long_masks_decode_across_their_split(n):
+    # Past 2 * MAX_VERTICES bits a mask is split at a block boundary and each half peeled alone.
+    rng = random.Random(n)
+    npairs = n * (n - 1) // 2
+    masks = [(1 << npairs) - 1, 1 << npairs - 1, 1 | 1 << npairs - 1, rng.getrandbits(npairs)]
+    masks += [sum(1 << rng.randrange(npairs) for _ in range(50)) for _ in range(3)]
+    masks += [Graph(n, [(0, v) for v in range(1, n)] + [(n - 2, n - 1)]).edge_mask]
+    masks += [sum(1 << _row_shift(n, i) + rng.randrange(n - 1 - i) for i in range(n - 1))]
+    for mask in masks:
+        edges = bit_decode(n, mask)
+        assert _mask_edges(n, mask) == edges
+        assert Graph.from_edge_mask(n, mask).edges() == edges
+        assert Graph(n, edges).edge_mask == mask
 
 
 def test_pair_at_decodes_every_bit_up_to_64_vertices():
@@ -860,8 +889,9 @@ def test_graph_json_is_json_dumps_bytes():
     graphs += [Graph.empty(7), induced_subgraph(Graph.complete(5), vset([1, 3, 4]))]
     for g in graphs:
         assert graph_to_json(g) == dumped(g), g
-    pairs = _pairs(4)
-    assert all(_edges_json(4, [pairs[k] for k in members(m)]) == dumped(Graph.from_edge_mask(4, m)) for m in range(64))
+    for n in range(1, 6):
+        for m in range(1 << n * (n - 1) // 2):
+            assert _edges_json(n, m) == json.dumps([list(e) for e in pair_decode(n, m)])
 
 
 def test_complete_sets_graph_absorbs_subsets():
@@ -879,7 +909,6 @@ def test_complete_graph_checks_vertex_count_before_building(monkeypatch):
     def build(n, vmask):
         raise AssertionError("edge mask built before the vertex-count check")
 
-    _pairs.cache_clear()
     monkeypatch.setattr(cliquesep.graphs, "within_edge_mask", build)
     with pytest.raises(AssertionError):
         Graph.complete(3)
@@ -887,7 +916,6 @@ def test_complete_graph_checks_vertex_count_before_building(monkeypatch):
         Graph.complete(MAX_VERTICES + 1)
     with pytest.raises(DomainError):
         Graph.from_edge_mask(MAX_VERTICES + 1, 0)
-    assert _pairs.cache_info().currsize == 0
 
 
 def test_to_dot_marks_hubs():
@@ -929,5 +957,4 @@ def test_induced_edges_are_exactly_the_restriction(n, data):
     a = data.draw(st.integers(0, (1 << n) - 1))
     h = induced_subgraph(g, a)
     assert h.edge_mask == g.edge_mask & within_edge_mask(n, a)
-    for i, j in h.edges():
-        assert a >> i & 1 and a >> j & 1
+    assert h.edges() == pair_decode(n, h.edge_mask) == [(i, j) for i, j in g.edges() if a >> i & a >> j & 1]

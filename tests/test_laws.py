@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from cliquesep import (
     ConstRule,
     CsfLaw,
+    DensityTable,
     DomainError,
     ExpLinearRule,
     Graph,
@@ -537,6 +538,23 @@ def test_law_with_extra_term_does_not_serialise():
     std = standardize(random_csf(3, seed=3))
     with pytest.raises(DomainError):
         law_to_json(std)
+
+
+@pytest.mark.parametrize("kind", ["int", "float", "float64", "mixed"])
+def test_density_json_is_json_dumps_bytes(kind):
+    # n=6 has 18,154 graphs, so the probabilities span several dump blocks.
+    n = 6
+    graphs = list(enumerate_decomposable(n))
+    rng = random.Random(kind)
+    values = {
+        "int": lambda k: k % 3,
+        "float": lambda k: rng.choice([rng.random(), 0.1, 1e-300, 5e-324, 1e16, 0.0]),
+        "float64": lambda k: np.float64(rng.random()),
+        "mixed": lambda k: [k, rng.random(), np.float64(rng.random() / 7), 2**70][k % 4],
+    }[kind]
+    density = DensityTable(n, {g: values(k) for k, g in enumerate(graphs)})
+    entries = [{"edges": [list(e) for e in g.edges()], "p": q} for g, q in zip(graphs, density.p)]
+    assert density_to_json(density) == json.dumps({"n": n, "entries": entries})
 
 
 def test_density_json_round_trip():

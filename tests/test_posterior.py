@@ -171,3 +171,21 @@ def test_overflowing_concentration_is_a_domain_error(alpha, ncols):
     with pytest.raises(DomainError, match="overflows"):
         bernoulli_dirichlet_score(data, alpha=alpha).log_marginal((1 << ncols) - 1)
     assert math.isfinite(bernoulli_dirichlet_score(data, alpha=1e300).log_marginal(0b11))
+
+
+@pytest.mark.parametrize("alpha", [1e6, 1e12, 1e16, 1e300])
+def test_log_evidence_keeps_its_digits_at_large_concentration(alpha):
+    # Two rows in two of the four cells: lgamma(4a) - lgamma(4a + 2) + 2 [lgamma(a + 1) - lgamma(a)],
+    # which is -2 log 4 - log1p(1 / 4a), two terms of one sign.
+    exact = -2 * math.log(4) - math.log1p(1 / (4 * alpha))
+    value = bernoulli_dirichlet_score([[0, 1], [1, 0]], alpha=alpha).log_marginal(0b11)
+    assert value == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+def test_log_evidence_is_continuous_where_its_form_changes():
+    # 40 rows over 3 columns: the lgamma form holds up to 8 alpha = 2^12 * 40.
+    rows = synthetic_rows(3, 40, seed=3)
+    edge = 4096 * 40 / 8
+    below = bernoulli_dirichlet_score(rows, alpha=edge).log_marginal(0b111)
+    above = bernoulli_dirichlet_score(rows, alpha=math.nextafter(edge, math.inf)).log_marginal(0b111)
+    assert above == pytest.approx(below, rel=1e-11, abs=0)

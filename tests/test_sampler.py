@@ -26,7 +26,7 @@ from cliquesep import (
     visit_counts,
     vset,
 )
-from cliquesep.graphs import ENUMERATION_LIMIT, _pairs
+from cliquesep.graphs import ENUMERATION_LIMIT
 from cliquesep.laws import INF
 from conftest import random_csf
 
@@ -64,13 +64,6 @@ def test_proposal_rejects_chordless_cycle():
     assert propose_edge_flip(state, ScriptedRandom([2])) is None
     cand = propose_edge_flip(state, ScriptedRandom([0]))
     assert cand is not None and not cand.has_edge(0, 1)
-
-
-def test_proposals_build_no_pair_table():
-    # The pair tuple of a 300-vertex graph would hold 44,850 pairs for the life of the process.
-    _pairs.cache_clear()
-    run_chain(uniform_csf(300), steps=50, thin=50, seed=1)
-    assert _pairs.cache_info().currsize == 0
 
 
 def test_proposal_frequencies_are_uniform():
@@ -259,3 +252,66 @@ def test_empirical_frequencies_approach_target():
     total = sum(counts.values())
     tv = 0.5 * sum(abs(counts.get(g.edge_mask, 0) / total - p) for g, p in target.items())
     assert tv < 0.05
+
+
+# The exact edge-flip kernel at n <= 5: the yardstick that a new move set
+# or a chain diagnostic is checked against.
+
+
+def exact_kernel(law):
+    """``(states, pi, P)``: the law's support in enumeration order, its
+    probabilities, and the transition matrix of the edge-flip chain, each
+    row built from the candidate that ``propose_edge_flip`` yields for
+    each pair index, accepted with probability min(1, pi'/pi)."""
+    density = normalize_by_enumeration(law)
+    states = [g for g, q in density.items() if q > 0]
+    pi = np.array([density.prob(g) for g in states])
+    index = {g.edge_mask: k for k, g in enumerate(states)}
+    npairs = law.n * (law.n - 1) // 2
+    P = np.zeros((len(states), len(states)))
+    for s, g in enumerate(states):
+        state = initial_state(law, g)
+        for k in range(npairs):
+            cand = propose_edge_flip(state, ScriptedRandom([k]))
+            t = None if cand is None else index.get(cand.edge_mask)
+            a = 0.0 if t is None else min(1.0, pi[t] / pi[s])
+            if a:
+                P[s, t] += a / npairs
+            P[s, s] += (1.0 - a) / npairs
+    return states, pi, P
+
+
+def kernel_laws():
+    for n in (3, 4, 5):
+        yield pytest.param(uniform_csf(n), id=f"uniform-{n}")
+        yield pytest.param(random_csf(n, seed=n), id=f"random-{n}")
+        yield pytest.param(hub_law(n, [0]), id=f"hub-{n}")
+
+
+@pytest.mark.parametrize("law", kernel_laws())
+def test_exact_kernel_is_stationary_and_reversible(law):
+    states, pi, P = exact_kernel(law)
+    assert (P >= 0).all() and np.allclose(P.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    assert np.abs(pi @ P - pi).max() <= 1e-14
+    flow = pi[:, None] * P
+    assert np.abs(flow - flow.T).max() <= 1e-14
+
+
+@pytest.mark.parametrize("law", kernel_laws())
+def test_mh_step_accepts_as_the_exact_kernel_says(law):
+    # A uniform just below the acceptance probability accepts and one just
+    # above rejects; a sure move accepts whatever the uniform.
+    states, pi, _ = exact_kernel(law)
+    index = {g.edge_mask: k for k, g in enumerate(states)}
+    for s, g in enumerate(states):
+        for k in range(law.n * (law.n - 1) // 2):
+            cand = propose_edge_flip(initial_state(law, g), ScriptedRandom([k]))
+            t = None if cand is None else index.get(cand.edge_mask)
+            if t is None:  # not decomposable, or outside the support: the chain holds
+                draws = [(0.0, g)]
+            else:
+                a = min(1.0, pi[t] / pi[s])
+                draws = [(1.0 - 1e-9, cand)] if a == 1.0 else [(a * (1 - 1e-9), cand), (a * (1 + 1e-9), g)]
+            for u, expected in draws:
+                state = mh_step(initial_state(law, g), law, ScriptedRandom([k], [u]))
+                assert state.graph == expected
