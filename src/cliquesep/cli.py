@@ -23,8 +23,8 @@ import sys
 from .errors import DomainError
 from .graphs import (
     _chordal_walk,
-    _edges_json,
     _graph_from_obj,
+    _graph_json,
     count_decomposable,
     enumerate_decomposable,
     members,
@@ -63,8 +63,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_: str, *flags: str) -> argparse.ArgumentParser:
+    def add(name: str, handler, help_: str, *flags: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
+        p.set_defaults(handler=handler)
         if "n" in flags:
             p.add_argument("--n", type=int, default=None, help="vertex count")
         if "law" in flags:
@@ -76,35 +77,35 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", default=None, help="write primary output here instead of stdout")
         return p
 
-    p = add("enumerate", "list or count the decomposable graphs on n vertices", "n", "out")
+    p = add("enumerate", _cmd_enumerate, "list or count the decomposable graphs on n vertices", "n", "out")
     p.add_argument("--count-only", action="store_true", help="print only the count")
 
-    add("dim", "print the factorisation-law and shared-potential dimensions", "n", "out")
+    add("dim", _cmd_dim, "print the factorisation-law and shared-potential dimensions", "n", "out")
 
-    add("density", "normalise a law exactly over the enumerated graphs", "n", "law", "out")
+    add("density", _cmd_density, "normalise a law exactly over the enumerated graphs", "n", "law", "out")
 
-    p = add("check", "test a structural Markov property exhaustively", "n", "law", "out")
+    p = add("check", _cmd_check, "test a structural Markov property exhaustively", "n", "law", "out")
     p.add_argument("--property", choices=[k.value for k in PropertyKind], default="wsm")
     p.add_argument("--tol", type=float, default=1e-9)
 
-    add("fit", "reconstruct factorisation potentials from a density", "n", "law", "out")
+    add("fit", _cmd_fit, "reconstruct factorisation potentials from a density", "n", "law", "out")
 
-    p = add("lemma-check", "verify the product identity and ratio invariance", "n", "law", "out")
+    p = add("lemma-check", _cmd_lemma_check, "verify the product identity and ratio invariance", "n", "law", "out")
     p.add_argument("--tol", type=float, default=1e-9)
 
-    add("ewsm-rank", "rank analysis of the weakest conditioning family", "n", "out")
+    add("ewsm-rank", _cmd_ewsm_rank, "rank analysis of the weakest conditioning family", "n", "out")
 
-    p = add("sample", "run a Metropolis edge-flip chain", "n", "law", "out")
+    p = add("sample", _cmd_sample, "run a Metropolis edge-flip chain", "n", "law", "out")
     p.add_argument("--steps", type=int, default=10_000)
     p.add_argument("--thin", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("posterior", "conjugate update from binary data, output as a density", "n", "law", "out")
+    p = add("posterior", _cmd_posterior, "conjugate update from binary data, output as a density", "n", "law", "out")
     p.add_argument("--data", required=True, help="CSV of 0/1 values, one row per observation")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--skip-header", action="store_true", help="skip one header row")
 
-    p = add("export-dot", "render a graph in DOT, hubs filled", "out")
+    p = add("export-dot", _cmd_export_dot, "render a graph in DOT, hubs filled", "out")
     p.add_argument("--graph", required=True, help="graph file path")
     p.add_argument("--hubs", default=None, help="comma-separated hub vertex indices")
 
@@ -201,7 +202,7 @@ def _cmd_enumerate(args) -> None:
         return
     walk = _chordal_walk(n)  # checks n before --out is opened
     with _output(args) as fh:
-        fh.writelines(f'{{"edges": {_edges_json(n, m)}, "n": {n}}}\n' for m, _ in walk)
+        fh.writelines(f"{_graph_json(n, m)}\n" for m, _ in walk)
 
 
 def _cmd_dim(args) -> None:
@@ -306,20 +307,6 @@ def _cmd_export_dot(args) -> None:
     _emit(args, to_dot(_graph_from_obj(_read_table(args.graph)), _parse_hubs(args.hubs)))
 
 
-_COMMANDS = {
-    "enumerate": _cmd_enumerate,
-    "dim": _cmd_dim,
-    "density": _cmd_density,
-    "check": _cmd_check,
-    "fit": _cmd_fit,
-    "lemma-check": _cmd_lemma_check,
-    "ewsm-rank": _cmd_ewsm_rank,
-    "sample": _cmd_sample,
-    "posterior": _cmd_posterior,
-    "export-dot": _cmd_export_dot,
-}
-
-
 def run_command(argv=None) -> int:
     """Execute one subcommand; returns the process exit status."""
     parser = _build_parser()
@@ -328,7 +315,7 @@ def run_command(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        _COMMANDS[args.command](args)
+        args.handler(args)
     except (DomainError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

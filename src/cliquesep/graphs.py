@@ -285,7 +285,11 @@ class Graph:
         _check_vertex_count(n)
         if edge_mask >> (n * (n - 1) // 2):
             raise DomainError("edge mask has bits beyond the pair range")
-        return cls(n, _mask_edges(n, edge_mask))
+        adj = [0] * n
+        for i, j in _mask_edges(n, edge_mask):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        return cls._from_parts(n, _full_mask(n), tuple(adj), edge_mask)
 
     def edges(self) -> list[tuple[int, int]]:
         return _mask_edges(self.n, self.edge_mask)
@@ -732,10 +736,15 @@ def _edges_json(n: int, mask: int) -> str:
     return "[" + ", ".join([f"[{i}, {j}]" for i, j in _mask_edges(n, mask)]) + "]"
 
 
+def _graph_json(n: int, mask: int) -> str:
+    """The graph of an edge mask on n vertices in the ``{"n":..., "edges":[[i,j],...]}``
+    format, in the exact bytes of ``json.dumps(..., sort_keys=True)``."""
+    return f'{{"edges": {_edges_json(n, mask)}, "n": {n}}}'
+
+
 def graph_to_json(g: Graph) -> str:
-    """Serialise a graph to the ``{"n":..., "edges":[[i,j],...]}`` format,
-    in the exact bytes of ``json.dumps(..., sort_keys=True)``."""
-    return f'{{"edges": {_edges_json(g.n, g.edge_mask)}, "n": {g.n}}}'
+    """Serialise a graph to the ``{"n":..., "edges":[[i,j],...]}`` format."""
+    return _graph_json(g.n, g.edge_mask)
 
 
 def _json_value(text: str, what: str):

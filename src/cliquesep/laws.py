@@ -12,10 +12,11 @@ log-potential, explicit per-set overrides take precedence, and an
 optional hub mask sends every hub-free set to +inf. An optional additive
 set-function hook supports exact reparameterisations and conjugate
 updates without materialising 2^n entries. A density table holds one
-probability per decomposable graph, in enumeration order, all or none.
-Normalisation needs no graphs: the cached clique/separator table of n
-vertices gives each graph's signed sets, each potential is evaluated
-once per set, and each graph's terms are added in the search's order.
+probability per decomposable graph, in enumeration order, all or none,
+each finite and nonnegative; a law's sets and hubs lie in 0..n-1.
+Normalisation needs no graphs: a graph's log-density is its row of the
+cached clique/separator table T (the theorem's statistic) times one
+vector of log-potentials, each evaluated once, added in search order.
 The density parser keys each entry by its edge mask, also without a
 graph, and checks the keys against the same table's masks, so parsing
 a density file builds the table (one search per graph) if no earlier
@@ -157,6 +158,14 @@ class CsfLaw:
     phi: PotentialTable
     psi: PotentialTable
 
+    def __post_init__(self):
+        _check_vertex_count(self.n)  # before any mask is shifted by it
+        for table in (self.phi, self.psi):
+            if any(mask >> self.n for mask in table.overrides):
+                raise DomainError("override set outside 0..n-1")
+            if table.hubs is not None and table.hubs >> self.n:
+                raise DomainError("hub set outside 0..n-1")
+
 
 def t_statistic(g: Graph, a: int) -> int:
     """1 if ``a`` is a clique of ``g``, minus its multiplicity if it is a
@@ -226,8 +235,6 @@ def hub_law(n: int, hubs: int | Iterable[int], clique_rate: float = 4.0, separat
     """
     _check_vertex_count(n)
     hub_mask = hubs if isinstance(hubs, int) else vset(hubs)
-    if hub_mask >> n:
-        raise DomainError("hub set outside 0..n-1")
     return CsfLaw(
         n,
         PotentialTable(ExpLinearRule(clique_rate)),
@@ -298,6 +305,8 @@ class DensityTable:
         by_mask = {g.edge_mask: q for g, q in probs.items() if g.n == n and g.vertices == (1 << n) - 1}
         # An empty mapping fails the check: some graph was on other vertices.
         self.masks, self.p = _in_walk_order(n, by_mask if len(by_mask) == len(probs) else {})
+        if not all(0.0 <= q < INF for q in self.p):
+            raise DomainError("probabilities must be finite and nonnegative")
 
     def prob_of_mask(self, edge_mask: int) -> float:
         k = bisect_left(self.masks, edge_mask)
@@ -327,8 +336,8 @@ def _in_walk_order(n: int, by_mask: Mapping[int, float]) -> tuple[list[int], lis
 
 
 def _normalised(n: int, masks: list[int], weights: list[float]) -> DensityTable:
-    """``weights`` over ``masks`` divided by their sum, taken smallest-first by ``math.fsum``."""
-    z = math.fsum(sorted(weights))
+    """``weights`` over ``masks`` divided by their exact sum, which ``math.fsum`` rounds once in any order."""
+    z = math.fsum(weights)
     table = object.__new__(DensityTable)
     table.n, table.masks, table.p = n, masks, [w / z for w in weights]
     return table
@@ -339,29 +348,28 @@ def normalize_by_enumeration(law: CsfLaw) -> DensityTable:
     with weights exponentiated against the largest finite log-density.
 
     The log-densities are :func:`log_density_unnorm`'s, to the last bit,
-    read off the cached clique/separator table of n vertices: ``phi`` is
-    evaluated once on each set that is some graph's clique and ``psi``
-    once on each set that is some graph's separator, and ``np.bincount``
-    adds each graph's signed terms in the table's order, the scalar
-    loop's. The first graph, in enumeration order, with an infinite
-    clique potential or an overflowing sum raises the scalar loop's error.
+    read off the cached clique/separator table T of n vertices as T·θ:
+    an entry's key is its set, plus 2^n for a separator, θ holds ``phi``
+    or ``psi`` of each key that occurs, evaluated in ascending key order,
+    and ``np.bincount`` adds each graph's terms in the scalar loop's order.
+    The first graph, in enumeration order, with an infinite clique
+    potential or an overflowing sum raises the scalar loop's error.
     """
-    n = law.n
+    n, half = law.n, 1 << law.n
     t = _clique_separator_table(n)
-    is_sep = t.coef < 0
-    vals = np.empty(len(t.sets))
-    for table, rows in ((law.phi, ~is_sep), (law.psi, is_sep)):
-        sets = t.sets[rows]
-        occurs = np.flatnonzero(np.bincount(sets, minlength=1 << n))
-        by_set = np.zeros(1 << n)
-        by_set[occurs] = [table.log_potential(int(s)) for s in occurs]
-        vals[rows] = by_set[sets]
+    keys = t.sets + np.left_shift(t.coef < 0, n, dtype=np.uint16)
+    occurs = np.flatnonzero(np.bincount(keys, minlength=2 * half))
+    theta = np.zeros(2 * half)
+    theta[occurs] = [(law.psi if k >= half else law.phi).log_potential(int(k) % half) for k in occurs]
+    infinite, sep = theta == INF, np.arange(2 * half) >= half  # by key
+    terms = theta[keys]
     with np.errstate(over="ignore", invalid="ignore"):  # overflows are reported below
-        logs = np.bincount(t.gi, weights=t.coef * vals, minlength=len(t.masks))
-    infinite = vals == INF
-    logs[t.gi[infinite & is_sep]] = -INF
+        terms *= t.coef
+        logs = np.bincount(t.gi, weights=terms, minlength=len(t.masks))
+    logs[t.gi[(infinite & sep)[keys]]] = -INF
     bad = ~(logs < INF)
-    bad[t.gi[infinite & ~is_sep]] = True
+    bad[t.gi[(infinite & ~sep)[keys]]] = True
+    del keys, terms
     if bad.any():
         # The scalar loop adds the same terms in the same order, so it raises.
         log_density_unnorm(law, Graph.from_edge_mask(n, t.masks[int(bad.argmax())]))

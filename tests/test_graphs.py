@@ -249,6 +249,7 @@ def test_edge_mask_layout_matches_pair_order(n):
         assert g.edge_mask == mask
         assert g.edges() == edges
         assert Graph(n, edges).edge_mask == mask
+        assert g.adj == Graph(n, edges).adj and g == Graph(n, edges)
         for k, (i, j) in enumerate(pairs):
             assert g.with_edge_toggled(i, j).edge_mask == mask ^ 1 << k
 
@@ -299,6 +300,7 @@ g = Graph(n, [(0, n - 1)]).with_edge_toggled(1, 2)
 assert g.edges() == [(0, n - 1), (1, 2)], g.edges()
 k = Graph.complete(n)
 assert Graph.from_edge_mask(n, k.edge_mask) == k
+assert Graph.from_edge_mask(n, k.edge_mask).adj == k.adj == Graph(n, k.edges()).adj
 assert len(k.edges()) == n * (n - 1) // 2 == 523776
 """
 
@@ -360,6 +362,8 @@ _VERTEX_ARGUMENT_CALLS = [
     "t_minus(g, v)",
     "hub_law(4, v)",
     "hub_law(4, [v])",
+    "CsfLaw(4, PotentialTable(overrides={v: 0.0}), PotentialTable())",
+    "CsfLaw(4, PotentialTable(), PotentialTable(hubs=v))",
     "conditioning_set(4, v, 15, PropertyKind.WSM)",
     "conditioning_set(4, 15, v, PropertyKind.EWSM)",
     "verify_lemma2_ratio(density, v)",

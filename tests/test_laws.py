@@ -534,6 +534,29 @@ def test_law_json_rejects_junk():
         law_from_json('{"n": 1025}')
 
 
+@pytest.mark.parametrize(
+    "phi, psi, message",
+    [
+        (PotentialTable(overrides={8: 1.0}), PotentialTable(), "override set outside 0..n-1"),
+        (PotentialTable(), PotentialTable(overrides={vset([0, 3]): math.inf}), "override set outside 0..n-1"),
+        (PotentialTable(overrides={-1: 1.0}), PotentialTable(), "override set outside 0..n-1"),
+        (PotentialTable(), PotentialTable(hubs=0b1000), "hub set outside 0..n-1"),
+        (PotentialTable(hubs=0b1001), PotentialTable(), "hub set outside 0..n-1"),
+    ],
+    ids=["phi-override", "psi-override", "negative-override", "psi-hubs", "phi-hubs"],
+)
+def test_law_with_sets_outside_its_vertices_is_refused_where_it_is_built(phi, psi, message):
+    # Built, such a law would be written as a file that the parser refuses.
+    with pytest.raises(DomainError, match=message):
+        CsfLaw(3, phi, psi)
+
+
+def test_law_with_sets_on_its_last_vertex_round_trips():
+    law = CsfLaw(3, PotentialTable(overrides={vset([2]): 1.0}), PotentialTable(overrides={7: 0.5}, hubs=vset([2])))
+    back = law_from_json(law_to_json(law))
+    assert (back.phi.overrides, back.psi.overrides, back.psi.hubs) == ({4: 1.0}, {7: 0.5}, 4)
+
+
 def test_law_with_extra_term_does_not_serialise():
     std = standardize(random_csf(3, seed=3))
     with pytest.raises(DomainError):
@@ -555,6 +578,15 @@ def test_density_json_is_json_dumps_bytes(kind):
     density = DensityTable(n, {g: values(k) for k, g in enumerate(graphs)})
     entries = [{"edges": [list(e) for e in g.edges()], "p": q} for g, q in zip(graphs, density.p)]
     assert density_to_json(density) == json.dumps({"n": n, "entries": entries})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+def test_density_table_refuses_what_the_parser_refuses(bad):
+    # Built, such a table would pass the property checks and be written as a file that the parser refuses.
+    graphs = list(enumerate_decomposable(3))
+    probs = {g: (bad if k == 2 else 0.25) for k, g in enumerate(graphs)}
+    with pytest.raises(DomainError, match="probabilities must be finite and nonnegative"):
+        DensityTable(3, probs)
 
 
 def test_density_json_round_trip():

@@ -315,3 +315,42 @@ def test_mh_step_accepts_as_the_exact_kernel_says(law):
             for u, expected in draws:
                 state = mh_step(initial_state(law, g), law, ScriptedRandom([k], [u]))
                 assert state.graph == expected
+
+
+def exact_gap_and_iat(law):
+    """``(states, gap, iat)`` of the exact kernel: the number of supported
+    states, the spectral gap 1 - lambda_2, and the integrated autocorrelation
+    time 1 + 2 sum_k rho_k of the edge count at stationarity. The chain is
+    reversible, so D P D^-1 with D = diag(sqrt(pi)) is symmetric and has P's
+    eigenvalues; the IAT is sum_i w_i (1 + lambda_i) / (1 - lambda_i) over
+    sum_i w_i, w_i the squared weight of the centred edge count on the i-th
+    eigenvector, the top one carrying none."""
+    states, pi, P = exact_kernel(law)
+    r = np.sqrt(pi)
+    S = r[:, None] * P / r[None, :]
+    assert np.abs(S - S.T).max() <= 1e-14
+    lam, U = np.linalg.eigh((S + S.T) / 2)
+    f = np.array([g.edge_mask.bit_count() for g in states], dtype=float)
+    f -= pi @ f
+    w = (U.T @ (r * f))[:-1] ** 2
+    iat = (w * (1 + lam[:-1]) / (1 - lam[:-1])).sum() / w.sum()
+    # The same IAT from the fundamental matrix: sum_k P^k f = (I - P + 1 pi)^-1 f.
+    g = np.linalg.solve(np.eye(len(pi)) - P + pi[None, :], f)
+    assert 2 * (pi @ (f * g)) / (pi @ (f * f)) - 1 == pytest.approx(iat, rel=1e-9)
+    return len(states), 1 - lam[-2], iat
+
+
+@pytest.mark.parametrize(
+    "law, states, gap, iat",
+    [
+        pytest.param(uniform_csf(4), 61, 0.2951181479071203, 5.5238820819403225, id="uniform-4"),
+        pytest.param(uniform_csf(5), 822, 0.1457322652560904, 11.840531129786134, id="uniform-5"),
+        pytest.param(hub_law(5, [0]), 61, 6.261936081330965e-05, 31676.257432192888, id="hub-5"),
+    ],
+)
+def test_exact_spectral_gap_and_iat(law, states, gap, iat):
+    # The yardsticks for new move sets (judged on the gap) and for chain
+    # diagnostics (an IAT estimate must land near the exact value).
+    got = exact_gap_and_iat(law)
+    assert got[0] == states
+    assert got[1:] == pytest.approx((gap, iat), rel=1e-6)
