@@ -9,6 +9,9 @@ domain error, 2 on a usage error.
 Every JSON file the CLI opens, graph, law or density, is read by one
 reader, and ``--law`` by one loader: a file with ``entries`` is a
 density, and the commands that need a law refuse it before parsing it.
+Every primary output goes through one writer, in pieces as they are
+made, after every check has run, so a failing command neither creates
+nor truncates the ``--out`` file.
 """
 
 from __future__ import annotations
@@ -35,10 +38,10 @@ from .laws import (
     CsfLaw,
     DensityTable,
     _density_from_obj,
+    _density_pieces,
     _law_from_obj,
     cef_dimension,
     csf_dimension,
-    density_to_json,
     hub_law,
     law_to_json,
     normalize_by_enumeration,
@@ -171,17 +174,12 @@ def _load_density(args) -> DensityTable:
     return loaded if isinstance(loaded, DensityTable) else normalize_by_enumeration(loaded)
 
 
-def _output(args):
-    """Context for the primary output: the ``--out`` file, opened for
-    writing, or stdout."""
-    if getattr(args, "out", None):
-        return open(args.out, "w")
-    return contextlib.nullcontext(sys.stdout)
-
-
-def _emit(args, text: str) -> None:
-    with _output(args) as fh:
-        fh.write(text)
+def _emit(args, *parts) -> None:
+    """Write the primary output, each part a string or an iterable of strings,
+    in order, to the ``--out`` file or stdout; the file is opened only here."""
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        for part in parts:
+            fh.writelines([part] if isinstance(part, str) else part)
 
 
 def _witness_obj(witness):
@@ -200,9 +198,7 @@ def _cmd_enumerate(args) -> None:
     if args.count_only:
         _emit(args, f"{count_decomposable(n)}\n")
         return
-    walk = _chordal_walk(n)  # checks n before --out is opened
-    with _output(args) as fh:
-        fh.writelines(f"{_graph_json(n, m)}\n" for m, _ in walk)
+    _emit(args, (f"{_graph_json(n, m)}\n" for m, _ in _chordal_walk(n)))  # the walk checks n at once
 
 
 def _cmd_dim(args) -> None:
@@ -211,7 +207,7 @@ def _cmd_dim(args) -> None:
 
 
 def _cmd_density(args) -> None:
-    _emit(args, density_to_json(normalize_by_enumeration(_load(args, densities=False))) + "\n")
+    _emit(args, _density_pieces(normalize_by_enumeration(_load(args, densities=False))), "\n")
 
 
 def _cmd_check(args) -> None:
@@ -265,32 +261,27 @@ def _cmd_ewsm_rank(args) -> None:
 def _cmd_sample(args) -> None:
     law = _load(args, densities=False)
     summary = run_chain(law, steps=args.steps, thin=args.thin, seed=args.seed)
-    lines = []
-    for rec in summary.records:
-        lines.append(
-            json.dumps(
-                {
-                    "step": rec.step,
-                    "edges": rec.graph.edges(),
-                    "logd": rec.log_density,
-                    "cliques": rec.num_cliques,
-                    "max_clique": rec.max_clique,
-                },
-                sort_keys=True,
-            )
-        )
-    lines.append(
+    records = (
         json.dumps(
             {
-                "acceptance_rate": summary.acceptance_rate,
-                "steps": summary.steps,
-                "retained": len(summary.records),
-                "seed": summary.seed,
+                "step": rec.step,
+                "edges": rec.graph.edges(),
+                "logd": rec.log_density,
+                "cliques": rec.num_cliques,
+                "max_clique": rec.max_clique,
             },
             sort_keys=True,
         )
+        + "\n"
+        for rec in summary.records
     )
-    _emit(args, "\n".join(lines) + "\n")
+    totals = {
+        "acceptance_rate": summary.acceptance_rate,
+        "steps": summary.steps,
+        "retained": len(summary.records),
+        "seed": summary.seed,
+    }
+    _emit(args, records, json.dumps(totals, sort_keys=True) + "\n")
 
 
 def _cmd_posterior(args) -> None:
@@ -300,7 +291,7 @@ def _cmd_posterior(args) -> None:
         raise DomainError(f"data has {len(data[0])} columns but the law has n={prior.n}")
     score = bernoulli_dirichlet_score(data, args.alpha)
     post = posterior_law(prior, score)
-    _emit(args, density_to_json(normalize_by_enumeration(post)) + "\n")
+    _emit(args, _density_pieces(normalize_by_enumeration(post)), "\n")
 
 
 def _cmd_export_dot(args) -> None:

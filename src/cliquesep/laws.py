@@ -22,8 +22,9 @@ graph, and checks the keys against the same table's masks, so parsing
 a density file builds the table (one search per graph) if no earlier
 call in the process has. A density is written as the text of its entries,
 the edges by the graph module's formatter and the probabilities as
-``json.dumps`` writes them, without an object per entry; only JSON
-numbers are read as numbers.
+``json.dumps`` writes them, without an object per entry, in pieces of
+4,096 entries that the CLI writes as they are made and
+:func:`density_to_json` joins; only JSON numbers are read as numbers.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -305,7 +305,11 @@ class DensityTable:
         by_mask = {g.edge_mask: q for g, q in probs.items() if g.n == n and g.vertices == (1 << n) - 1}
         # An empty mapping fails the check: some graph was on other vertices.
         self.masks, self.p = _in_walk_order(n, by_mask if len(by_mask) == len(probs) else {})
-        if not all(0.0 <= q < INF for q in self.p):
+        try:  # math.isfinite converts through float(), which an int past float range overflows
+            finite = all(math.isfinite(q) and q >= 0.0 for q in self.p)
+        except OverflowError:
+            finite = False
+        if not finite:
             raise DomainError("probabilities must be finite and nonnegative")
 
     def prob_of_mask(self, edge_mask: int) -> float:
@@ -335,9 +339,22 @@ def _in_walk_order(n: int, by_mask: Mapping[int, float]) -> tuple[list[int], lis
     return masks, [by_mask[m] for m in masks]
 
 
+def _exact_sum(weights: list[float]) -> float:
+    """``math.fsum(weights)``, rounded once in any order, or +inf past float range."""
+    try:
+        return math.fsum(weights)
+    except OverflowError:  # finite weights whose exact sum overflows
+        return INF
+
+
 def _normalised(n: int, masks: list[int], weights: list[float]) -> DensityTable:
-    """``weights`` over ``masks`` divided by their exact sum, which ``math.fsum`` rounds once in any order."""
-    z = math.fsum(weights)
+    """``weights`` over ``masks`` divided by their exact sum, which must be
+    positive (else ``EmptySupportError``) and within float range."""
+    z = _exact_sum(weights)
+    if z == 0.0:
+        raise EmptySupportError("weights are zero on every decomposable graph")
+    if not z < INF:
+        raise DomainError(f"weights sum to {z}, past float range")
     table = object.__new__(DensityTable)
     table.n, table.masks, table.p = n, masks, [w / z for w in weights]
     return table
@@ -507,12 +524,20 @@ def _law_from_obj(obj) -> CsfLaw:
     return CsfLaw(n, _table_from_obj(obj.get("phi", {}), n), _table_from_obj(obj.get("psi", {}), n))
 
 
+def _density_pieces(density: DensityTable) -> Iterator[str]:
+    """The text of :func:`density_to_json`: the header, a piece per 4096 entries, the closing brackets."""
+    p, masks, n = density.p, density.masks, density.n
+    yield f'{{"n": {n}, "entries": ['
+    for k in range(0, len(p), 4096):
+        ps = json.dumps(p[k : k + 4096])[1:-1].split(", ")  # no number's text holds ", "
+        block = ", ".join([f'{{"edges": {_edges_json(n, m)}, "p": {q}}}' for m, q in zip(masks[k : k + 4096], ps)])
+        yield f", {block}" if k else block
+    yield "]}"
+
+
 def density_to_json(density: DensityTable) -> str:
     """``json.dumps({"n": n, "entries": [{"edges": ..., "p": q}, ...]})``, byte for byte."""
-    p, n = density.p, density.n  # p's text is dumped 4096 at a time to bound memory; no number holds ", "
-    ps = chain.from_iterable(json.dumps(p[k : k + 4096])[1:-1].split(", ") for k in range(0, len(p), 4096))
-    entries = ", ".join([f'{{"edges": {_edges_json(n, m)}, "p": {q}}}' for m, q in zip(density.masks, ps)])
-    return f'{{"n": {n}, "entries": [{entries}]}}'
+    return "".join(_density_pieces(density))
 
 
 def density_from_json(text: str) -> DensityTable:
@@ -540,7 +565,7 @@ def _density_from_obj(obj) -> DensityTable:
             raise DomainError(f"duplicate entry for {Graph.from_edge_mask(n, mask)!r}")
         probs[mask] = p
     masks, ps = _in_walk_order(n, probs)
-    z = math.fsum(ps)
+    z = _exact_sum(ps)
     if not math.isfinite(z) or abs(z - 1.0) > 1e-6:
         raise DomainError(f"probabilities sum to {z}, not 1")
     return _normalised(n, masks, ps)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -74,13 +75,44 @@ def test_enumerate_writes_each_graph_as_the_walk_yields_it(capsys, monkeypatch):
     assert capsys.readouterr().out == '{"edges": [], "n": 3}\n'
 
 
-@pytest.mark.parametrize("n", ["0", "8"])
-def test_enumerate_bad_n_neither_creates_nor_truncates_the_out_file(capsys, tmp_path, n):
+def test_density_writes_each_block_as_it_is_made(capsys, monkeypatch):
+    text = density_to_json(normalize_by_enumeration(uniform_csf(6)))  # 18,154 entries, five blocks
+    blocks = []
+
+    def dumps(obj):
+        if blocks:
+            raise RuntimeError("formatting stopped after one block")
+        blocks.append(obj)
+        return json.dumps(obj)
+
+    monkeypatch.setattr(laws, "json", types.SimpleNamespace(dumps=dumps))
+    with pytest.raises(RuntimeError):
+        run_command(["density", "--n", "6"])
+    out = capsys.readouterr().out
+    assert out.startswith('{"n": 6, "entries": [{"edges": [], "p": ')
+    assert out == text[: len(out)] and out.count('"edges"') == 4096
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "enumerate --n 0",
+        "enumerate --n 8",
+        "density --n 3 --law hub --hubs 0 --psi-rate inf",
+        "posterior --n 3 --data {rows}",
+        "sample --n 3 --thin 0",
+    ],
+    ids=["0", "8", "density-empty-support", "posterior-column-mismatch", "sample-thin-0"],
+)
+def test_enumerate_bad_n_neither_creates_nor_truncates_the_out_file(capsys, tmp_path, argv):
+    # Each command checks everything before its one writer opens --out.
+    rows = tmp_path / "rows.csv"
+    rows.write_text("0,1\n1,0\n")
     kept = tmp_path / "kept.txt"
     kept.write_text("earlier output\n")
     fresh = tmp_path / "fresh.txt"
     for target in (kept, fresh):
-        status, out, err = run(capsys, "enumerate", "--n", n, "--out", str(target))
+        status, out, err = run(capsys, *argv.format(rows=rows).split(), "--out", str(target))
         assert status == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
     assert kept.read_text() == "earlier output\n"

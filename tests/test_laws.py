@@ -11,6 +11,7 @@ from cliquesep import (
     CsfLaw,
     DensityTable,
     DomainError,
+    EmptySupportError,
     ExpLinearRule,
     Graph,
     PotentialTable,
@@ -321,6 +322,29 @@ def test_perturb_density_needs_a_finite_factor(factor):
         perturb_density(d, Graph.empty(3), factor)
 
 
+@pytest.mark.parametrize(
+    "q, factor, error, match",
+    [
+        (0.0, 2.0, EmptySupportError, "zero on every"),
+        (1e308, 0.5, DomainError, "past float range"),  # finite weights, exact sum past float range
+        (1e308, 2.0, DomainError, "past float range"),  # one weight overflows to +inf
+    ],
+    ids=["zero", "sum-overflows", "weight-overflows"],
+)
+def test_perturb_density_refuses_a_table_it_cannot_normalise(q, factor, error, match):
+    density = DensityTable(3, {g: q for g in enumerate_decomposable(3)})
+    with pytest.raises(error, match=match):
+        perturb_density(density, Graph.empty(3), factor)
+
+
+def test_density_parser_refuses_a_sum_past_float_range():
+    doc = json.loads(density_to_json(normalize_by_enumeration(uniform_csf(3))))
+    for entry in doc["entries"]:
+        entry["p"] = 1e308
+    with pytest.raises(DomainError, match="sum to inf, not 1"):
+        density_from_json(json.dumps(doc))
+
+
 # ---------------------------------------------------------------------------
 # Density layout: one probability per graph, in enumeration order
 
@@ -580,7 +604,7 @@ def test_density_json_is_json_dumps_bytes(kind):
     assert density_to_json(density) == json.dumps({"n": n, "entries": entries})
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5, pytest.param(10**400, id="int-past-float-range")])
 def test_density_table_refuses_what_the_parser_refuses(bad):
     # Built, such a table would pass the property checks and be written as a file that the parser refuses.
     graphs = list(enumerate_decomposable(3))
