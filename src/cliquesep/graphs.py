@@ -751,7 +751,8 @@ def _json_value(text: str, what: str):
     """Parsed JSON value of ``text``; invalid JSON is an "invalid ``what`` JSON" error."""
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: arrays or objects nested too deep
+    # ValueError: JSONDecodeError or an integer past the digit limit; RecursionError: nested too deep.
+    except (ValueError, RecursionError) as e:
         raise DomainError(f"invalid {what} JSON: {e}") from e
 
 

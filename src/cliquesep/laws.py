@@ -302,11 +302,14 @@ class DensityTable:
     def __init__(self, n: int, probs: Mapping[Graph, float]):
         self.n = n
         # ``g.n == n`` first: 1 << n is huge for a huge n, which the walk rejects.
-        by_mask = {g.edge_mask: q for g, q in probs.items() if g.n == n and g.vertices == (1 << n) - 1}
+        by_mask = {
+            g.edge_mask: q for g, q in probs.items() if isinstance(g, Graph) and g.n == n and g.vertices == (1 << n) - 1
+        }
         # An empty mapping fails the check: some graph was on other vertices.
         self.masks, self.p = _in_walk_order(n, by_mask if len(by_mask) == len(probs) else {})
+        # Only what the writer can write: ints (not bool) and floats, np.float64 among them.
         try:  # math.isfinite converts through float(), which an int past float range overflows
-            finite = all(math.isfinite(q) and q >= 0.0 for q in self.p)
+            finite = all((type(q) is int or isinstance(q, float)) and math.isfinite(q) and q >= 0.0 for q in self.p)
         except OverflowError:
             finite = False
         if not finite:

@@ -11,13 +11,12 @@ and the induced-piece partition are precomputed per pair.
 
 Each pair's decompositions are packed as numpy columns (graph index,
 the two induced pieces, the two maximality flags), and each
-conditioning family is a boolean mask over those rows. The index walks
-no graphs of its own: it reads them, their edge masks and their
-adjacency rows from the cached clique/separator table of n vertices,
-which normalisation and the density parser read too; only the
-brute-force :func:`conditioning_set` walks them again. The index tests
-every graph against every covering pair once; the pieces and flags of
-the graphs that pass are then taken from the table's arrays at once.
+conditioning family is a boolean mask over those rows. Only the tables
+are cached: the index tests each graph against every covering pair
+once, on graphs built from the edge masks and adjacency rows of the
+cached clique/separator table of n vertices and dropped after the
+build, and takes the pieces and flags of those that pass from the
+table's arrays at once. A witness's graphs come from their edge masks.
 The sweep drops the graphs of probability zero from a family's rows and
 lays the rest out as a dense grid of log probabilities, NaN where a
 cell is missing, with rows in order of first appearance. The spread of
@@ -151,10 +150,10 @@ def _maximal_within(adj: np.ndarray, s: int, part: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _pair_tables(n: int) -> tuple[tuple[Graph, ...], tuple[_PairTable, ...]]:
+def _pair_tables(n: int) -> tuple[_PairTable, ...]:
     t = _clique_separator_table(n)
     full = (1 << n) - 1
-    graphs = tuple(Graph._from_parts(n, full, tuple(row), m) for row, m in zip(t.adj.tolist(), t.masks))
+    graphs = [Graph._from_parts(n, full, tuple(row), m) for row, m in zip(t.adj.tolist(), t.masks)]
     edge_masks = np.array(t.masks, dtype=np.int64)
     tables = []
     for a, b in [(a, b) for a in range(full) for b in range(a + 1, full) if a | b == full]:
@@ -171,7 +170,7 @@ def _pair_tables(n: int) -> tuple[tuple[Graph, ...], tuple[_PairTable, ...]]:
                 _maximal_within(rows, a & b, b),
             )
         )
-    return graphs, tuple(tables)
+    return tuple(tables)
 
 
 #: Elements of one broadcast block of the sweep (2 MiB of float64).
@@ -257,18 +256,18 @@ def check_property(density: DensityTable, kind: PropertyKind, tol: float = 1e-9)
     impose nothing. The first table, in covering-pair and filter order,
     that reaches the largest value gives the witness.
     """
-    graphs, tables = _pair_tables(density.n)
     logp = np.array([math.log(p) if p > 0.0 else math.nan for p in density.p])
     positive = ~np.isnan(logp)
     worst = 0.0
     witness = None
-    for t in tables:
+    for t in _pair_tables(density.n):
         for family in t.families(kind):
             sel = family & positive[t.gi]
             value, quad = _worst_spread(t.gi[sel], t.piece_a[sel], t.piece_b[sel], logp, worst)
             if quad is not None:
                 worst = value
-                witness = CrossRatioWitness(t.a, t.b, tuple(graphs[i] for i in quad), value)
+                graphs = tuple(Graph.from_edge_mask(density.n, density.masks[i]) for i in quad)
+                witness = CrossRatioWitness(t.a, t.b, graphs, value)
     return PropertyReport(kind, worst <= tol, worst, witness)
 
 
@@ -420,7 +419,7 @@ def _ewsm_rows(n: int):
     and (x0, y), four distinct graphs."""
     if n > EWSM_RANK_LIMIT:
         raise CapacityError(f"the ewsm rank over {n} vertices exceeds the limit of {EWSM_RANK_LIMIT}")
-    for t in _pair_tables(n)[1]:
+    for t in _pair_tables(n):
         (family,) = t.families(PropertyKind.EWSM)
         row_keys, row_of = np.unique(t.piece_a[family], return_inverse=True)
         col_keys, col_of = np.unique(t.piece_b[family], return_inverse=True)
@@ -486,7 +485,7 @@ def ewsm_dimension_analysis(n: int = 4) -> EwsmDimensionAnalysis:
         n=n,
         num_constraints_bound=len(rows),
         rank=rank,
-        free_dimension_bound=len(_pair_tables(n)[0]) - 1 - rank,
+        free_dimension_bound=len(_clique_separator_table(n).masks) - 1 - rank,
         csf_dimension=csf_dimension(n),
     )
 
@@ -506,8 +505,8 @@ def ewsm_not_wsm_density(n: int = 4) -> DensityTable:
     exactly, while the bump lands in some larger conditioning table and
     breaks it. The construction is verified before returning.
     """
-    graphs, _ = _pair_tables(n)
     used = ewsm_constraint_column_support(n)
+    graphs = list(enumerate_decomposable(n))
     uniform = DensityTable(n, {g: 1.0 / len(graphs) for g in graphs})
     for gi, g in enumerate(graphs):
         if gi in used:

@@ -192,6 +192,8 @@ def _chain(
 
     One ``ChainState`` is updated in place and yielded every time.
     """
+    if steps < 0:
+        raise DomainError("steps must be nonnegative")
     if law.n < 2:
         raise DomainError("sampling needs at least 2 vertices: one vertex has no pair to toggle")
     state = initial_state(law, init)
@@ -219,8 +221,6 @@ def run_chain(
     Deterministic given (seed, chain_index); chains with distinct indices
     use independent streams.
     """
-    if steps < 0:
-        raise DomainError("steps must be nonnegative")
     if thin < 1:
         raise DomainError("thin must be at least 1")
     records = []

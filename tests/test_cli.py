@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+import sys
 import types
 
 import pytest
@@ -411,8 +412,11 @@ def test_malformed_law_or_density_file_is_a_domain_error(capsys, tmp_path, comma
 
 @pytest.mark.parametrize("parse, what", [(graph_from_json, "graph"), (law_from_json, "law"), (density_from_json, "density")])
 def test_json_nested_too_deep_is_a_domain_error(parse, what):
-    with pytest.raises(DomainError, match=f"invalid {what} JSON"):
-        parse("[" * 100_000)
+    # Also an integer literal past the interpreter's digit limit, where there is one (0 means none).
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for text in ["[" * 100_000] + (['{"n": ' + "1" * (limit + 1) + "}"] if limit else []):
+        with pytest.raises(DomainError, match=f"invalid {what} JSON"):
+            parse(text)
 
 
 @pytest.mark.parametrize("kind", ["law", "density"])

@@ -604,7 +604,22 @@ def test_density_json_is_json_dumps_bytes(kind):
     assert density_to_json(density) == json.dumps({"n": n, "entries": entries})
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5, pytest.param(10**400, id="int-past-float-range")])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        math.nan,
+        math.inf,
+        -math.inf,
+        -0.5,
+        pytest.param(10**400, id="int-past-float-range"),
+        pytest.param("0.5", id="str"),
+        pytest.param(None, id="none"),
+        pytest.param(0.5 + 0j, id="complex"),
+        pytest.param(True, id="bool"),  # written as true, which the parser refuses
+        pytest.param(np.float32(0.25), id="float32"),  # not JSON serializable
+        pytest.param(np.int64(1), id="int64"),  # not JSON serializable
+    ],
+)
 def test_density_table_refuses_what_the_parser_refuses(bad):
     # Built, such a table would pass the property checks and be written as a file that the parser refuses.
     graphs = list(enumerate_decomposable(3))

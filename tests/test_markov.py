@@ -132,6 +132,7 @@ def test_partial_density_is_a_domain_error_everywhere():
         {**full, cycle: 0.0},
         {**full, Graph.empty(3): 0.0},
         {**{g: p for g, p in full.items() if g != graphs[0]}, induced: full[graphs[0]]},
+        {**{g: p for g, p in full.items() if g != graphs[0]}, graphs[0].edge_mask: full[graphs[0]]},  # not a Graph
     ):
         with pytest.raises(DomainError):
             DensityTable(4, probs)
@@ -210,7 +211,7 @@ def dict_cells(t, family, logp):
 
 def dict_check(density, kind):
     """(worst value, witness) of the sweep over ``dict_worst_spread``."""
-    graphs, tables = _pair_tables(density.n)
+    graphs, tables = list(enumerate_decomposable(density.n)), _pair_tables(density.n)
     logp = [math.log(density.prob(g)) if density.prob(g) > 0.0 else None for g in graphs]
     worst = 0.0
     witness = None
@@ -245,7 +246,7 @@ def sweep_densities(n):
 def test_packed_sweep_matches_dict_loop(n, one_row_per_block, monkeypatch):
     if one_row_per_block:
         monkeypatch.setattr(markov, "_SWEEP_BLOCK", 1)
-    graphs, tables = _pair_tables(n)
+    graphs, tables = list(enumerate_decomposable(n)), _pair_tables(n)
     witnessed = 0
     for name, density in sweep_densities(n).items():
         logp = [math.log(density.prob(g)) if density.prob(g) > 0.0 else None for g in graphs]
@@ -294,7 +295,7 @@ def test_decomposition_index_matches_conditioning_sets(n):
     # The index the sweep filters must hold, for every covering pair and
     # family, exactly the graphs of the brute-force conditioning set; the
     # second clique-in-part filter is the family with the roles swapped.
-    graphs, tables = _pair_tables(n)
+    graphs, tables = list(enumerate_decomposable(n)), _pair_tables(n)
     full = (1 << n) - 1
     assert [(t.a, t.b) for t in tables] == [
         (a, b) for a in range(full) for b in range(a + 1, full) if a | b == full
@@ -445,7 +446,7 @@ def test_dimension_analysis_past_the_limit_builds_nothing(monkeypatch):
 def test_dimension_analysis_rejects_a_table_that_is_not_a_full_grid(monkeypatch):
     # Drop one cell from the first ewsm table of at least four cells, a 3x3
     # table at n=4: 8 cells remain over the same rows and columns.
-    graphs, tables = _pair_tables(4)
+    tables = _pair_tables(4)
     k, t = next((k, t) for k, t in enumerate(tables) if t.families(PropertyKind.EWSM)[0].sum() >= 4)
     drop = np.flatnonzero(t.families(PropertyKind.EWSM)[0])[0]
     keep = np.arange(len(t.gi)) != drop
@@ -453,7 +454,7 @@ def test_dimension_analysis_rejects_a_table_that_is_not_a_full_grid(monkeypatch)
         t, **{f: getattr(t, f)[keep] for f in ("gi", "piece_a", "piece_b", "star_a", "star_b")}
     )
     mutated = tables[:k] + (cut,) + tables[k + 1 :]
-    monkeypatch.setattr(markov, "_pair_tables", lambda n: (graphs, mutated))
+    monkeypatch.setattr(markov, "_pair_tables", lambda n: mutated)
     with pytest.raises(PreconditionError, match=re.escape(f"({members(t.a)}, {members(t.b)})")):
         ewsm_dimension_analysis(4)
 
@@ -473,7 +474,7 @@ def dict_constraint_rows(n, kind=PropertyKind.EWSM):
     Every conditioning table must be a full grid, so that the anchored rows
     span all its 2x2 cross-ratio constraints."""
     rows = []
-    for t in _pair_tables(n)[1]:
+    for t in _pair_tables(n):
         for family in t.families(kind):
             cells = {(ga, gb): gi for (gi, ga, gb, _, _), keep in zip(table_rows(t), family.tolist()) if keep}
             row_keys = sorted({ga for ga, _ in cells})
@@ -543,7 +544,7 @@ def test_sparse_rank_matches_fraction_elimination(n, prefix):
 
 
 def test_sparse_rank_matches_numpy_rank_at_five_vertices():
-    matrix = np.array(dense_rows(dict_constraint_rows(5), range(len(_pair_tables(5)[0]))), dtype=float)
+    matrix = np.array(dense_rows(dict_constraint_rows(5), range(len(list(enumerate_decomposable(5))))), dtype=float)
     assert matrix.shape == (1275, 822)
     assert _exact_rank(_ewsm_rows(5)) == np.linalg.matrix_rank(matrix) == 695
 

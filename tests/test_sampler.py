@@ -206,6 +206,8 @@ def test_run_chain_validates_arguments():
         run_chain(uniform_csf(3), steps=-1)
     with pytest.raises(DomainError):
         run_chain(uniform_csf(3), thin=0)
+    with pytest.raises(DomainError):
+        visit_counts(uniform_csf(3), steps=-1)
 
 
 @pytest.mark.parametrize("law", [uniform_csf(1), hub_law(1, vset([0]))])
