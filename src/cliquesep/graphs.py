@@ -747,9 +747,11 @@ def graph_to_json(g: Graph) -> str:
     return _graph_json(g.n, g.edge_mask)
 
 
-def _json_value(text: str, what: str):
-    """Parsed JSON value of ``text``; invalid JSON is an "invalid ``what`` JSON" error."""
+def _json_value(text: str | bytes, what: str):
+    """Parsed JSON value of ``text``, str or UTF bytes; invalid JSON is an "invalid ``what`` JSON" error."""
     try:
+        if isinstance(text, bytes):  # as json.loads decodes bytes, but frees them before the parse
+            text = text.decode(json.detect_encoding(text), "surrogatepass")
         return json.loads(text)
     # ValueError: JSONDecodeError or an integer past the digit limit; RecursionError: nested too deep.
     except (ValueError, RecursionError) as e:

@@ -13,7 +13,9 @@ optional hub mask sends every hub-free set to +inf. An optional additive
 set-function hook supports exact reparameterisations and conjugate
 updates without materialising 2^n entries. A density table holds one
 probability per decomposable graph, in enumeration order, all or none,
-each finite and nonnegative; a law's sets and hubs lie in 0..n-1.
+each finite and nonnegative; a law's sets and hubs lie in 0..n-1, and
+a law or density scores only graphs on all of its n vertices. A density
+yields its graphs from its own edge masks, not from a second walk.
 Normalisation needs no graphs: a graph's log-density is its row of the
 cached clique/separator table T (the theorem's statistic) times one
 vector of log-potentials, each evaluated once, added in search order.
@@ -47,7 +49,6 @@ from .graphs import (
     _edges_json,
     _json_value,
     clique_separators,
-    enumerate_decomposable,
     members,
     vset,
 )
@@ -184,13 +185,20 @@ def t_minus(g: Graph, a: int) -> int:
     return min(t_statistic(g, a), 0)
 
 
+def _check_on_all_vertices(g: Graph, n: int, under: str) -> None:
+    """Refuse a graph that is not on all n vertices, as ``DensityTable.prob`` does."""
+    if g.n != n:
+        raise DomainError(f"graph on {g.n} vertices under {under} {n}")
+    if g.vertices != (1 << n) - 1:
+        raise DomainError(f"graph leaves vertices {members((1 << n) - 1 & ~g.vertices)} inactive")
+
+
 def log_density_unnorm(law: CsfLaw, g: Graph) -> float:
     """Sum of clique log-potentials minus multiplicity-weighted separator
     log-potentials; -inf (zero density) when some separator potential is
     +inf or the clique terms reach -inf. A sum that potentials overflow
     to +inf, or to -inf plus +inf, raises ``DomainError``."""
-    if g.n != law.n:
-        raise DomainError(f"graph on {g.n} vertices under a law for {law.n}")
+    _check_on_all_vertices(g, law.n, "a law for")
     cl, seps = clique_separators(g)
     total = 0.0
     for c in cl:
@@ -327,7 +335,7 @@ class DensityTable:
         return self.prob_of_mask(g.edge_mask)
 
     def items(self):
-        return zip(enumerate_decomposable(self.n), self.p)
+        return ((Graph.from_edge_mask(self.n, m), q) for m, q in zip(self.masks, self.p))
 
     def __len__(self):
         return len(self.p)
@@ -524,7 +532,9 @@ def _law_from_obj(obj) -> CsfLaw:
     n = obj["n"]
     if type(n) is not int or not 1 <= n <= MAX_VERTICES:
         raise DomainError(f"'n' must be an integer in 1..{MAX_VERTICES}")
-    return CsfLaw(n, _table_from_obj(obj.get("phi", {}), n), _table_from_obj(obj.get("psi", {}), n))
+    if "phi" not in obj or "psi" not in obj:
+        raise DomainError("law JSON must have fields 'n', 'phi' and 'psi'")
+    return CsfLaw(n, _table_from_obj(obj["phi"], n), _table_from_obj(obj["psi"], n))
 
 
 def _density_pieces(density: DensityTable) -> Iterator[str]:

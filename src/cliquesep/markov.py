@@ -37,6 +37,9 @@ two-clique ratio, and the exact rank of the constraint system of the
 weakest conditioning family, sparse rows of four +1/-1 entries: at
 n = 2..6 rank 0, 0, 24, 695 and 17,760 leaves 1, 7, 36, 126 and 393
 free dimensions against factorisation-law dimensions of 1, 7, 21, 51, 113.
+The fit and both checkers read every probability as that of a bracket
+graph <R1, ..., Rk>, whose edges make each Ri complete and are nothing
+else, through one lookup by edge mask.
 """
 
 from __future__ import annotations
@@ -65,8 +68,11 @@ from .laws import (
     CsfLaw,
     DensityTable,
     PotentialTable,
+    _check_on_all_vertices,
     csf_dimension,
+    normalize_by_enumeration,
     perturb_density,
+    uniform_csf,
 )
 
 
@@ -271,8 +277,16 @@ def check_property(density: DensityTable, kind: PropertyKind, tol: float = 1e-9)
     return PropertyReport(kind, worst <= tol, worst, witness)
 
 
-def _log_prob_fn(density: DensityTable):
-    def logpi(edge_mask: int) -> float:
+def _bracket_log_prob(density: DensityTable):
+    """``lp(*sets)``, the log probability of the bracket graph <R1, ..., Rk>: each Ri complete, no other edge."""
+    complete = {}  # vertex set -> its complete edge mask; at most 2^n, kept only as long as lp
+
+    def lp(*sets: int) -> float:
+        edge_mask = 0
+        for r in sets:
+            if (w := complete.get(r)) is None:
+                w = complete[r] = within_edge_mask(density.n, r)
+            edge_mask |= w
         try:
             p = density.prob_of_mask(edge_mask)
         except KeyError:
@@ -281,7 +295,7 @@ def _log_prob_fn(density: DensityTable):
             raise DomainError("density must be strictly positive here")
         return math.log(p)
 
-    return logpi
+    return lp
 
 
 def fit_csf_from_density(density: DensityTable) -> CsfLaw:
@@ -299,8 +313,8 @@ def fit_csf_from_density(density: DensityTable) -> CsfLaw:
     for m, p in zip(density.masks, density.p):
         if p <= 0.0:
             raise DomainError(f"full support required, but {Graph.from_edge_mask(n, m)!r} has zero probability")
-    logpi = _log_prob_fn(density)
-    phi_over = {mask: logpi(within_edge_mask(n, mask)) for mask in range(1 << n)}
+    lp = _bracket_log_prob(density)
+    phi_over = {mask: lp(mask) for mask in range(1 << n)}
     psi_over = {}
     full = (1 << n) - 1
     for mask in range(1 << n):
@@ -309,9 +323,7 @@ def fit_csf_from_density(density: DensityTable) -> CsfLaw:
             continue
         r1 = mask | 1 << rest[0]
         r2 = mask | 1 << rest[1]
-        w1 = within_edge_mask(n, r1)
-        w2 = within_edge_mask(n, r2)
-        psi_over[mask] = logpi(w1) + logpi(w2) - logpi(w1 | w2)
+        psi_over[mask] = lp(r1) + lp(r2) - lp(r1, r2)
     return CsfLaw(n, PotentialTable(overrides=phi_over), PotentialTable(overrides=psi_over))
 
 
@@ -325,37 +337,30 @@ def verify_lemma1_identity(density: DensityTable, g: Graph) -> float:
     and the assembled product formula for prob(g); returns the largest
     absolute deviation on the log scale.
     """
-    n = density.n
-    if g.n != n:
-        raise DomainError(f"graph on {g.n} vertices under a density on {n}")
-    logpi = _log_prob_fn(density)
+    _check_on_all_vertices(g, density.n, "a density on")
+    lp = _bracket_log_prob(density)
     cl = cliques(g)
-    logd = logpi(g.edge_mask)
+    logd = lp(*cl)
     worst = 0.0
     for first in range(len(cl)):
         order = pluperfect_order(g, first)
         base = 0.0
         for c in order.cliques:
-            base += logpi(within_edge_mask(n, c))
+            base += lp(c)
         lo = hi = 0.0
-        prefix = within_edge_mask(n, order.cliques[0])
         for j in range(1, len(order.cliques)):
             c = order.cliques[j]
             s = order.separators[j - 1]
             parent = order.cliques[order.parents[j - 1]]
-            wc = within_edge_mask(n, c)
-            log_c = logpi(wc)
-            prefix_next = prefix | wc
-            log_prefix = logpi(prefix)
-            log_prefix_next = logpi(prefix_next)
+            log_c = lp(c)
+            log_prefix = lp(*order.cliques[:j])
+            log_prefix_next = lp(*order.cliques[: j + 1])
             factors = []
             free = parent & ~s
             x = free
             while x:  # nonempty subsets of parent minus separator
-                r = s | x
-                wr = within_edge_mask(n, r)
-                log_r = logpi(wr)
-                log_rc = logpi(wr | wc)
+                log_r = lp(s | x)
+                log_rc = lp(s | x, c)
                 factors.append(log_rc - log_r - log_c)
                 crossover = abs(log_r + log_prefix_next - log_prefix - log_rc)
                 if crossover > worst:
@@ -363,7 +368,6 @@ def verify_lemma1_identity(density: DensityTable, g: Graph) -> float:
                 x = (x - 1) & free
             lo += min(factors)
             hi += max(factors)
-            prefix = prefix_next
         worst = max(worst, abs(base + hi - logd), abs(base + lo - logd))
     return worst
 
@@ -382,25 +386,18 @@ def verify_lemma2_ratio(density: DensityTable, s: int) -> float:
     comp = full & ~s
     if comp.bit_count() < 2:
         raise DomainError("needs at least two vertices outside the separator")
-    logpi = _log_prob_fn(density)
-    lo = math.inf
-    hi = -math.inf
+    lp = _bracket_log_prob(density)
+    ratios = []
     x = comp
     while x:
         rest = comp & ~x
         y = rest
         while y:
             if x < y:
-                w1 = within_edge_mask(n, s | x)
-                w2 = within_edge_mask(n, s | y)
-                ratio = logpi(w1 | w2) - logpi(w1) - logpi(w2)
-                if ratio < lo:
-                    lo = ratio
-                if ratio > hi:
-                    hi = ratio
+                ratios.append(lp(s | x, s | y) - lp(s | x) - lp(s | y))
             y = (y - 1) & rest
         x = (x - 1) & comp
-    return hi - lo
+    return max(ratios) - min(ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +503,8 @@ def ewsm_not_wsm_density(n: int = 4) -> DensityTable:
     breaks it. The construction is verified before returning.
     """
     used = ewsm_constraint_column_support(n)
-    graphs = list(enumerate_decomposable(n))
-    uniform = DensityTable(n, {g: 1.0 / len(graphs) for g in graphs})
-    for gi, g in enumerate(graphs):
+    uniform = normalize_by_enumeration(uniform_csf(n))
+    for gi, (g, _) in enumerate(uniform.items()):
         if gi in used:
             continue
         candidate = perturb_density(uniform, g, 2.0)

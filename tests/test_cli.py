@@ -308,6 +308,7 @@ def test_export_dot_bad_file(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     pytest.param(["export-dot", "--graph", "<bytes>"], id="export-dot-undecodable-graph"),
+    pytest.param(["check", "--law", "<bytes>"], id="check-undecodable-law"),
     pytest.param(["posterior", "--n", "2", "--data", "<bytes>"], id="posterior-undecodable-data"),
     pytest.param(["posterior", "--n", "2", "--data", "<csv>", "--alpha", "1e308"], id="posterior-overflowing-alpha"),
 ])
@@ -383,9 +384,10 @@ def test_law_n_mismatch(capsys, tmp_path):
                      id="boolean-rule-field"),
         pytest.param("density", '{"n": 3, "phi": {}, "psi": {"overrides": {"0": false}}}',
                      id="boolean-override"),
-        pytest.param("density", '{"n": 3, "phi": {"rule": {"type": "exp_linear", "rate": 1' + "0" * 400 + '}}}',
+        pytest.param("density", '{"n": 3, "phi": {"rule": {"type": "exp_linear", "rate": 1' + "0" * 400 + '}}, "psi": {}}',
                      id="rate-beyond-float-range"),
         pytest.param("check", '{"n": -1, "entries": []}', id="negative-density-n"),
+        pytest.param("check", '{"n": 3, "edges": [[0, 1]]}', id="graph-file-as-law"),
         pytest.param("density", '{"n": 3, "phi": {}, "psi": {"rule": {"type": "exp_linear", "rate": "nan"}}}',
                      id="nan-rate"),
         pytest.param("density", '{"n": 3, "phi": {}, "psi": {"rule": {"type": "const", "value": "-inf"}}}',
@@ -436,7 +438,9 @@ def test_law_file_is_parsed_once(capsys, tmp_path, monkeypatch, kind):
     ["check", "--law", "<density>"],
     ["fit", "--law", "<density>"],
     ["check", "--law", "uniform", "--n", "5"],
-], ids=["check-density", "fit-density", "check-law"])
+    ["lemma-check", "--law", "<density>"],
+    ["lemma-check", "--law", "uniform", "--n", "5"],
+], ids=["check-density", "fit-density", "check-law", "lemma-check-density", "lemma-check-law"])
 def test_each_command_walks_the_graphs_once(capsys, tmp_path, monkeypatch, argv):
     # The density parser, the normalisation and the decomposition index all
     # read the one cached clique/separator table of n vertices.

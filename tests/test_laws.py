@@ -126,6 +126,14 @@ def test_hub_free_separator_has_zero_mass():
     assert math.isfinite(log_density_unnorm(law, single_clique))
 
 
+def test_log_density_rejects_an_induced_subgraph():
+    # It once scored -12.0, where its edges on all four vertices score -inf:
+    # the empty separator holds no hub.
+    part = induced_subgraph(Graph.complete(4), vset([0, 1, 2]))
+    with pytest.raises(DomainError, match=r"vertices \[3\] inactive"):
+        log_density_unnorm(hub_law(4, [0]), part)
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_log_density_via_statistic_matches_ordering_route(n):
     law = random_csf(n, seed=21)

@@ -136,10 +136,10 @@ def test_partial_density_is_a_domain_error_everywhere():
     ):
         with pytest.raises(DomainError):
             DensityTable(4, probs)
-    # Masks outside the table can still reach the lookups by mask.
-    logpi = markov._log_prob_fn(DensityTable(4, full))
-    with pytest.raises(DomainError):
-        logpi(cycle.edge_mask)
+    # Brackets outside the table can still reach the lookup: the 4-cycle is the bracket of its edges.
+    lp = markov._bracket_log_prob(DensityTable(4, full))
+    with pytest.raises(DomainError, match="names no decomposable graph"):
+        lp(*(vset(e) for e in cycle.edges()))
 
 
 def test_zero_mass_graphs_are_ignored_not_fatal():
@@ -405,6 +405,13 @@ def test_product_identity_rejects_a_graph_of_another_size(g):
     d = normalize_by_enumeration(uniform_csf(4))
     with pytest.raises(DomainError, match=f"graph on {g.n} vertices under a density on 4"):
         verify_lemma1_identity(d, g)
+
+
+def test_product_identity_rejects_an_induced_subgraph():
+    # Its edges on all four vertices make another graph; it once scored 0.0.
+    part = induced_subgraph(Graph.complete(4), vset([0, 1, 2]))
+    with pytest.raises(DomainError, match=r"vertices \[3\] inactive"):
+        verify_lemma1_identity(normalize_by_enumeration(uniform_csf(4)), part)
 
 
 # ---------------------------------------------------------------------------
