@@ -12,11 +12,15 @@ and the induced-piece partition are precomputed per pair.
 Each pair's decompositions are packed as numpy columns (graph index,
 the two induced pieces, the two maximality flags), and each
 conditioning family is a boolean mask over those rows. Only the tables
-are cached: the index tests each graph against every covering pair
-once, on graphs built from the edge masks and adjacency rows of the
-cached clique/separator table of n vertices and dropped after the
-build, and takes the pieces and flags of those that pass from the
-table's arrays at once. A witness's graphs come from their edge masks.
+are cached. Since a covering pair's parts cover every vertex, ``a & b``
+separates them only if no edge joins ``a`` minus ``b`` to ``b`` minus
+``a`` (Lauritzen 1996, section 2.1), so for each pair one vectorised
+test over the edge masks of the cached clique/separator table of n
+vertices picks the candidates, and ``is_decomposition`` decides each
+of them, on graphs built from that table's edge masks and adjacency
+rows and dropped after the build; the pieces and flags of those that
+pass come from the table's arrays at once. A witness's graphs come from
+their edge masks.
 The sweep drops the graphs of probability zero from a family's rows and
 lays the rest out as a dense grid of log probabilities, NaN where a
 cell is missing, with rows in order of first appearance. The spread of
@@ -155,6 +159,12 @@ def _maximal_within(adj: np.ndarray, s: int, part: int) -> np.ndarray:
     return ~extends
 
 
+def _cross_edge_mask(n: int, a: int, b: int) -> int:
+    """Edge mask of every edge joining ``a`` minus ``b`` to ``b`` minus ``a``,
+    for a covering pair: the edges that are within neither part."""
+    return within_edge_mask(n, a | b) & ~within_edge_mask(n, a) & ~within_edge_mask(n, b)
+
+
 @lru_cache(maxsize=4)
 def _pair_tables(n: int) -> tuple[_PairTable, ...]:
     t = _clique_separator_table(n)
@@ -163,7 +173,9 @@ def _pair_tables(n: int) -> tuple[_PairTable, ...]:
     edge_masks = np.array(t.masks, dtype=np.int64)
     tables = []
     for a, b in [(a, b) for a in range(full) for b in range(a + 1, full) if a | b == full]:
-        gi = np.array([k for k, g in enumerate(graphs) if is_decomposition(g, a, b)], dtype=np.intp)
+        # Only graphs with no edge across the parts can be separated by a & b.
+        candidates = np.flatnonzero(edge_masks & _cross_edge_mask(n, a, b) == 0).tolist()
+        gi = np.array([k for k in candidates if is_decomposition(graphs[k], a, b)], dtype=np.intp)
         rows = t.adj[gi]
         tables.append(
             _PairTable(
@@ -338,7 +350,12 @@ def verify_lemma1_identity(density: DensityTable, g: Graph) -> float:
     absolute deviation on the log scale.
     """
     _check_on_all_vertices(g, density.n, "a density on")
-    lp = _bracket_log_prob(density)
+    return _lemma1_deviation(_bracket_log_prob(density), g)
+
+
+def _lemma1_deviation(lp, g: Graph) -> float:
+    """:func:`verify_lemma1_identity` on a bracket lookup ``lp`` of the
+    density, which may be shared by every graph of one density."""
     cl = cliques(g)
     logd = lp(*cl)
     worst = 0.0

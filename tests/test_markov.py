@@ -311,6 +311,15 @@ def test_decomposition_index_matches_conditioning_sets(n):
             assert passed == expected, (members(t.a), members(t.b), kind)
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_cross_edge_mask_joins_the_two_differences(n):
+    # The index keeps as candidates only graphs with none of these edges.
+    full = (1 << n) - 1
+    for a, b in [(a, b) for a in range(full) for b in range(a + 1, full) if a | b == full]:
+        brute = Graph(n, [(i, j) for i in members(a & ~b) for j in members(b & ~a)])
+        assert markov._cross_edge_mask(n, a, b) == brute.edge_mask, (members(a), members(b))
+
+
 # ---------------------------------------------------------------------------
 # Constructive fit
 
@@ -368,6 +377,16 @@ def test_product_identity_all_graphs(seed):
     d = wsm_density(4, seed=seed + 12)
     for g in enumerate_decomposable(4):
         assert verify_lemma1_identity(d, g) < TOL, g
+
+
+def test_product_identity_shares_one_lookup_per_density():
+    # lemma-check hands one bracket lookup to every graph; its values must
+    # be those of a fresh lookup per graph, to the last bit.
+    d = perturb_density(wsm_density(4, seed=3), Graph(4, [(0, 1)]), 2.0)
+    lp = markov._bracket_log_prob(d)
+    deviations = [markov._lemma1_deviation(lp, g) for g in enumerate_decomposable(4)]
+    assert deviations == [verify_lemma1_identity(d, g) for g in enumerate_decomposable(4)]
+    assert max(deviations) > TOL
 
 
 def test_ratio_invariance():
