@@ -405,9 +405,11 @@ class PluperfectOrder:
     ``separators[k]`` is the intersection of ``cliques[k+1]`` with the
     union of all earlier cliques, and is contained in the earlier clique
     ``cliques[parents[k]]``; linking each clique to its parent yields a
-    junction tree. Orderings constructed here always pick an attachable
-    clique whose separator has maximal cardinality, so no alternative
-    choice could produce a strict superset separator at any step.
+    junction tree. Orderings constructed here run Prim's algorithm on the
+    clique graph weighted by intersection size: each step takes the first
+    remaining clique with the largest separator. Every remaining clique is
+    attachable (running intersection), so no alternative choice could
+    produce a strict superset separator at any step.
     """
 
     n: int
@@ -417,7 +419,7 @@ class PluperfectOrder:
 
 
 def pluperfect_order(g: Graph, first: int = 0) -> PluperfectOrder:
-    """Order the cliques of ``g`` greedily by largest attachment separator.
+    """Order the cliques of ``g`` by Prim's algorithm on intersection size.
 
     ``first`` indexes into :func:`cliques` and selects the starting
     clique; any clique may start. Ties break toward the earliest clique
@@ -431,28 +433,15 @@ def pluperfect_order(g: Graph, first: int = 0) -> PluperfectOrder:
     order = [cl[first]]
     seps: list[int] = []
     parents: list[int] = []
-    remaining = [k for k in range(j) if k != first]
+    remaining = [c for k, c in enumerate(cl) if k != first]
     covered = cl[first]
     while remaining:
-        best_k = -1
-        best_pos = -1
-        best_size = -1
-        for pos, k in enumerate(remaining):
-            s = cl[k] & covered
-            size = s.bit_count()
-            if size > best_size and any(s & ~c == 0 for c in order):
-                best_size = size
-                best_k = k
-                best_pos = pos
-        if best_k < 0:  # unreachable for a decomposable graph
-            raise PreconditionError("no attachable clique; graph is not decomposable")
-        del remaining[best_pos]
-        c = cl[best_k]
+        c = max(remaining, key=lambda d: (d & covered).bit_count())
+        remaining.remove(c)
         s = c & covered
-        parent = next(i for i, o in enumerate(order) if s & ~o == 0)
+        parents.append(next(i for i, o in enumerate(order) if s & ~o == 0))
         order.append(c)
         seps.append(s)
-        parents.append(parent)
         covered |= c
     return PluperfectOrder(g.n, tuple(order), tuple(seps), tuple(parents))
 

@@ -365,12 +365,12 @@ def _lemma1_deviation(lp, g: Graph) -> float:
         for c in order.cliques:
             base += lp(c)
         lo = hi = 0.0
+        log_prefix = lp(order.cliques[0])
         for j in range(1, len(order.cliques)):
             c = order.cliques[j]
             s = order.separators[j - 1]
             parent = order.cliques[order.parents[j - 1]]
             log_c = lp(c)
-            log_prefix = lp(*order.cliques[:j])
             log_prefix_next = lp(*order.cliques[: j + 1])
             factors = []
             free = parent & ~s
@@ -385,6 +385,7 @@ def _lemma1_deviation(lp, g: Graph) -> float:
                 x = (x - 1) & free
             lo += min(factors)
             hi += max(factors)
+            log_prefix = log_prefix_next
         worst = max(worst, abs(base + hi - logd), abs(base + lo - logd))
     return worst
 

@@ -26,8 +26,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .graphs import ENUMERATION_LIMIT, Graph, clique_separators, is_decomposable, members
-from .laws import INF, CsfLaw, log_density_unnorm
+from .graphs import ENUMERATION_LIMIT, Graph, clique_separators, is_decomposable
+from .laws import INF, CsfLaw, _check_on_all_vertices, log_density_unnorm
 
 _MASK64 = (1 << 64) - 1
 
@@ -125,10 +125,7 @@ def default_init(law: CsfLaw) -> Graph:
 
 def initial_state(law: CsfLaw, init: Graph | None = None) -> ChainState:
     g = default_init(law) if init is None else init
-    if g.n != law.n:
-        raise DomainError(f"initial graph on {g.n} vertices under a law for {law.n}")
-    if g.vertices != (1 << g.n) - 1:  # every proposal draws among all n vertices
-        raise DomainError(f"initial graph leaves vertices {members((1 << g.n) - 1 & ~g.vertices)} inactive")
+    _check_on_all_vertices(g, law.n, "a law for")  # every proposal draws among all n vertices
     if not is_decomposable(g):
         raise DomainError("initial graph is not decomposable")
     ld = log_density_unnorm(law, g)

@@ -14,6 +14,7 @@ from cliquesep import (
     CapacityError,
     DomainError,
     Graph,
+    PluperfectOrder,
     PreconditionError,
     clique_separators,
     cliques,
@@ -667,6 +668,33 @@ def _attachable_separators(cl, order_masks, covered):
     return seps
 
 
+def _greedy_pluperfect_order(g, first):
+    """The greedy that Prim's algorithm replaced in ``pluperfect_order``: scan
+    every remaining clique for attachability, and keep the first of largest
+    separator by the strict ``>``."""
+    cl = cliques(g)
+    order = [cl[first]]
+    seps, parents = [], []
+    remaining = [k for k in range(len(cl)) if k != first]
+    covered = cl[first]
+    while remaining:
+        best_k = best_pos = best_size = -1
+        for pos, k in enumerate(remaining):
+            s = cl[k] & covered
+            size = s.bit_count()
+            if size > best_size and any(s & ~c == 0 for c in order):
+                best_size, best_k, best_pos = size, k, pos
+        assert best_k >= 0, "no attachable clique"
+        del remaining[best_pos]
+        c = cl[best_k]
+        s = c & covered
+        parents.append(next(i for i, o in enumerate(order) if s & ~o == 0))
+        order.append(c)
+        seps.append(s)
+        covered |= c
+    return PluperfectOrder(g.n, tuple(order), tuple(seps), tuple(parents))
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_pluperfect_condition_and_invariance(n):
     for g in enumerate_decomposable(n):
@@ -674,6 +702,7 @@ def test_pluperfect_condition_and_invariance(n):
         reference = None
         for first in range(len(cl)):
             o = pluperfect_order(g, first)
+            assert o == _greedy_pluperfect_order(g, first), (g, first)
             assert len(o.separators) == len(o.cliques) - 1
             assert sorted(o.cliques) == sorted(cl)
             covered = o.cliques[0]

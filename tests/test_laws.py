@@ -28,6 +28,7 @@ from cliquesep import (
     erdos_renyi_csf,
     hub_law,
     induced_subgraph,
+    is_decomposable,
     law_from_json,
     law_to_json,
     log_density_unnorm,
@@ -41,7 +42,7 @@ from cliquesep import (
     uniform_csf,
     vset,
 )
-from cliquesep.graphs import MAX_VERTICES, _clique_separator_table
+from cliquesep.graphs import MAX_VERTICES, _clique_separator_table, members, within_edge_mask
 from conftest import random_csf
 
 PATH3 = complete_sets_graph(3, [vset([0, 1]), vset([1, 2])])
@@ -519,6 +520,72 @@ def test_clique_separator_table_sums_to_the_t_statistic(n):
     np.add.at(table, (t.gi, t.sets), t.coef)
     expected = [[t_statistic(g, a) for a in range(1 << n)] for g in enumerate_decomposable(n)]
     assert table.tolist() == expected
+
+
+def _invert_over_supersets(indicator):
+    """Σ over X ⊇ A of (−1)^|X∖A| · indicator[..., X] for every set A, as
+    int8 rows: one in-place butterfly pass per vertex. A pass may wrap
+    around, but the wrap cancels mod 256, and T(G, A) fits in int8."""
+    t = indicator.astype(np.int8)
+    b = 1
+    while b < t.shape[-1]:
+        halves = t.reshape(len(t), -1, 2, b)  # sets without the vertex, then with it
+        halves[:, :, 0] -= halves[:, :, 1]
+        b <<= 1
+    return t
+
+
+def assert_table_is_mobius_inversion(n, block=1 << 15):
+    """Check every graph's row of the clique/separator table of n vertices
+    against T(G, A) = Σ over X ⊇ A of (−1)^|X∖A| · [X complete in G], which
+    needs no search, ``block`` graphs at a time.
+
+    The cliques containing a complete set X form a subtree of a junction
+    tree, whose edges are the separators containing X, so cliques minus
+    separators that contain X count 1 when X is complete and 0 otherwise
+    (Lauritzen 1996, §2.1); inverting that over supersets gives T.
+    """
+    t = _clique_separator_table(n)
+    within = np.array([within_edge_mask(n, x) for x in range(1 << n)], dtype=np.int64)
+    masks = np.array(t.masks, dtype=np.int64)  # n ≤ 7 needs at most 21 bits
+    for lo in range(0, len(masks), block):
+        hi = min(lo + block, len(masks))
+        oracle = _invert_over_supersets(masks[lo:hi, None] & within == within)
+        start, stop = np.searchsorted(t.gi, [lo, hi])
+        dense = np.zeros_like(oracle)
+        dense[t.gi[start:stop] - lo, t.sets[start:stop]] = t.coef[start:stop]
+        assert np.array_equal(dense, oracle), (n, lo)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_clique_separator_table_is_the_mobius_inversion_of_complete_sets(n):
+    assert_table_is_mobius_inversion(n, block=1 << 12)  # n=6 in five blocks
+
+
+def _random_decomposable_graph(n, rand):
+    """Each vertex after the first joins a random subset of one clique of
+    the graph so far, so every vertex is simplicial when it is added."""
+    cl = [1]
+    edges = []
+    for v in range(1, n):
+        c = rand.choice(cl)
+        nbrs = vset(u for u in members(c) if rand.random() < 0.75)
+        edges += [(u, v) for u in members(nbrs)]
+        if nbrs == c:
+            cl.remove(c)
+        cl.append(nbrs | 1 << v)
+    return Graph(n, edges)
+
+
+@pytest.mark.parametrize("n", range(8, 13))  # above the enumeration limit
+def test_t_statistic_is_the_mobius_inversion_of_complete_sets(n):
+    rand = random.Random(n)
+    within = [within_edge_mask(n, x) for x in range(1 << n)]  # 66 bits at n=12: Python ints
+    for _ in range(4):
+        g = _random_decomposable_graph(n, rand)
+        assert is_decomposable(g)
+        oracle = _invert_over_supersets(np.array([[g.edge_mask & w == w for w in within]]))[0]
+        assert [t_statistic(g, a) for a in range(1 << n)] == oracle.tolist(), g
 
 
 # ---------------------------------------------------------------------------
