@@ -32,7 +32,11 @@ whether every component has a complete outer neighbourhood), and the
 last one answers, for every neighbourhood of the next vertex, whether
 it keeps the graph chordal. One cached table per vertex count lists
 every enumerated graph's cliques and separators, with their signs, and
-its adjacency rows, as compact numpy columns. It holds the one walk per
+its adjacency rows, as compact numpy columns. The walk fills the rows,
+and one maximum cardinality search runs on all of them in lockstep, a
+numpy step per vertex over blocks of rows, with the bucket search's
+tie-break, so each graph's entries come in the order that the
+single-graph search emits them. The table holds the one walk per
 vertex count that normalisation, the density parser and the
 decomposition index read; only the streaming consumers (counting,
 :func:`enumerate_decomposable` and ``markov.conditioning_set``) walk
@@ -659,12 +663,12 @@ class _CliqueSeparatorTable:
     ``masks`` are the edge masks that :func:`_chordal_walk` yields, in
     its ascending order. Entry k gives graph ``gi[k]`` (an index into
     ``masks``) the set ``sets[k]`` with coefficient ``coef[k]``: +1 for
-    each clique, in the order :func:`_mcs` emits them, then minus the
-    multiplicity for each separator, in order of first emission. A
-    graph's entries are contiguous, and the graphs ascend. Row k of
-    ``adj`` holds graph k's n adjacency masks, the walk's own. The dtypes
-    are compact: sets of up to 8 vertices fit in a byte, and so does a
-    multiplicity.
+    each clique, in the order that :func:`_mcs` on the graph would emit
+    them, then minus the multiplicity for each separator, in order of
+    first emission. A graph's entries are contiguous, and the graphs
+    ascend. Row k of ``adj`` holds graph k's n adjacency masks, the
+    walk's own. The dtypes are compact: sets of up to 8 vertices fit in a
+    byte, and so does a multiplicity.
     """
 
     masks: tuple[int, ...]
@@ -674,34 +678,95 @@ class _CliqueSeparatorTable:
     adj: np.ndarray
 
 
+#: Graphs per block of the lockstep search that builds the clique/separator table.
+_LOCKSTEP_BLOCK = 1 << 13
+
+
+def _lockstep_entries(n: int, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The clique/separator table entries ``(gi, sets, coef)`` of the chordal
+    graphs whose ``(graphs, n)`` uint8 adjacency rows are ``adj``, n ≤ 8,
+    with ``gi`` indexing those rows.
+
+    One maximum cardinality search runs on every row at once, a step per
+    vertex, and emits what :func:`_mcs` emits for each graph. ``argmax``
+    over the weights picks each row's next vertex, the lowest index
+    among the heaviest unnumbered ones, as the bucket search does. A row
+    whose running clique is not inside that vertex's neighbourhood emits
+    the clique and the separator ``adj[v] & numbered``, the start of the
+    next clique. The weights of the vertex's neighbours then rise by one;
+    numbered vertices, and the unused columns of the 8-column weights,
+    sit at -128, below every weight left to pick. No chordality test is
+    needed, since the rows come from the walk.
+
+    Each graph's separators are grouped by one sort on (graph, set,
+    step), and each distinct one keeps its first step and minus its
+    multiplicity. One sort on (graph, kind, step) then puts a graph's
+    cliques in emission order before its separators in order of first
+    emission.
+    """
+    g = len(adj)
+    rows = np.arange(g)
+    weight = np.zeros((g, 8), dtype=np.int8)
+    weight[:, n:] = -128
+    numbered = np.zeros(g, dtype=np.uint8)
+    current = np.zeros(g, dtype=np.uint8)
+    cl, sp = [], []  # (graphs, sets, step) of each step's cliques and separators
+    for step in range(n):
+        v = weight.argmax(axis=1)
+        av = adj[rows, v]
+        bv = (1 << v).astype(np.uint8)
+        close = np.flatnonzero(current & ~av)
+        sep = av[close] & numbered[close]
+        steps = np.full(len(close), step, dtype=np.int8)
+        cl.append((close, current[close], steps))
+        sp.append((close, sep, steps))
+        current[close] = sep
+        current |= bv
+        numbered |= bv
+        weight += np.unpackbits(av[:, None], axis=1, bitorder="little").view(np.int8)
+        weight[rows, v] = -128
+    cl.append((rows, current, np.full(g, n, dtype=np.int8)))
+    cg, cs, ct = (np.concatenate(x) for x in zip(*cl))
+    sg, ss, st = (np.concatenate(x) for x in zip(*sp))
+    order = np.lexsort((st, ss, sg))
+    sg, ss, st = sg[order], ss[order], st[order]
+    first = np.ones(len(sg), dtype=bool)
+    first[1:] = (sg[1:] != sg[:-1]) | (ss[1:] != ss[:-1])
+    starts = np.flatnonzero(first)
+    gi = np.concatenate([cg, sg[starts]])
+    kind = np.repeat(np.array([0, 1], dtype=np.int8), [len(cg), len(starts)])
+    order = np.lexsort((np.concatenate([ct, st[starts]]), kind, gi))
+    sets = np.concatenate([cs, ss[starts]])
+    minus = -np.diff(starts, append=len(sg)).astype(np.int8)
+    coef = np.concatenate([np.ones(len(cg), dtype=np.int8), minus])
+    return gi[order], sets[order], coef[order]
+
+
 @lru_cache(maxsize=4)
 def _clique_separator_table(n: int) -> _CliqueSeparatorTable:
-    """The cached :class:`_CliqueSeparatorTable` of n vertices, read off one
-    search per graph on the walk's own adjacency."""
+    """The cached :class:`_CliqueSeparatorTable` of n vertices: the walk
+    fills the adjacency rows, then :func:`_lockstep_entries` reads the
+    entries off them, :data:`_LOCKSTEP_BLOCK` graphs at a time."""
     walk = _chordal_walk(n)  # checks n before 1 << n is built
-    full = _full_mask(n)
     masks = []
     counts, sets, coef, rows = array("B"), array("B"), array("b"), array("B")
-    ones = b"\x01" * n  # a graph has at most n cliques
     for mask, adj in walk:
-        cl, seps = _mcs(n, adj, full)
-        minus = {}  # minus each separator's multiplicity, in order of first emission
-        for s in seps:
-            minus[s] = minus.get(s, 0) - 1
         masks.append(mask)
         rows.extend(adj)
-        counts.append(len(cl) + len(minus))
-        sets.extend(cl)
-        sets.extend(minus)
-        coef.frombytes(ones[: len(cl)])
-        coef.extend(minus.values())
+    adj = np.frombuffer(rows, dtype=np.uint8).reshape(len(masks), n)
+    for lo in range(0, len(masks), _LOCKSTEP_BLOCK):
+        block = adj[lo : lo + _LOCKSTEP_BLOCK]
+        bgi, bsets, bcoef = _lockstep_entries(n, block)
+        counts.frombytes(np.bincount(bgi, minlength=len(block)).astype(np.uint8).tobytes())
+        sets.frombytes(bsets.tobytes())
+        coef.frombytes(bcoef.tobytes())
     gi = np.repeat(np.arange(len(masks), dtype=np.int32), np.frombuffer(counts, dtype=np.uint8))
     return _CliqueSeparatorTable(
         tuple(masks),
         gi,
         np.frombuffer(sets, dtype=np.uint8),
         np.frombuffer(coef, dtype=np.int8),
-        np.frombuffer(rows, dtype=np.uint8).reshape(len(masks), n),
+        adj,
     )
 
 

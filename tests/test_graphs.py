@@ -5,7 +5,9 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -40,8 +42,10 @@ from cliquesep import (
 from cliquesep.graphs import (
     MAX_VERTICES,
     _chordal_walk,
+    _clique_separator_table,
     _edges_json,
     _extension_table,
+    _lockstep_entries,
     _mask_edges,
     _mcs,
     _pair_at,
@@ -870,11 +874,56 @@ def test_extension_table_matches_recognition_of_the_grown_graph(k):
             assert ok[full ^ nbrs] == is_decomposable(grown), (g, nbrs)
 
 
+def assert_table_is_search_order(n, block=1 << 15):
+    """Check the clique/separator table of n vertices, entry for entry and
+    in order, against one :func:`_mcs` per graph on the table's own
+    adjacency rows, ``block`` graphs at a time: each graph's cliques as
+    the search emits them, then minus each separator's multiplicity, in
+    order of first emission."""
+    t = _clique_separator_table(n)
+    assert (t.gi.dtype, t.sets.dtype, t.coef.dtype, t.adj.dtype) == (np.int32, np.uint8, np.int8, np.uint8)
+    assert t.adj.shape == (len(t.masks), n)
+    full = (1 << n) - 1
+    stop = 0
+    for lo in range(0, len(t.masks), block):
+        gi, sets, coef = [], [], []
+        for k, row in enumerate(t.adj[lo : lo + block].tolist(), lo):
+            cl, seps = _mcs(n, row, full)
+            minus = Counter(seps)  # keys in order of first emission
+            gi += [k] * (len(cl) + len(minus))
+            sets += cl + list(minus)
+            coef += [1] * len(cl) + [-m for m in minus.values()]
+        start, stop = stop, stop + len(gi)
+        assert t.gi[start:stop].tolist() == gi, (n, lo)
+        assert t.sets[start:stop].tolist() == sets, (n, lo)
+        assert t.coef[start:stop].tolist() == coef, (n, lo)
+    assert stop == len(t.gi) == len(t.sets) == len(t.coef)
+
+
+@pytest.mark.parametrize("n, size", [(5, 1), (5, 97), (5, 4096), (6, 97), (6, 4096)])
+def test_lockstep_entries_match_the_table_and_the_search_across_block_boundaries(n, size):
+    # Slices that split the walk's rows anywhere give the table once joined.
+    t = _clique_separator_table(n)
+    parts = []
+    for lo in range(0, len(t.adj), size):
+        gi, sets, coef = _lockstep_entries(n, t.adj[lo : lo + size])
+        parts.append((gi + lo, sets, coef))
+    for got, want in zip(map(np.concatenate, zip(*parts)), (t.gi, t.sets, t.coef)):
+        assert np.array_equal(got, want)
+    assert_table_is_search_order(n, block=size)
+
+
 def test_enumeration_capacity():
     with pytest.raises(CapacityError):
         next(enumerate_decomposable(8))
     with pytest.raises(DomainError):
         count_decomposable(0)
+    with pytest.raises(CapacityError):
+        _clique_separator_table(8)
+    with pytest.raises(DomainError):
+        _clique_separator_table(0)
+    with pytest.raises(DomainError):  # checked before 1 << n is built
+        _clique_separator_table(1 << 40)
 
 
 # ---------------------------------------------------------------------------
