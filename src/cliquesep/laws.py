@@ -15,14 +15,15 @@ updates without materialising 2^n entries. A density table holds one
 probability per decomposable graph, in enumeration order, all or none,
 each finite and nonnegative; a law's sets and hubs lie in 0..n-1, and
 a law or density scores only graphs on all of its n vertices. A density
-yields its graphs from its own edge masks, not from a second walk.
+yields its graphs from its own edge masks, not from a second enumeration.
 Normalisation needs no graphs: a graph's log-density is its row of the
 cached clique/separator table T (the theorem's statistic) times one
 vector of log-potentials, each evaluated once, added in search order.
 The density parser keys each entry by its edge mask, also without a
 graph, and checks the keys against the same table's masks, so parsing
-a density file builds the table (one search per graph) if no earlier
-call in the process has. A density is written as the text of its entries,
+a density file builds the table (one lockstep search over every edge
+mask, then one over the chordal ones) if no earlier call in the process
+has. A density is written as the text of its entries,
 the edges by the graph module's formatter and the probabilities as
 ``json.dumps`` writes them, without an object per entry, in pieces of
 4,096 entries that the CLI writes as they are made and

@@ -446,11 +446,11 @@ def test_each_command_walks_the_graphs_once(capsys, tmp_path, monkeypatch, argv)
     # read the one cached clique/separator table of n vertices.
     path = tmp_path / "density.json"
     path.write_text(density_to_json(normalize_by_enumeration(random_csf(5, seed=5))))
-    walk = graphs._chordal_walk
+    blocks = graphs._chordal_blocks
     calls = []
-    for module in (graphs, laws):  # wherever a module keeps its own name for the walk
-        if hasattr(module, "_chordal_walk"):
-            monkeypatch.setattr(module, "_chordal_walk", lambda n: calls.append(n) or walk(n))
+    for module in (graphs, laws):  # wherever a module keeps its own name for the blocks
+        if hasattr(module, "_chordal_blocks"):
+            monkeypatch.setattr(module, "_chordal_blocks", lambda n: calls.append(n) or blocks(n))
     graphs._clique_separator_table.cache_clear()
     markov._pair_tables.cache_clear()
     status, _, _ = run(capsys, *[str(path) if a == "<density>" else a for a in argv])

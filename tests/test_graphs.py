@@ -41,10 +41,10 @@ from cliquesep import (
 )
 from cliquesep.graphs import (
     MAX_VERTICES,
+    _chordal_blocks,
     _chordal_walk,
     _clique_separator_table,
     _edges_json,
-    _extension_table,
     _lockstep_entries,
     _mask_edges,
     _mcs,
@@ -863,17 +863,6 @@ def test_walk_adjacency_matches_its_edge_mask(n):
         assert tuple(adj) == Graph.from_edge_mask(n, mask).adj
 
 
-@pytest.mark.parametrize("k", range(1, 6))
-def test_extension_table_matches_recognition_of_the_grown_graph(k):
-    # Vertex k joined to nbrs keeps g chordal iff the table says so at the complement.
-    full = (1 << k) - 1
-    for g in enumerate_decomposable(k):
-        ok = _extension_table(list(g.adj))
-        for nbrs in range(1 << k):
-            grown = Graph(k + 1, g.edges() + [(v, k) for v in members(nbrs)])
-            assert ok[full ^ nbrs] == is_decomposable(grown), (g, nbrs)
-
-
 def assert_table_is_search_order(n, block=1 << 15):
     """Check the clique/separator table of n vertices, entry for entry and
     in order, against one :func:`_mcs` per graph on the table's own
@@ -911,6 +900,29 @@ def test_lockstep_entries_match_the_table_and_the_search_across_block_boundaries
     for got, want in zip(map(np.concatenate, zip(*parts)), (t.gi, t.sets, t.coef)):
         assert np.array_equal(got, want)
     assert_table_is_search_order(n, block=size)
+
+
+@pytest.mark.parametrize("block", [1, 7, 97, 4096])
+def test_blocks_of_any_size_give_the_same_graphs_and_table(monkeypatch, block):
+    # Blocks of 1 and 7 masks split the chordal graphs anywhere and keep none at times.
+    want = {n: _clique_separator_table(n) for n in range(1, 6)}
+    monkeypatch.setattr(cliquesep.graphs, "_LOCKSTEP_BLOCK", block)
+    _clique_separator_table.cache_clear()
+    try:
+        for n in range(1, 6):
+            expected = list(mask_walk(n))
+            assert [mask for mask, _ in _chordal_walk(n)] == expected
+            assert count_decomposable(n) == len(expected)
+            t = _clique_separator_table(n)
+            assert t.masks == want[n].masks
+            for field in ("gi", "sets", "coef", "adj"):
+                got, exp = getattr(t, field), getattr(want[n], field)
+                assert got.dtype == exp.dtype and np.array_equal(got, exp), (n, field)
+        sizes = [len(masks) for masks, _ in _chordal_blocks(5)]
+        assert sum(sizes) == 822 and len(sizes) == -(-1024 // block)
+        assert (0 in sizes) == (block <= 7)
+    finally:
+        _clique_separator_table.cache_clear()
 
 
 def test_enumeration_capacity():
