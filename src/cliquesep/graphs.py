@@ -26,8 +26,11 @@ the order in which cliques are emitted. Junction-tree orderings from
 any start clique are built from the cliques. The same search also runs
 on many graphs in lockstep, a numpy step per vertex over a block of
 adjacency rows, with the same buckets and tie-break. Exhaustive
-enumeration tests every edge mask that way, a block of consecutive
-masks at a time, and keeps the chordal ones in ascending mask order.
+enumeration extends and filters: deleting vertex 0 from a chordal graph
+leaves a chordal graph, so the candidates on n vertices are each
+chordal graph on n-1 vertices joined to a new vertex 0 by every
+neighbourhood, and the lockstep search keeps the chordal ones, in
+ascending mask order.
 One cached table per vertex count lists every enumerated graph's
 cliques and separators, with their signs, and its adjacency rows, as
 compact numpy columns; a second lockstep search on each block's
@@ -552,8 +555,8 @@ def complete_sets_graph(n: int, sets: Iterable[int]) -> Graph:
     return Graph._from_parts(n, full, tuple(adj), emask)
 
 
-#: Edge masks per block of the lockstep search. Its (n, block) uint8 arrays stay near 50 KiB;
-#: larger blocks count a little faster but raise the peak RSS of counting.
+#: Candidate rows per block of the enumeration's lockstep search. Its (n, block) uint8 arrays
+#: stay near 50 KiB; larger blocks count a little faster but raise the peak RSS of counting.
 _LOCKSTEP_BLOCK = 1 << 13
 
 
@@ -589,39 +592,53 @@ def _lockstep(n: int, adj: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray,
 
 def _chordal_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield ``(masks, adj)`` for every chordal graph on n vertices, in
-    ascending edge-mask order, one block of :data:`_LOCKSTEP_BLOCK`
-    consecutive edge masks at a time: ``masks`` are the block's chordal
-    edge masks (int64) and ``adj`` their ``(graphs, n)`` uint8 adjacency
-    rows. A block may keep no graph.
+    ascending edge-mask order, a block at a time: ``masks`` are the
+    block's chordal edge masks (int64) and ``adj`` their ``(graphs, n)``
+    uint8 adjacency rows.
 
-    Every edge mask is tested. Each vertex pair's bit fills both of its
-    rows, one numpy step per pair, and one :func:`_lockstep` keeps the
-    rows where every vertex's previously numbered neighbours form a
-    clique, which holds iff the graph is chordal, the reversed visit
-    order then being a perfect elimination ordering (Tarjan & Yannakakis
-    1984).
+    Deleting vertex 0 from a chordal graph leaves a chordal graph on
+    vertices 1..n-1 (induced subgraphs of chordal graphs are chordal),
+    whose edge mask is the top bits ``mask >> (n-1)``. So the candidates
+    on k vertices are ``h << (k-1) | low`` for each chordal graph ``h`` on
+    k-1 vertices and each of the 2^(k-1) neighbourhoods ``low`` of vertex
+    0, ascending in ``h`` and then in ``low``, which is ascending mask
+    order. A candidate's rows are ``h``'s rows moved up one vertex, OR'd
+    with one precomputed table of vertex 0's edges. One :func:`_lockstep`
+    keeps the candidates where every vertex's previously numbered
+    neighbours form a clique, which holds iff the graph is chordal, the
+    reversed visit order then being a perfect elimination ordering
+    (Tarjan & Yannakakis 1984). One loop builds the levels k = 2..n-1 in
+    full (at most 18,154 graphs), then the blocks of level n are
+    yielded. A block extends ``_LOCKSTEP_BLOCK >> (k-1)`` graphs (at
+    least one) and is never empty, since each ``h`` with vertex 0
+    isolated is kept.
     """
     _check_vertex_count(n)
     if n > ENUMERATION_LIMIT:
         raise CapacityError(f"enumeration over {n} vertices exceeds the limit of {ENUMERATION_LIMIT}")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]  # in edge-mask bit order
-    bit = (1 << np.arange(n, dtype=np.uint8))[:, None]
 
-    def blocks():
-        for lo in range(0, 1 << len(pairs), _LOCKSTEP_BLOCK):
-            masks = np.arange(lo, min(lo + _LOCKSTEP_BLOCK, 1 << len(pairs)), dtype=np.int64)
-            cols = np.zeros((n, len(masks)), dtype=np.uint8)
-            for k, (i, j) in enumerate(pairs):
-                e = (masks >> k & 1).astype(np.uint8)
-                cols[i] |= e << j
-                cols[j] |= e << i
+    def extend(k, masks, adj):
+        low = np.arange(1 << (k - 1), dtype=np.uint8)  # bit j - 1: the edge (0, j)
+        # zero[v, low]: vertex v's edges to vertex 0, or vertex 0's row for v = 0
+        zero = np.concatenate([low[None] << 1, low >> np.arange(k - 1, dtype=np.uint8)[:, None] & 1])
+        bit = (1 << np.arange(k, dtype=np.uint8))[:, None]
+        step = max(1, _LOCKSTEP_BLOCK >> (k - 1))
+        for lo in range(0, len(masks), step):
+            h = np.pad(adj[lo : lo + step].T, ((1, 0), (0, 0)))  # h[v]: every graph's row of vertex v - 1
+            cols = (h[:, :, None] << 1 | zero[:, None]).reshape(k, -1)
             away = ~(cols | bit)  # away[u]: the vertices neither u nor adjacent to u
-            miss = np.zeros(len(masks), dtype=np.uint8)
-            for _, av, numbered in _lockstep(n, cols.T):
+            miss = np.zeros(cols.shape[1], dtype=np.uint8)
+            for _, av, numbered in _lockstep(k, cols.T):
                 prior = av & numbered
                 miss |= prior & np.bitwise_or.reduce(away * (prior & bit != 0), axis=0)
             keep = miss == 0
-            yield masks[keep], cols.T[keep]
+            yield (masks[lo : lo + step, None] << (k - 1) | low).ravel()[keep], cols.T[keep]
+
+    def blocks():
+        level = [(np.zeros(1, dtype=np.int64), np.zeros((1, 1), dtype=np.uint8))]  # the graph on one vertex
+        for k in range(2, n + 1):
+            level = extend(k, *map(np.concatenate, zip(*level)))
+        yield from level
 
     return blocks()
 

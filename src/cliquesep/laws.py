@@ -21,9 +21,9 @@ cached clique/separator table T (the theorem's statistic) times one
 vector of log-potentials, each evaluated once, added in search order.
 The density parser keys each entry by its edge mask, also without a
 graph, and checks the keys against the same table's masks, so parsing
-a density file builds the table (one lockstep search over every edge
-mask, then one over the chordal ones) if no earlier call in the process
-has. A density is written as the text of its entries,
+a density file builds the table (one lockstep search over the
+extensions of the chordal graphs on n-1 vertices, then one over the
+chordal ones) if no earlier call in the process has. A density is written as the text of its entries,
 the edges by the graph module's formatter and the probabilities as
 ``json.dumps`` writes them, without an object per entry, in pieces of
 4,096 entries that the CLI writes as they are made and

@@ -863,6 +863,27 @@ def test_walk_adjacency_matches_its_edge_mask(n):
         assert tuple(adj) == Graph.from_edge_mask(n, mask).adj
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_deleting_vertex_0_leaves_the_chordal_graphs_on_one_vertex_fewer(n):
+    # The premise of enumeration by extension, against the brute-force oracle: the top bits of
+    # every chordal mask name a chordal graph on vertices 1..n-1, and every one is reached.
+    assert {m >> (n - 1) for m in mask_walk(n)} == set(mask_walk(n - 1))
+
+
+def test_block_adjacency_matches_its_edge_masks_at_the_limit():
+    # One numpy step per vertex pair fills each block's rows from its masks alone.
+    count = 0
+    for masks, adj in _chordal_blocks(7):
+        want = np.zeros(adj.shape, dtype=np.uint8)
+        for k, (i, j) in enumerate(_pairs(7)):
+            e = (masks >> k & 1).astype(np.uint8)
+            want[:, i] |= e << j
+            want[:, j] |= e << i
+        assert np.array_equal(adj, want)
+        count += len(masks)
+    assert count == 617675
+
+
 def assert_table_is_search_order(n, block=1 << 15):
     """Check the clique/separator table of n vertices, entry for entry and
     in order, against one :func:`_mcs` per graph on the table's own
@@ -904,7 +925,8 @@ def test_lockstep_entries_match_the_table_and_the_search_across_block_boundaries
 
 @pytest.mark.parametrize("block", [1, 7, 97, 4096])
 def test_blocks_of_any_size_give_the_same_graphs_and_table(monkeypatch, block):
-    # Blocks of 1 and 7 masks split the chordal graphs anywhere and keep none at times.
+    # Blocks of 1 and 7 candidate rows extend one graph at a time, so they split the chordal graphs
+    # after every graph on n-1 vertices.
     want = {n: _clique_separator_table(n) for n in range(1, 6)}
     monkeypatch.setattr(cliquesep.graphs, "_LOCKSTEP_BLOCK", block)
     _clique_separator_table.cache_clear()
@@ -919,8 +941,8 @@ def test_blocks_of_any_size_give_the_same_graphs_and_table(monkeypatch, block):
                 got, exp = getattr(t, field), getattr(want[n], field)
                 assert got.dtype == exp.dtype and np.array_equal(got, exp), (n, field)
         sizes = [len(masks) for masks, _ in _chordal_blocks(5)]
-        assert sum(sizes) == 822 and len(sizes) == -(-1024 // block)
-        assert (0 in sizes) == (block <= 7)
+        assert sum(sizes) == 822 and len(sizes) == -(-61 // max(1, block >> 4))
+        assert 0 not in sizes  # each block keeps its graphs with vertex 0 isolated
     finally:
         _clique_separator_table.cache_clear()
 
