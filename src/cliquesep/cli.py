@@ -26,8 +26,8 @@ import sys
 from .errors import DomainError
 from .graphs import (
     _chordal_walk,
+    _edges_json_texts,
     _graph_from_obj,
-    _graph_json,
     _json_value,
     count_decomposable,
     members,
@@ -196,7 +196,9 @@ def _cmd_enumerate(args) -> None:
     if args.count_only:
         _emit(args, f"{count_decomposable(n)}\n")
         return
-    _emit(args, (f"{_graph_json(n, m)}\n" for m, _ in _chordal_walk(n)))  # the walk checks n at once
+    # The walk and the texts check n at once, before the file is opened.
+    edges = _edges_json_texts(n, (m for m, _ in _chordal_walk(n)))
+    _emit(args, (f'{{"edges": {e}, "n": {n}}}\n' for e in edges))
 
 
 def _cmd_dim(args) -> None:

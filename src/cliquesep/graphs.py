@@ -13,7 +13,11 @@ block of n-i-1 bits starting at bit ``_row_shift(n, i)``, so a row of
 the adjacency above the diagonal moves in and out of the mask with one
 shift. This module is the only one that knows the layout: one decoder
 peels a mask's blocks into its vertex pairs, and one formatter writes
-those pairs as the JSON text of graph lines and density entries.
+those pairs as the JSON text that ``json.dumps`` would. The writers of
+every graph on n vertices (graph lines and density entries) split each
+mask at the row boundary nearest its middle and look the two halves up
+in one cached list of texts each, which the formatter fills once per
+vertex count, so a graph's edge list is two lookups and one join.
 
 Recognition is one maximum cardinality search that reads the cliques
 and separators off its running clique as it goes and tests chordality
@@ -68,6 +72,13 @@ def _check_vertex_count(n: int) -> None:
     # Called before anything is built from ``n``: 1 << n is huge for a huge n.
     if not 1 <= n <= MAX_VERTICES:
         raise DomainError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+
+
+def _check_enumerable(n: int) -> None:
+    """Refuse a vertex count outside 1..``ENUMERATION_LIMIT`` before anything is built from it."""
+    _check_vertex_count(n)
+    if n > ENUMERATION_LIMIT:
+        raise CapacityError(f"enumeration over {n} vertices exceeds the limit of {ENUMERATION_LIMIT}")
 
 
 def vset(vertices: Iterable[int]) -> int:
@@ -613,9 +624,7 @@ def _chordal_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     least one) and is never empty, since each ``h`` with vertex 0
     isolated is kept.
     """
-    _check_vertex_count(n)
-    if n > ENUMERATION_LIMIT:
-        raise CapacityError(f"enumeration over {n} vertices exceeds the limit of {ENUMERATION_LIMIT}")
+    _check_enumerable(n)
 
     def extend(k, masks, adj):
         low = np.arange(1 << (k - 1), dtype=np.uint8)  # bit j - 1: the edge (0, j)
@@ -753,15 +762,37 @@ def _edges_json(n: int, mask: int) -> str:
     return "[" + ", ".join([f"[{i}, {j}]" for i, j in _mask_edges(n, mask)]) + "]"
 
 
-def _graph_json(n: int, mask: int) -> str:
-    """The graph of an edge mask on n vertices in the ``{"n":..., "edges":[[i,j],...]}``
-    format, in the exact bytes of ``json.dumps(..., sort_keys=True)``."""
-    return f'{{"edges": {_edges_json(n, mask)}, "n": {n}}}'
+@lru_cache(maxsize=4)
+def _edges_json_halves(n: int) -> tuple[int, list[str], list[str]]:
+    """``(s, low, high)`` for edge masks on n vertices, split at bit s, the
+    row boundary nearest the middle of the mask: ``low[m]`` is the text
+    inside the brackets of :func:`_edges_json` for each mask m of the rows
+    below s, and ``high[h]`` the same for the mask ``h << s`` of the rows
+    from s on. At n=7 they hold 2,048 and 1,024 texts."""
+    _check_enumerable(n)  # before any text: each half holds about 2^(n(n-1)/4)
+    pairs = n * (n - 1) // 2
+    s = min((_row_shift(n, i) for i in range(n)), key=lambda b: abs(2 * b - pairs))
+    return (
+        s,
+        [_edges_json(n, m)[1:-1] for m in range(1 << s)],
+        [_edges_json(n, h << s)[1:-1] for h in range(1 << (pairs - s))],
+    )
+
+
+def _edges_json_texts(n: int, masks: Iterable[int]) -> Iterator[str]:
+    """:func:`_edges_json` of each of ``masks`` on n vertices, n in
+    1..``ENUMERATION_LIMIT`` (checked at once), as the masks arrive: the
+    texts of a mask's two halves, looked up in :func:`_edges_json_halves`,
+    joined by a comma where both hold pairs."""
+    s, low, high = _edges_json_halves(n)
+    cut = (1 << s) - 1
+    return (f"[{a}, {b}]" if a and b else f"[{a}{b}]" for a, b in ((low[m & cut], high[m >> s]) for m in masks))
 
 
 def graph_to_json(g: Graph) -> str:
-    """Serialise a graph to the ``{"n":..., "edges":[[i,j],...]}`` format."""
-    return _graph_json(g.n, g.edge_mask)
+    """Serialise a graph to the ``{"n":..., "edges":[[i,j],...]}`` format,
+    in the exact bytes of ``json.dumps(..., sort_keys=True)``."""
+    return f'{{"edges": {_edges_json(g.n, g.edge_mask)}, "n": {g.n}}}'
 
 
 def _json_value(text: str | bytes, what: str):

@@ -23,8 +23,9 @@ The density parser keys each entry by its edge mask, also without a
 graph, and checks the keys against the same table's masks, so parsing
 a density file builds the table (one lockstep search over the
 extensions of the chordal graphs on n-1 vertices, then one over the
-chordal ones) if no earlier call in the process has. A density is written as the text of its entries,
-the edges by the graph module's formatter and the probabilities as
+chordal ones) if no earlier call in the process has. A density is
+written as the text of its entries, each edge list from two half-mask
+lookups in the graph module's cached texts and the probabilities as
 ``json.dumps`` writes them, without an object per entry, in pieces of
 4,096 entries that the CLI writes as they are made and
 :func:`density_to_json` joins; only JSON numbers are read as numbers.
@@ -47,7 +48,7 @@ from .graphs import (
     _check_vertex_count,
     _checked_edge_fields,
     _clique_separator_table,
-    _edges_json,
+    _edges_json_texts,
     _json_value,
     clique_separators,
     members,
@@ -539,18 +540,22 @@ def _law_from_obj(obj) -> CsfLaw:
 
 
 def _density_pieces(density: DensityTable) -> Iterator[str]:
-    """The text of :func:`density_to_json`: the header, a piece per 4096 entries, the closing brackets."""
+    """The text of :func:`density_to_json`: the header, a piece per 4096 entries, the closing brackets.
+    A piece dumps its probabilities with one ``json.dumps`` and takes each edge list from
+    :func:`~cliquesep.graphs._edges_json_texts`, two lookups per graph."""
     p, masks, n = density.p, density.masks, density.n
     yield f'{{"n": {n}, "entries": ['
     for k in range(0, len(p), 4096):
         ps = json.dumps(p[k : k + 4096])[1:-1].split(", ")  # no number's text holds ", "
-        block = ", ".join([f'{{"edges": {_edges_json(n, m)}, "p": {q}}}' for m, q in zip(masks[k : k + 4096], ps)])
+        edges = _edges_json_texts(n, masks[k : k + 4096])
+        block = ", ".join([f'{{"edges": {e}, "p": {q}}}' for e, q in zip(edges, ps)])
         yield f", {block}" if k else block
     yield "]}"
 
 
 def density_to_json(density: DensityTable) -> str:
-    """``json.dumps({"n": n, "entries": [{"edges": ..., "p": q}, ...]})``, byte for byte."""
+    """``json.dumps({"n": n, "entries": [{"edges": ..., "p": q}, ...]})``, byte for byte,
+    from the pieces that the CLI writes as they are made."""
     return "".join(_density_pieces(density))
 
 

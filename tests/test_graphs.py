@@ -45,6 +45,8 @@ from cliquesep.graphs import (
     _chordal_walk,
     _clique_separator_table,
     _edges_json,
+    _edges_json_halves,
+    _edges_json_texts,
     _lockstep_entries,
     _mask_edges,
     _mcs,
@@ -947,7 +949,7 @@ def test_blocks_of_any_size_give_the_same_graphs_and_table(monkeypatch, block):
         _clique_separator_table.cache_clear()
 
 
-def test_enumeration_capacity():
+def test_enumeration_capacity(monkeypatch):
     with pytest.raises(CapacityError):
         next(enumerate_decomposable(8))
     with pytest.raises(DomainError):
@@ -958,6 +960,15 @@ def test_enumeration_capacity():
         _clique_separator_table(0)
     with pytest.raises(DomainError):  # checked before 1 << n is built
         _clique_separator_table(1 << 40)
+    monkeypatch.setattr(cliquesep.graphs, "_edges_json", lambda n, m: pytest.fail("text built before the check"))
+    with pytest.raises(CapacityError):  # about 2^14 texts a half otherwise
+        _edges_json_halves(8)
+    with pytest.raises(CapacityError):
+        _edges_json_texts(8, [])
+    with pytest.raises(DomainError):
+        _edges_json_texts(0, [])
+    with pytest.raises(DomainError):
+        _edges_json_halves(1 << 40)
 
 
 # ---------------------------------------------------------------------------
@@ -1008,6 +1019,18 @@ def test_graph_json_is_json_dumps_bytes():
     for n in range(1, 6):
         for m in range(1 << n * (n - 1) // 2):
             assert _edges_json(n, m) == json.dumps([list(e) for e in pair_decode(n, m)])
+    assert _edges_json_halves(1) == (0, [""], [""])  # no pair: both halves hold the empty mask
+    for n in range(1, 7):  # every edge mask, chordal or not
+        assert_edge_texts_are_edges_json(n, range(1 << n * (n - 1) // 2))
+
+
+def assert_edge_texts_are_edges_json(n, masks):
+    """The two-lookup texts of ``masks`` equal :func:`_edges_json` of each, one mask at a time."""
+    count = 0
+    for m, text in zip(masks, _edges_json_texts(n, masks)):
+        assert text == _edges_json(n, m), (n, m)
+        count += 1
+    assert count == len(masks)
 
 
 def test_complete_sets_graph_absorbs_subsets():
