@@ -16,7 +16,7 @@ peels a mask's blocks into its vertex pairs, and one formatter writes
 those pairs as the JSON text that ``json.dumps`` would. The writers of
 every graph on n vertices (graph lines and density entries) split each
 mask at the row boundary nearest its middle and look the two halves up
-in one cached list of texts each, which the formatter fills once per
+in one cached tuple of texts each, which the formatter fills once per
 vertex count, so a graph's edge list is two lookups and one join.
 
 Recognition is one maximum cardinality search that reads the cliques
@@ -663,22 +663,26 @@ def _chordal_walk(n: int) -> Iterator[tuple[int, list[int]]]:
 class _CliqueSeparatorTable:
     """Every decomposable graph on n vertices as a signed list of vertex sets.
 
-    ``masks`` are the edge masks that :func:`_chordal_blocks` yields, in
-    its ascending order. Entry k gives graph ``gi[k]`` (an index into
-    ``masks``) the set ``sets[k]`` with coefficient ``coef[k]``: +1 for
-    each clique, in the order that :func:`_mcs` on the graph would emit
-    them, then minus the multiplicity for each separator, in order of
-    first emission. A graph's entries are contiguous, and the graphs
-    ascend. Row k of ``adj`` holds graph k's n adjacency masks, as the
-    blocks yield them. The dtypes are compact: sets of up to 8 vertices
-    fit in a byte, and so does a multiplicity.
+    ``masks`` are the edge masks that :func:`_chordal_blocks` yields, in its ascending order,
+    as one read-only int64 buffer, which every density and the decomposition index share and
+    whose items are Python ints. Entry k gives graph ``gi[k]`` (an index into ``masks``) the
+    set ``sets[k]`` with coefficient ``coef[k]``: +1 for each clique, in the order that
+    :func:`_mcs` on the graph would emit them, then minus the multiplicity for each separator,
+    in order of first emission. A graph's entries are contiguous, and the graphs ascend. Row k
+    of ``adj`` holds graph k's n adjacency masks, as the blocks yield them. The dtypes are
+    compact: sets of up to 8 vertices fit in a byte, and so does a multiplicity. Every column
+    is read-only, since the table is cached for the process.
     """
 
-    masks: tuple[int, ...]
+    masks: memoryview
     gi: np.ndarray
     sets: np.ndarray
     coef: np.ndarray
     adj: np.ndarray
+
+    def __post_init__(self):
+        for column in (self.gi, self.sets, self.coef, self.adj):
+            column.flags.writeable = False
 
 
 def _lockstep_entries(n: int, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -724,17 +728,16 @@ def _clique_separator_table(n: int) -> _CliqueSeparatorTable:
     """The cached :class:`_CliqueSeparatorTable` of n vertices:
     :func:`_lockstep_entries` reads the entries off each block of
     :func:`_chordal_blocks`."""
-    masks = []
-    counts, sets, coef, rows = array("B"), array("B"), array("b"), array("B")
+    masks, counts, sets, coef, rows = array("q"), array("B"), array("B"), array("b"), array("B")
     for block, adj in _chordal_blocks(n):  # checks n before 1 << n is built
-        masks += block.tolist()
+        masks.frombytes(block.tobytes())
         rows.frombytes(adj.tobytes())
         gi, bsets, bcoef = _lockstep_entries(n, adj)
         counts.frombytes(np.bincount(gi, minlength=len(adj)).astype(np.uint8).tobytes())
         sets.frombytes(bsets.tobytes())
         coef.frombytes(bcoef.tobytes())
     return _CliqueSeparatorTable(
-        tuple(masks),
+        memoryview(masks).toreadonly(),
         np.repeat(np.arange(len(masks), dtype=np.int32), np.frombuffer(counts, dtype=np.uint8)),
         np.frombuffer(sets, dtype=np.uint8),
         np.frombuffer(coef, dtype=np.int8),
@@ -763,7 +766,7 @@ def _edges_json(n: int, mask: int) -> str:
 
 
 @lru_cache(maxsize=4)
-def _edges_json_halves(n: int) -> tuple[int, list[str], list[str]]:
+def _edges_json_halves(n: int) -> tuple[int, tuple[str, ...], tuple[str, ...]]:
     """``(s, low, high)`` for edge masks on n vertices, split at bit s, the
     row boundary nearest the middle of the mask: ``low[m]`` is the text
     inside the brackets of :func:`_edges_json` for each mask m of the rows
@@ -774,8 +777,8 @@ def _edges_json_halves(n: int) -> tuple[int, list[str], list[str]]:
     s = min((_row_shift(n, i) for i in range(n)), key=lambda b: abs(2 * b - pairs))
     return (
         s,
-        [_edges_json(n, m)[1:-1] for m in range(1 << s)],
-        [_edges_json(n, h << s)[1:-1] for h in range(1 << (pairs - s))],
+        tuple(_edges_json(n, m)[1:-1] for m in range(1 << s)),
+        tuple(_edges_json(n, h << s)[1:-1] for h in range(1 << (pairs - s))),
     )
 
 

@@ -15,7 +15,7 @@ updates without materialising 2^n entries. A density table holds one
 probability per decomposable graph, in enumeration order, all or none,
 each finite and nonnegative; a law's sets and hubs lie in 0..n-1, and
 a law or density scores only graphs on all of its n vertices. A density
-yields its graphs from its own edge masks, not from a second enumeration.
+shares the edge masks of the table below and yields its graphs from them.
 Normalisation needs no graphs: a graph's log-density is its row of the
 cached clique/separator table T (the theorem's statistic) times one
 vector of log-potentials, each evaluated once, added in search order.
@@ -304,8 +304,8 @@ def standardize(law: CsfLaw) -> CsfLaw:
 
 
 class DensityTable:
-    """``p[k]`` is the probability of the k-th decomposable graph on n vertices, whose edge
-    mask ``masks[k]`` ascends with k; the keys of ``probs`` must be exactly those graphs."""
+    """``p[k]`` is the probability of the k-th decomposable graph on n vertices, whose edge mask ``masks[k]``
+    (the clique/separator table's own read-only buffer) ascends with k; ``probs`` keys exactly those graphs."""
 
     __slots__ = ("n", "masks", "p")
 
@@ -343,10 +343,10 @@ class DensityTable:
         return len(self.p)
 
 
-def _in_walk_order(n: int, by_mask: Mapping[int, float]) -> tuple[list[int], list[float]]:
-    """The masks of the decomposable graphs on n vertices, ascending, and
-    ``by_mask``'s values in their order, if those are exactly its keys."""
-    masks = list(_clique_separator_table(n).masks)
+def _in_walk_order(n: int, by_mask: Mapping[int, float]) -> tuple[memoryview, list[float]]:
+    """The clique/separator table's masks of the decomposable graphs on n vertices,
+    ascending, and ``by_mask``'s values in their order, if those are exactly its keys."""
+    masks = _clique_separator_table(n).masks
     if len(by_mask) != len(masks) or not all(m in by_mask for m in masks):
         raise DomainError(f"entries must be exactly the {len(masks)} decomposable graphs on {n} vertices")
     return masks, [by_mask[m] for m in masks]
@@ -360,7 +360,7 @@ def _exact_sum(weights: list[float]) -> float:
         return INF
 
 
-def _normalised(n: int, masks: list[int], weights: list[float]) -> DensityTable:
+def _normalised(n: int, masks: memoryview, weights: list[float]) -> DensityTable:
     """``weights`` over ``masks`` divided by their exact sum, which must be
     positive (else ``EmptySupportError``) and within float range."""
     z = _exact_sum(weights)
@@ -407,7 +407,7 @@ def normalize_by_enumeration(law: CsfLaw) -> DensityTable:
     best = max(logs)
     if best == -INF:
         raise EmptySupportError("law puts zero mass on every decomposable graph")
-    return _normalised(n, list(t.masks), [math.exp(ld - best) if ld > -INF else 0.0 for ld in logs])
+    return _normalised(n, t.masks, [math.exp(ld - best) if ld > -INF else 0.0 for ld in logs])
 
 
 def perturb_density(density: DensityTable, g: Graph, factor: float) -> DensityTable:
@@ -418,7 +418,8 @@ def perturb_density(density: DensityTable, g: Graph, factor: float) -> DensityTa
         raise DomainError("graph is not in the density's support set") from None
     if not 0.0 < factor < INF:
         raise DomainError(f"perturbation factor must be finite and positive, got {factor!r}")
-    weights = [q * factor if m == g.edge_mask else q for m, q in zip(density.masks, density.p)]
+    weights = list(density.p)
+    weights[bisect_left(density.masks, g.edge_mask)] *= factor
     return _normalised(density.n, density.masks, weights)
 
 

@@ -127,7 +127,7 @@ class _PairTable:
     Row k is one decomposable graph, in ascending graph index: its index,
     its induced edge masks on ``a`` and on ``b``, and whether the
     intersection is a maximal clique of the graph induced on ``a`` and
-    on ``b``.
+    on ``b``. The columns are read-only, since the tables are cached.
     """
 
     a: int
@@ -137,6 +137,10 @@ class _PairTable:
     piece_b: np.ndarray
     star_a: np.ndarray
     star_b: np.ndarray
+
+    def __post_init__(self):
+        for column in (self.gi, self.piece_a, self.piece_b, self.star_a, self.star_b):
+            column.flags.writeable = False
 
     def families(self, kind: PropertyKind) -> tuple[np.ndarray, ...]:
         """Boolean row masks of the conditioning sets of ``kind``: every row
@@ -170,7 +174,7 @@ def _pair_tables(n: int) -> tuple[_PairTable, ...]:
     t = _clique_separator_table(n)
     full = (1 << n) - 1
     graphs = [Graph._from_parts(n, full, tuple(row), m) for row, m in zip(t.adj.tolist(), t.masks)]
-    edge_masks = np.array(t.masks, dtype=np.int64)
+    edge_masks = np.frombuffer(t.masks, dtype=np.int64)
     tables = []
     for a, b in [(a, b) for a in range(full) for b in range(a + 1, full) if a | b == full]:
         # Only graphs with no edge across the parts can be separated by a & b.

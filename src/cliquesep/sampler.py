@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterator
 
 import numpy as np
@@ -42,32 +42,21 @@ def _generator(seed: int, chain_index: int) -> np.random.Generator:
 
 
 class _BufferedRandom:
-    """Block-buffered pair indices and uniforms from one generator."""
+    """Pair indices below ``npairs`` and uniforms from one generator, each an endless
+    chain of blocks of ``_BLOCK`` draws, the next drawn only when the last runs out."""
 
-    __slots__ = ("_rng", "_ints", "_ii", "_unis", "_ui")
+    __slots__ = ("_ints", "_unis")
 
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._ints = ()
-        self._ii = 0
-        self._unis = ()
-        self._ui = 0
+    def __init__(self, rng: np.random.Generator, npairs: int):
+        # Over ``rng``, not ``self``: a reference cycle would keep a chain's blocks until a full collection.
+        self._ints = chain.from_iterable(iter(lambda: rng.integers(0, npairs, size=_BLOCK).tolist(), None))
+        self._unis = chain.from_iterable(iter(lambda: rng.random(size=_BLOCK).tolist(), None))
 
     def integers(self, npairs: int) -> int:
-        if self._ii >= len(self._ints):
-            self._ints = self._rng.integers(0, npairs, size=_BLOCK).tolist()
-            self._ii = 0
-        v = self._ints[self._ii]
-        self._ii += 1
-        return v
+        return next(self._ints)
 
     def random(self) -> float:
-        if self._ui >= len(self._unis):
-            self._unis = self._rng.random(size=_BLOCK).tolist()
-            self._ui = 0
-        v = self._unis[self._ui]
-        self._ui += 1
-        return v
+        return next(self._unis)
 
 
 @dataclass
@@ -194,7 +183,7 @@ def _chain(
     if law.n < 2:
         raise DomainError("sampling needs at least 2 vertices: one vertex has no pair to toggle")
     state = initial_state(law, init)
-    rand = _BufferedRandom(_generator(seed, chain_index))
+    rand = _BufferedRandom(_generator(seed, chain_index), law.n * (law.n - 1) // 2)
     # Up to the enumeration limit the memo is bounded by the number of
     # decomposable graphs (617,675 at n=7). Above it, the memo would grow
     # with the chain, each key with n squared, so scores are not kept.
@@ -244,5 +233,5 @@ def visit_counts(
     chain_index: int = 0,
 ) -> Counter:
     """Edge-mask visit counts over the states after each of ``steps`` steps."""
-    chain = _chain(law, init, steps, seed, chain_index)
-    return Counter(state.graph.edge_mask for state in islice(chain, 1, None))
+    states = _chain(law, init, steps, seed, chain_index)
+    return Counter(state.graph.edge_mask for state in islice(states, 1, None))

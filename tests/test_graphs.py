@@ -1019,7 +1019,7 @@ def test_graph_json_is_json_dumps_bytes():
     for n in range(1, 6):
         for m in range(1 << n * (n - 1) // 2):
             assert _edges_json(n, m) == json.dumps([list(e) for e in pair_decode(n, m)])
-    assert _edges_json_halves(1) == (0, [""], [""])  # no pair: both halves hold the empty mask
+    assert _edges_json_halves(1) == (0, ("",), ("",))  # no pair: both halves hold the empty mask
     for n in range(1, 7):  # every edge mask, chordal or not
         assert_edge_texts_are_edges_json(n, range(1 << n * (n - 1) // 2))
 

@@ -387,7 +387,7 @@ def test_density_layout_matches_the_dict_table(n, kind):
     density = normalize_by_enumeration(law)
     oracle = DictDensityTable(law)
     graphs = list(enumerate_decomposable(n))
-    assert density.masks == [g.edge_mask for g in graphs]
+    assert list(density.masks) == [g.edge_mask for g in graphs]
     assert list(density.items()) == list(zip(graphs, density.p))
     assert len(density) == len(graphs)
     for g in graphs:
@@ -450,7 +450,7 @@ def test_table_normalisation_matches_the_scalar_loop(n, kind):
     law = _NORMALISED_LAWS[kind](n)
     density = normalize_by_enumeration(law)
     masks, p = scalar_normalisation(law)
-    assert density.masks == masks
+    assert list(density.masks) == masks
     assert density.p == p
 
 
@@ -500,7 +500,7 @@ def test_table_normalisation_raises_the_scalar_loops_first_error(n, kind):
 def test_clique_separator_table_lists_each_graphs_summary_in_search_order(n):
     t = _clique_separator_table(n)
     graphs = list(enumerate_decomposable(n))
-    assert t.masks == tuple(g.edge_mask for g in graphs)
+    assert list(t.masks) == [g.edge_mask for g in graphs]
     assert (t.gi.dtype, t.sets.dtype, t.coef.dtype, t.adj.dtype) == (np.int32, np.uint8, np.int8, np.uint8)
     assert [tuple(row) for row in t.adj.tolist()] == [Graph.from_edge_mask(n, m).adj for m in t.masks]
     assert (np.diff(t.gi) >= 0).all()
@@ -510,6 +510,32 @@ def test_clique_separator_table_lists_each_graphs_summary_in_search_order(n):
         cl, seps = clique_separators(g)
         entries = list(zip(sets[starts[k]:starts[k + 1]], coef[starts[k]:starts[k + 1]]))
         assert entries == [(c, 1) for c in cl] + [(s, -m) for s, m in seps.items()]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_density_shares_the_tables_masks(n):
+    # One walk order per vertex count: every construction path refers to the table's buffer, none copies it.
+    masks = _clique_separator_table(n).masks
+    normalised = normalize_by_enumeration(random_csf(n, seed=n))
+    densities = [
+        normalised,
+        DensityTable(n, dict(normalised.items())),
+        density_from_json(density_to_json(normalised)),
+        perturb_density(normalised, Graph.empty(n), 2.0),
+    ]
+    assert all(d.masks is masks for d in densities)
+
+
+def test_cached_tables_are_read_only():
+    # The tables are cached for the process, so one in-place write would corrupt every later result.
+    t = _clique_separator_table(4)
+    for column in (t.gi, t.sets, t.coef, t.adj):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1
+    density = normalize_by_enumeration(uniform_csf(4))
+    with pytest.raises(TypeError):
+        density.masks[0] = 1
+    assert density.masks[0] == 0 and t.coef[0] == 1
 
 
 @pytest.mark.parametrize("n", range(1, 6))

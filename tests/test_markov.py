@@ -485,6 +485,13 @@ def test_dimension_analysis_rejects_a_table_that_is_not_a_full_grid(monkeypatch)
         ewsm_dimension_analysis(4)
 
 
+def test_cached_pair_tables_are_read_only():
+    for t in _pair_tables(4):
+        for field in ("gi", "piece_a", "piece_b", "star_a", "star_b"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(t, field)[:1] = 0
+
+
 def test_every_factorisation_density_satisfies_the_constraints():
     rows = list(_ewsm_rows(4))
     graphs = list(enumerate_decomposable(4))

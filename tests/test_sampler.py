@@ -17,6 +17,7 @@ from cliquesep import (
     hub_law,
     induced_subgraph,
     initial_state,
+    is_decomposable,
     log_density_unnorm,
     mh_step,
     normalize_by_enumeration,
@@ -26,7 +27,7 @@ from cliquesep import (
     visit_counts,
     vset,
 )
-from cliquesep.graphs import ENUMERATION_LIMIT
+from cliquesep.graphs import ENUMERATION_LIMIT, _clique_separator_table
 from cliquesep.laws import INF
 from conftest import random_csf
 
@@ -281,6 +282,31 @@ def exact_kernel(law):
                 P[s, t] += a / npairs
             P[s, s] += (1.0 - a) / npairs
     return states, pi, P
+
+
+def neighbour_table(n):
+    """``(toggled, nbr, valid)`` over the decomposable graphs on n vertices, from the clique/separator
+    table's shared masks: ``toggled[g, k]`` is graph g's mask with pair k toggled, ``nbr[g, k]`` its
+    position among the masks and ``valid[g, k]`` whether it is one of them, i.e. decomposable."""
+    masks = np.frombuffer(_clique_separator_table(n).masks, dtype=np.int64)
+    toggled = masks[:, None] ^ np.left_shift(1, np.arange(n * (n - 1) // 2), dtype=np.int64)
+    nbr = np.searchsorted(masks, toggled)
+    valid = masks[np.minimum(nbr, len(masks) - 1)] == toggled
+    return toggled, nbr, valid
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_neighbour_table_matches_every_single_pair_toggle(n):
+    toggled, nbr, valid = neighbour_table(n)
+    for g, row in enumerate(toggled.tolist()):
+        assert valid[g].tolist() == [is_decomposable(Graph.from_edge_mask(n, m)) for m in row]
+    g, k = np.nonzero(valid)
+    assert (nbr[nbr[g, k], k] == g).all()  # toggling the same pair again leads back
+
+
+@pytest.mark.parametrize("n, toggles", [(2, 2), (3, 24), (4, 348), (5, 7220), (6, 218640)])
+def test_neighbour_table_counts_the_valid_toggles(n, toggles):
+    assert neighbour_table(n)[2].sum() == toggles
 
 
 def kernel_laws():
