@@ -38,8 +38,9 @@ ascending mask order.
 One cached table per vertex count lists every enumerated graph's
 cliques and separators, with their signs, and its adjacency rows, as
 compact numpy columns; a second lockstep search on each block's
-chordal rows reads the entries off in the order that the single-graph
-search emits them. The table holds the one enumeration per vertex
+chordal rows fills 2n+1 fixed slots per graph, whose kept slots, read
+in order, are the entries in the order that the single-graph search
+emits them. The table holds the one enumeration per vertex
 count that normalisation, the density parser and the decomposition
 index read; only the streaming consumers (counting,
 :func:`enumerate_decomposable` and ``markov.conditioning_set``)
@@ -690,37 +691,34 @@ def _lockstep_entries(n: int, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     graphs whose ``(graphs, n)`` uint8 adjacency rows are ``adj``, n ≤ 8,
     with ``gi`` indexing those rows.
 
-    One :func:`_lockstep` emits what :func:`_mcs` emits for each graph: a
-    row whose running clique is not inside the next vertex's
-    neighbourhood emits the clique and the separator ``av & numbered``,
-    the start of the next clique. No chordality test is needed, since
-    the rows are chordal.
+    One :func:`_lockstep` emits what :func:`_mcs` emits for each graph: at
+    step j, a row whose running clique is not inside the next vertex's
+    neighbourhood closes that clique and emits the separator ``av &
+    numbered``, the start of the next clique. No chordality test is
+    needed, since the rows are chordal.
 
-    Separators arrive in step order, so grouping each graph's by one
-    ``np.unique`` finds each distinct one's first emission and its
-    multiplicity. One stable sort by graph then puts a graph's cliques in
-    emission order before its separators in order of first emission.
+    Each graph has 2n+1 slots: slot j < n holds the clique that step j
+    closes, slot n the last clique, and slot n+1+j the separator of step
+    j. A clique slot is kept where it is not empty (a closed clique never
+    is); a separator slot where step j closes and no earlier step emits
+    the same set, since a separator can be empty. Reading the kept slots
+    graph by graph gives a graph's cliques in emission order, then its
+    separators in order of first emission, with no sort.
     """
     current = np.zeros(len(adj), dtype=np.uint8)
-    cl, sp = [], []  # (graphs, sets) of each step's cliques and separators
+    steps = []  # each step's (closed clique or 0, separator, close), one entry per graph
     for bv, av, numbered in _lockstep(n, adj):
-        close = np.flatnonzero(current & ~av)
-        sep = av[close] & numbered[close]
-        cl.append((close, current[close]))
-        sp.append((close, sep))
-        current[close] = sep
-        current |= bv
-    cl.append((np.arange(len(adj)), current))
-    cg, cs = (np.concatenate(x) for x in zip(*cl))
-    sg, ss = (np.concatenate(x) for x in zip(*sp))
-    key, first, count = np.unique(sg.astype(np.int64) << 8 | ss, return_index=True, return_counts=True)
-    by_first = np.argsort(first)
-    key, count = key[by_first], count[by_first]
-    gi = np.concatenate([cg, key >> 8])
-    order = np.argsort(gi, kind="stable")
-    sets = np.concatenate([cs, (key & 0xFF).astype(np.uint8)])
-    coef = np.concatenate([np.ones(len(cg), dtype=np.int8), -count.astype(np.int8)])
-    return gi[order], sets[order], coef[order]
+        close = current & ~av != 0
+        sep = av & numbered
+        steps.append((np.where(close, current, 0), sep, close))
+        current = np.where(close, sep, current) | bv
+    clique, sep, close = map(np.array, zip(*steps))
+    same = close[:, None] & (sep[:, None] == sep)  # same[k, j]: step k emits step j's separator
+    first = close & ~(same & np.triu(np.ones((n, n), dtype=bool), 1)[:, :, None]).any(axis=0)
+    sets = np.concatenate([clique, current[None], sep])  # (2n+1, graphs): the slots
+    slot = np.flatnonzero(np.concatenate([sets[: n + 1] != 0, first]).T)
+    coef = np.concatenate([np.ones((n + 1, len(adj)), dtype=np.int8), -same.sum(axis=0, dtype=np.int8)])
+    return slot // (2 * n + 1), sets.T.ravel()[slot], coef.T.ravel()[slot]
 
 
 @lru_cache(maxsize=4)

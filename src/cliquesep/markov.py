@@ -295,14 +295,12 @@ def check_property(density: DensityTable, kind: PropertyKind, tol: float = 1e-9)
 
 def _bracket_log_prob(density: DensityTable):
     """``lp(*sets)``, the log probability of the bracket graph <R1, ..., Rk>: each Ri complete, no other edge."""
-    complete = {}  # vertex set -> its complete edge mask; at most 2^n, kept only as long as lp
+    complete = [within_edge_mask(density.n, r) for r in range(1 << density.n)]  # by vertex set
 
     def lp(*sets: int) -> float:
         edge_mask = 0
         for r in sets:
-            if (w := complete.get(r)) is None:
-                w = complete[r] = within_edge_mask(density.n, r)
-            edge_mask |= w
+            edge_mask |= complete[r]
         try:
             p = density.prob_of_mask(edge_mask)
         except KeyError:

@@ -912,7 +912,9 @@ def assert_table_is_search_order(n, block=1 << 15):
     assert stop == len(t.gi) == len(t.sets) == len(t.coef)
 
 
-@pytest.mark.parametrize("n, size", [(5, 1), (5, 97), (5, 4096), (6, 97), (6, 4096)])
+@pytest.mark.parametrize(
+    "n, size", [*((n, size) for n in range(1, 5) for size in (1, 7)), (5, 1), (5, 97), (5, 4096), (6, 97), (6, 4096)]
+)
 def test_lockstep_entries_match_the_table_and_the_search_across_block_boundaries(n, size):
     # Slices that split the walk's rows anywhere give the table once joined.
     t = _clique_separator_table(n)

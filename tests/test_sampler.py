@@ -345,6 +345,55 @@ def test_mh_step_accepts_as_the_exact_kernel_says(law):
                 assert state.graph == expected
 
 
+def sparse_kernel(law):
+    """``(p, nbr, rate, hold)`` over the decomposable graphs on n vertices, in table order: the
+    law's probabilities, :func:`neighbour_table`'s positions (0 where a toggle is not
+    decomposable), ``rate[g, k]`` the probability that one edge-flip step from graph g moves
+    by pair k, min(1, p[nbr] / p[g]) / npairs on each decomposable toggle with both ends in the
+    support and 0 elsewhere, and ``hold[g]``, 1 minus the row sum of ``rate``."""
+    p = np.array(normalize_by_enumeration(law).p)
+    _, nbr, valid = neighbour_table(law.n)
+    nbr = np.where(valid, nbr, 0)
+    live = valid & (p[:, None] > 0) & (p[nbr] > 0)
+    ratio = np.divide(p[nbr], p[:, None], out=np.zeros(nbr.shape), where=live)
+    rate = np.minimum(1.0, ratio) / nbr.shape[1]
+    return p, nbr, rate, 1.0 - rate.sum(axis=1)
+
+
+@pytest.mark.parametrize("law", kernel_laws())
+def test_sparse_kernel_is_the_exact_kernel_on_the_support(law):
+    states, _, P = exact_kernel(law)
+    p, nbr, rate, hold = sparse_kernel(law)
+    support = np.flatnonzero(p > 0)
+    masks = np.frombuffer(_clique_separator_table(law.n).masks, dtype=np.int64)
+    assert masks[support].tolist() == [g.edge_mask for g in states]
+    at = np.full(len(p), -1)
+    at[support] = np.arange(len(support))
+    dense = np.diag(hold[support])
+    g, k = np.nonzero(rate)
+    dense[at[g], at[nbr[g, k]]] += rate[g, k]
+    assert (at[g] >= 0).all() and (at[nbr[g, k]] >= 0).all()
+    assert np.abs(dense - P).max() <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        pytest.param(uniform_csf(6), id="uniform-6"),
+        pytest.param(random_csf(6, seed=6), id="random-6"),
+        pytest.param(hub_law(6, [0]), id="hub-6"),
+    ],
+)
+def test_sparse_kernel_is_stationary_and_reversible_at_six_vertices(law):
+    # Beyond n=5 the dense exact kernel is too large; the sparse one is its yardstick there.
+    p, nbr, rate, hold = sparse_kernel(law)
+    assert (rate >= 0).all() and (hold >= 0).all()
+    flow = p[:, None] * rate  # flow[g, k]: the stationary flow from g by pair k
+    assert np.abs(p * hold + np.bincount(nbr.ravel(), flow.ravel(), len(p)) - p).max() <= 1e-14
+    g, k = np.nonzero(rate)  # every move; the flow back from nbr[g, k] by pair k must match, so it is a move too
+    assert np.allclose(flow[g, k], flow[nbr[g, k], k], rtol=1e-14, atol=0)
+
+
 def exact_gap_and_iat(law):
     """``(states, gap, iat)`` of the exact kernel: the number of supported
     states, the spectral gap 1 - lambda_2, and the integrated autocorrelation
