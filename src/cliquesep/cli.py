@@ -25,7 +25,7 @@ import sys
 
 from .errors import DomainError
 from .graphs import (
-    _chordal_walk,
+    _chordal_blocks,
     _edges_json_texts,
     _graph_from_obj,
     _json_value,
@@ -196,8 +196,8 @@ def _cmd_enumerate(args) -> None:
     if args.count_only:
         _emit(args, f"{count_decomposable(n)}\n")
         return
-    # The walk and the texts check n at once, before the file is opened.
-    edges = _edges_json_texts(n, (m for m, _ in _chordal_walk(n)))
+    # The blocks and the texts check n at once, before the file is opened.
+    edges = _edges_json_texts(n, (m for masks, _ in _chordal_blocks(n) for m in masks.tolist()))
     _emit(args, (f'{{"edges": {e}, "n": {n}}}\n' for e in edges))
 
 

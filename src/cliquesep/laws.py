@@ -15,7 +15,7 @@ updates without materialising 2^n entries. A density table holds one
 probability per decomposable graph, in enumeration order, all or none,
 each finite and nonnegative; a law's sets and hubs lie in 0..n-1, and
 a law or density scores only graphs on all of its n vertices. A density
-shares the edge masks of the table below and yields its graphs from them.
+shares the edge masks and the graph views of the table below.
 Normalisation needs no graphs: a graph's log-density is its row of the
 cached clique/separator table T (the theorem's statistic) times one
 vector of log-potentials, each evaluated once, added in search order.
@@ -51,6 +51,7 @@ from .graphs import (
     _edges_json_texts,
     _json_value,
     clique_separators,
+    enumerate_decomposable,
     members,
     vset,
 )
@@ -305,7 +306,8 @@ def standardize(law: CsfLaw) -> CsfLaw:
 
 class DensityTable:
     """``p[k]`` is the probability of the k-th decomposable graph on n vertices, whose edge mask ``masks[k]``
-    (the clique/separator table's own read-only buffer) ascends with k; ``probs`` keys exactly those graphs."""
+    (the clique/separator table's own read-only buffer) ascends with k; ``probs`` keys exactly those graphs,
+    and :meth:`items` pairs each ``p[k]`` with the k-th graph that ``enumerate_decomposable`` yields."""
 
     __slots__ = ("n", "masks", "p")
 
@@ -337,7 +339,7 @@ class DensityTable:
         return self.prob_of_mask(g.edge_mask)
 
     def items(self):
-        return ((Graph.from_edge_mask(self.n, m), q) for m, q in zip(self.masks, self.p))
+        return zip(enumerate_decomposable(self.n), self.p)
 
     def __len__(self):
         return len(self.p)

@@ -17,8 +17,8 @@ separates them only if no edge joins ``a`` minus ``b`` to ``b`` minus
 ``a`` (Lauritzen 1996, section 2.1), so for each pair one vectorised
 test over the edge masks of the cached clique/separator table of n
 vertices picks the candidates, and ``is_decomposition`` decides each
-of them, on graphs built from that table's edge masks and adjacency
-rows and dropped after the build; the pieces and flags of those that
+of them, on the table's graph views from ``enumerate_decomposable``,
+dropped after the build; the pieces and flags of those that
 pass come from the table's arrays at once. A witness's graphs come from
 their edge masks.
 The sweep drops the graphs of probability zero from a family's rows and
@@ -173,7 +173,7 @@ def _cross_edge_mask(n: int, a: int, b: int) -> int:
 def _pair_tables(n: int) -> tuple[_PairTable, ...]:
     t = _clique_separator_table(n)
     full = (1 << n) - 1
-    graphs = [Graph._from_parts(n, full, tuple(row), m) for row, m in zip(t.adj.tolist(), t.masks)]
+    graphs = list(enumerate_decomposable(n))
     edge_masks = np.frombuffer(t.masks, dtype=np.int64)
     tables = []
     for a, b in [(a, b) for a in range(full) for b in range(a + 1, full) if a | b == full]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from typing import Sequence
 
 from .errors import DomainError
@@ -67,22 +68,17 @@ class BernoulliDirichletScore:
             return cached
         if mask >> self.n:
             raise DomainError("vertex set outside the data columns")
-        positions = members(mask)
-        counts: dict[int, int] = {}
-        for row in self._rows:
-            cell = 0
-            for k, v in enumerate(positions):
-                cell |= (row >> v & 1) << k
-            counts[cell] = counts.get(cell, 0) + 1
+        # ``row & mask`` names a cell, and the counts keep their first-seen order.
+        counts = Counter(row & mask for row in self._rows)
         alpha, rows = self.alpha, self.num_rows
         try:
-            ncells = float(2 ** len(positions))
+            ncells = float(2 ** mask.bit_count())
             x = ncells * alpha
             top = math.lgamma(x + rows)
         except OverflowError:
             top = math.inf
         if not math.isfinite(top):  # past the lgamma form's range, which both forms keep as their domain
-            raise DomainError(f"concentration {alpha!r} overflows the log evidence of vertex set {positions}")
+            raise DomainError(f"concentration {alpha!r} overflows the log evidence of vertex set {members(mask)}")
         if x <= 4096 * rows:
             value = math.lgamma(x) - top
             base = math.lgamma(alpha)

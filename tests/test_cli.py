@@ -6,6 +6,7 @@ import random
 import sys
 import types
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -66,14 +67,27 @@ def test_enumerate_out_file_matches_stdout(capsys, tmp_path):
 
 
 def test_enumerate_writes_each_graph_as_the_walk_yields_it(capsys, monkeypatch):
-    def walk(n):
-        yield 0, [0] * n
+    def blocks(n):
+        yield np.zeros(1, dtype=np.int64), np.zeros((1, n), dtype=np.uint8)
         raise RuntimeError("walk stopped after one graph")
 
-    monkeypatch.setattr(cli, "_chordal_walk", walk)
+    monkeypatch.setattr(cli, "_chordal_blocks", blocks)
     with pytest.raises(RuntimeError):
         run_command(["enumerate", "--n", "3"])
     assert capsys.readouterr().out == '{"edges": [], "n": 3}\n'
+
+
+def test_counting_and_the_listing_never_build_the_table(capsys, monkeypatch):
+    def table(n):
+        raise AssertionError("the clique/separator table was built")
+
+    for module in (graphs, laws, markov):  # wherever a module keeps its own name for the table
+        monkeypatch.setattr(module, "_clique_separator_table", table)
+    assert graphs.count_decomposable(5) == 822
+    status, out, _ = run(capsys, "enumerate", "--n", "5")
+    assert status == 0 and out.count("\n") == 822
+    with pytest.raises(AssertionError):  # the patch holds: the graph views do read the table
+        next(graphs.enumerate_decomposable(5))
 
 
 def test_density_writes_each_block_as_it_is_made(capsys, monkeypatch):

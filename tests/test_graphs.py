@@ -42,7 +42,6 @@ from cliquesep import (
 from cliquesep.graphs import (
     MAX_VERTICES,
     _chordal_blocks,
-    _chordal_walk,
     _clique_separator_table,
     _edges_json,
     _edges_json_halves,
@@ -854,15 +853,29 @@ def test_enumeration_matches_mask_walk(n):
 def test_walk_n7_mask_stream_digest():
     # Pins the order as well as the set of the 617,675 graphs at the enumeration limit.
     h = hashlib.sha256()
-    for mask, _ in _chordal_walk(7):
-        h.update(f"{mask:x};".encode())
+    for masks, _ in _chordal_blocks(7):
+        for mask in masks.tolist():
+            h.update(f"{mask:x};".encode())
     assert h.hexdigest() == "4d332be9199d35a9757b3b62ff3c73f7c066c22079c0d868668e86c59c8c5d7d"
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_walk_adjacency_matches_its_edge_mask(n):
-    for mask, adj in _chordal_walk(n):
-        assert tuple(adj) == Graph.from_edge_mask(n, mask).adj
+    for masks, adj in _chordal_blocks(n):
+        for mask, row in zip(masks.tolist(), adj.tolist()):
+            assert tuple(row) == Graph.from_edge_mask(n, mask).adj
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_enumerated_graphs_are_the_graphs_of_their_edge_masks(n):
+    # The views of the table's rows against the decoder of one mask at a time.
+    count = 0
+    for g in enumerate_decomposable(n):
+        want = Graph.from_edge_mask(n, g.edge_mask)
+        assert (g.n, g.vertices, g.adj, g.edge_mask) == (want.n, want.vertices, want.adj, want.edge_mask)
+        assert type(g.edge_mask) is int and type(g.adj[0]) is int
+        count += 1
+    assert count == count_decomposable(n)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -937,7 +950,8 @@ def test_blocks_of_any_size_give_the_same_graphs_and_table(monkeypatch, block):
     try:
         for n in range(1, 6):
             expected = list(mask_walk(n))
-            assert [mask for mask, _ in _chordal_walk(n)] == expected
+            assert [m for masks, _ in _chordal_blocks(n) for m in masks.tolist()] == expected
+            assert [g.edge_mask for g in enumerate_decomposable(n)] == expected
             assert count_decomposable(n) == len(expected)
             t = _clique_separator_table(n)
             assert t.masks == want[n].masks

@@ -389,6 +389,8 @@ def test_density_layout_matches_the_dict_table(n, kind):
     graphs = list(enumerate_decomposable(n))
     assert list(density.masks) == [g.edge_mask for g in graphs]
     assert list(density.items()) == list(zip(graphs, density.p))
+    assert [(g.edge_mask, q) for g, q in density.items()] == list(zip(density.masks, density.p))
+    assert [g.adj for g, _ in density.items()] == [Graph.from_edge_mask(n, m).adj for m in density.masks]
     assert len(density) == len(graphs)
     for g in graphs:
         assert density.prob(g) == oracle.probs[g]

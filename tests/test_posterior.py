@@ -189,3 +189,36 @@ def test_log_evidence_is_continuous_where_its_form_changes():
     below = bernoulli_dirichlet_score(rows, alpha=edge).log_marginal(0b111)
     above = bernoulli_dirichlet_score(rows, alpha=math.nextafter(edge, math.inf)).log_marginal(0b111)
     assert above == pytest.approx(below, rel=1e-11, abs=0)
+
+
+def compressed_log_marginal(rows, alpha, mask):
+    """The evidence as :class:`BernoulliDirichletScore` once computed it: each row's
+    bits at the set's vertices compressed into a cell index, counted in first-seen order."""
+    positions = [v for v in range(mask.bit_length()) if mask >> v & 1]
+    counts = {}
+    for row in rows:
+        cell = sum(row[v] << k for k, v in enumerate(positions))
+        counts[cell] = counts.get(cell, 0) + 1
+    ncells = float(2 ** len(positions))
+    x, n = ncells * alpha, len(rows)
+    if x <= 4096 * n:
+        value = math.lgamma(x) - math.lgamma(x + n)
+        base = math.lgamma(alpha)
+        for c in counts.values():
+            value += math.lgamma(alpha + c) - base
+        return value
+    terms = [math.log1p(k / alpha) for c in counts.values() for k in range(c)]
+    terms += [-math.log1p(k / x) for k in range(n)]
+    return math.fsum(terms) - n * math.log(ncells)
+
+
+@pytest.mark.parametrize("n, rows, seed", [(1, 1, 1), (2, 3, 2), (4, 17, 4), (5, 100, 5), (7, 1000, 7), (8, 250, 8)])
+def test_cell_counts_by_masked_row_match_the_compressed_cells(n, rows, seed):
+    # Every term of either form is added in the same order, so the values are equal to the last bit.
+    # With 2^k cells, the lgamma form holds up to 2^k alpha = 4096 rows: alpha 1e6 takes both forms
+    # at 1000 rows, and 1e12 only the log1p form.
+    data = synthetic_rows(n, rows, seed)
+    for alpha in (0.3, 1.0, 7.5, 1e6, 1e12):
+        score = bernoulli_dirichlet_score(data, alpha=alpha)
+        for mask in range(1, 1 << n):
+            assert score.log_marginal(mask) == compressed_log_marginal(data, alpha, mask), (alpha, mask)

@@ -431,3 +431,93 @@ def test_exact_spectral_gap_and_iat(law, states, gap, iat):
     got = exact_gap_and_iat(law)
     assert got[0] == states
     assert got[1:] == pytest.approx((gap, iat), rel=1e-6)
+
+
+def sparse_gap_and_iat(law, steps=150):
+    """``(states, gap, iat)`` as :func:`exact_gap_and_iat` defines them, from :func:`sparse_kernel`
+    restricted to the support, with no dense matrix. S = D P D^-1, D = diag(sqrt(p)), is symmetric
+    with top eigenvector sqrt(p). The gap is 1 minus the top Ritz value of ``steps`` Lanczos steps
+    with full reorthogonalisation, started orthogonal to sqrt(p) from a seeded normal vector. The IAT
+    solves (I - S + sqrt(p) sqrt(p)^T) y = D f, which is symmetric positive definite, by conjugate
+    gradients: D^-1 y is the fundamental matrix's (I - P + 1 p)^-1 f, so the IAT is
+    2 (D f) y / (D f)(D f) - 1."""
+    p, nbr, rate, hold = sparse_kernel(law)
+    support = np.flatnonzero(p > 0)
+    at = np.zeros(len(p), dtype=np.intp)
+    at[support] = np.arange(len(support))
+    r, nbr, rate, hold = np.sqrt(p[support]), at[nbr[support]], rate[support], hold[support]
+    weight = np.divide(rate * r[:, None], r[nbr], out=np.zeros(rate.shape), where=rate > 0)  # S off the diagonal
+    g, k = np.nonzero(rate)
+    assert np.allclose(weight[g, k], weight[nbr[g, k], k], rtol=1e-14, atol=0)  # S is symmetric
+
+    def S(x):
+        return hold * x + (weight * x[nbr]).sum(axis=1)
+
+    basis = np.zeros((steps + 1, len(r)))
+    basis[0] = r  # every Lanczos vector is kept orthogonal to the top eigenvector too
+    v = np.random.default_rng(0).standard_normal(len(r))
+    v -= r * (r @ v)
+    v /= np.linalg.norm(v)
+    alpha, beta = [], []
+    for j in range(1, steps + 1):
+        basis[j] = v
+        w = S(v)
+        alpha.append(v @ w)
+        for _ in range(2):  # classical Gram-Schmidt twice against every earlier vector
+            w -= basis[: j + 1].T @ (basis[: j + 1] @ w)
+        norm = np.linalg.norm(w)
+        if norm < 1e-10:  # the Krylov space is invariant: its Ritz values are exact
+            break
+        beta.append(norm)
+        v = w / norm
+    T = np.diag(alpha) + np.diag(beta[: len(alpha) - 1], 1) + np.diag(beta[: len(alpha) - 1], -1)
+    gap = 1 - np.linalg.eigvalsh(T)[-1]
+
+    masks = np.frombuffer(_clique_separator_table(law.n).masks, dtype=np.int64)[support]
+    f = np.array([m.bit_count() for m in masks.tolist()], dtype=float)
+    b = r * (f - r**2 @ f)
+    y, res = np.zeros(len(r)), b.copy()
+    d, rr = res.copy(), res @ res
+    for _ in range(100 * len(r)):
+        if rr <= 1e-28 * (b @ b):
+            break
+        md = d - S(d) + r * (r @ d)
+        a = rr / (d @ md)
+        y += a * d
+        res -= a * md
+        rr, last = res @ res, rr
+        d = res + rr / last * d
+    else:
+        raise AssertionError("conjugate gradients did not converge")
+    return len(support), gap, 2 * (b @ y) / (b @ b) - 1
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        pytest.param(uniform_csf(4), id="uniform-4"),
+        pytest.param(uniform_csf(5), id="uniform-5"),
+        pytest.param(hub_law(5, [0]), id="hub-5"),
+        pytest.param(random_csf(5, seed=5), id="random-5"),
+    ],
+)
+def test_sparse_gap_and_iat_match_the_dense_ones(law):
+    states, gap, iat = exact_gap_and_iat(law)
+    got = sparse_gap_and_iat(law)
+    assert got[0] == states
+    assert got[1:] == pytest.approx((gap, iat), rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "law, states, gap, iat",
+    [
+        pytest.param(uniform_csf(6), 18154, 0.0772541100480, 22.3623447128, id="uniform-6"),
+        pytest.param(random_csf(6, seed=6), 18154, 0.0172869011297, 71.8782480524, id="random-6"),
+        pytest.param(hub_law(6, [0]), 822, 1.20727622e-6, 1615048.73, id="hub-6"),
+    ],
+)
+def test_sparse_spectral_gap_and_iat_at_six_vertices(law, states, gap, iat):
+    # The yardstick for chain diagnostics at n=6, beyond the dense kernel's reach.
+    got = sparse_gap_and_iat(law)
+    assert got[0] == states
+    assert got[1:] == pytest.approx((gap, iat), rel=1e-6)
