@@ -11,13 +11,14 @@ An edge mask has one bit per vertex pair, in ascending (i, j) order:
 vertex i's pairs with the higher vertices i+1..n-1 fill one contiguous
 block of n-i-1 bits starting at bit ``_row_shift(n, i)``, so a row of
 the adjacency above the diagonal moves in and out of the mask with one
-shift. This module is the only one that knows the layout: one decoder
-peels a mask's blocks into its vertex pairs, and one formatter writes
-those pairs as the JSON text that ``json.dumps`` would. The writers of
-every graph on n vertices (graph lines and density entries) split each
-mask at the row boundary nearest its middle and look the two halves up
-in one cached tuple of texts each, which the formatter fills once per
-vertex count, so a graph's edge list is two lookups and one join.
+shift. This module is the only one that knows the layout: one encoder
+sums adjacency rows above the diagonal into a mask, one decoder peels a
+mask's blocks into its vertex pairs, and ``json.dumps`` of those pairs
+is the one formatter. The writers of every graph on n vertices (graph
+lines and density entries) split each mask at the row boundary nearest
+its middle and look the two halves up in one cached tuple of texts
+each, which ``json.dumps`` fills once per vertex count, so a graph's
+edge list is two lookups and one join.
 
 Recognition is one maximum cardinality search that reads the cliques
 and separators off its running clique as it goes and tests chordality
@@ -44,9 +45,7 @@ emits them. The table holds the one enumeration per vertex
 count that normalisation, the density parser and the decomposition
 index read, and :func:`enumerate_decomposable` yields every graph
 view of its rows; only counting and the CLI listing stream the blocks
-and never build it. So ``enumerate_decomposable(7)`` alone builds and
-keeps the n=7 table: 1.3-1.7 s and 74 MiB peak RSS in a fresh interpreter
-on 2 shared vCPUs, against 1.0-1.4 s and 31 MiB when it streamed blocks.
+and never build it.
 Graphs and the edge fields of graph and density files share one
 set of edge checks, and a graph file is checked and converted once.
 """
@@ -155,13 +154,16 @@ def _mask_edges(n: int, mask: int, i: int = 0) -> list[tuple[int, int]]:
     return edges
 
 
+def _rows_mask(n: int, rows) -> int:
+    """Edge mask of the adjacency rows ``rows`` on n vertices: row i above
+    the diagonal is vertex i's block, and disjoint blocks sum to their union."""
+    return sum((a >> (i + 1)) << _row_shift(n, i) for i, a in enumerate(rows))
+
+
 def within_edge_mask(n: int, vmask: int) -> int:
     """Edge mask of the complete graph on the vertices in ``vmask``."""
     _check_subset(vmask, _full_mask(n), "vertex set")  # a vertex past n would bleed into the next row
-    m = 0
-    for i in members(vmask):
-        m |= (vmask >> (i + 1)) << _row_shift(n, i)
-    return m
+    return _rows_mask(n, [vmask if vmask >> i & 1 else 0 for i in range(n)])
 
 
 def _mcs(n: int, adj, vmask: int):
@@ -253,8 +255,7 @@ def _checked_edges(n: int, edges: Iterable[tuple[int, int]]) -> tuple[list[int],
             raise DomainError(f"duplicate edge ({i},{j})")
         adj[i] |= 1 << j
         adj[j] |= 1 << i
-    # Row i above the diagonal is vertex i's block; disjoint blocks sum to their union.
-    return adj, sum((a >> (i + 1)) << _row_shift(n, i) for i, a in enumerate(adj))
+    return adj, _rows_mask(n, adj)
 
 
 class Graph:
@@ -302,11 +303,7 @@ class Graph:
         _check_vertex_count(n)
         if edge_mask >> (n * (n - 1) // 2):
             raise DomainError("edge mask has bits beyond the pair range")
-        adj = [0] * n
-        for i, j in _mask_edges(n, edge_mask):
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        return cls._from_parts(n, _full_mask(n), tuple(adj), edge_mask)
+        return cls(n, _mask_edges(n, edge_mask))
 
     def edges(self) -> list[tuple[int, int]]:
         return _mask_edges(self.n, self.edge_mask)
@@ -482,6 +479,7 @@ def is_decomposition(g: Graph, a: int, b: int) -> bool:
         _check_subset(b, g.vertices, "second part")
         raise PreconditionError("parts do not cover the vertex set")
     adj = g.adj
+    # Inline, not _is_clique: the call per test slowed _pair_tables(6), which makes 805,192 of them.
     s = a & b
     m = s
     while m:
@@ -557,17 +555,15 @@ def complete_sets_graph(n: int, sets: Iterable[int]) -> Graph:
     _check_vertex_count(n)
     full = _full_mask(n)
     adj = [0] * n
-    emask = 0
     for s in sets:
         if s & ~full:
             raise DomainError("set outside 0..n-1")
-        emask |= within_edge_mask(n, s)
         m = s
         while m:
             b = m & -m
             adj[b.bit_length() - 1] |= s & ~b
             m ^= b
-    return Graph._from_parts(n, full, tuple(adj), emask)
+    return Graph._from_parts(n, full, tuple(adj), _rows_mask(n, adj))
 
 
 #: Candidate rows per block of the enumeration's lockstep search. Its (n, block) uint8 arrays
@@ -755,31 +751,25 @@ def count_decomposable(n: int) -> int:
     return sum(len(masks) for masks, _ in _chordal_blocks(n))
 
 
-def _edges_json(n: int, mask: int) -> str:
-    """The pairs of an edge mask as ``[[i, j], ...]``, in the exact bytes
-    that ``json.dumps`` writes for them."""
-    return "[" + ", ".join([f"[{i}, {j}]" for i, j in _mask_edges(n, mask)]) + "]"
-
-
 @lru_cache(maxsize=4)
 def _edges_json_halves(n: int) -> tuple[int, tuple[str, ...], tuple[str, ...]]:
     """``(s, low, high)`` for edge masks on n vertices, split at bit s, the
     row boundary nearest the middle of the mask: ``low[m]`` is the text
-    inside the brackets of :func:`_edges_json` for each mask m of the rows
-    below s, and ``high[h]`` the same for the mask ``h << s`` of the rows
-    from s on. At n=7 they hold 2,048 and 1,024 texts."""
+    inside the brackets of ``json.dumps`` of the pairs of each mask m of
+    the rows below s, and ``high[h]`` the same for the mask ``h << s`` of
+    the rows from s on. At n=7 they hold 2,048 and 1,024 texts."""
     _check_enumerable(n)  # before any text: each half holds about 2^(n(n-1)/4)
     pairs = n * (n - 1) // 2
     s = min((_row_shift(n, i) for i in range(n)), key=lambda b: abs(2 * b - pairs))
     return (
         s,
-        tuple(_edges_json(n, m)[1:-1] for m in range(1 << s)),
-        tuple(_edges_json(n, h << s)[1:-1] for h in range(1 << (pairs - s))),
+        tuple(json.dumps(_mask_edges(n, m))[1:-1] for m in range(1 << s)),
+        tuple(json.dumps(_mask_edges(n, h << s))[1:-1] for h in range(1 << (pairs - s))),
     )
 
 
 def _edges_json_texts(n: int, masks: Iterable[int]) -> Iterator[str]:
-    """:func:`_edges_json` of each of ``masks`` on n vertices, n in
+    """``json.dumps`` of the pairs of each of ``masks`` on n vertices, n in
     1..``ENUMERATION_LIMIT`` (checked at once), as the masks arrive: the
     texts of a mask's two halves, looked up in :func:`_edges_json_halves`,
     joined by a comma where both hold pairs."""
@@ -791,7 +781,7 @@ def _edges_json_texts(n: int, masks: Iterable[int]) -> Iterator[str]:
 def graph_to_json(g: Graph) -> str:
     """Serialise a graph to the ``{"n":..., "edges":[[i,j],...]}`` format,
     in the exact bytes of ``json.dumps(..., sort_keys=True)``."""
-    return f'{{"edges": {_edges_json(g.n, g.edge_mask)}, "n": {g.n}}}'
+    return json.dumps({"edges": g.edges(), "n": g.n}, sort_keys=True)
 
 
 def _json_value(text: str | bytes, what: str):

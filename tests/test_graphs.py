@@ -43,7 +43,6 @@ from cliquesep.graphs import (
     MAX_VERTICES,
     _chordal_blocks,
     _clique_separator_table,
-    _edges_json,
     _edges_json_halves,
     _edges_json_texts,
     _lockstep_entries,
@@ -976,7 +975,7 @@ def test_enumeration_capacity(monkeypatch):
         _clique_separator_table(0)
     with pytest.raises(DomainError):  # checked before 1 << n is built
         _clique_separator_table(1 << 40)
-    monkeypatch.setattr(cliquesep.graphs, "_edges_json", lambda n, m: pytest.fail("text built before the check"))
+    monkeypatch.setattr(cliquesep.graphs, "_mask_edges", lambda n, m: pytest.fail("text built before the check"))
     with pytest.raises(CapacityError):  # about 2^14 texts a half otherwise
         _edges_json_halves(8)
     with pytest.raises(CapacityError):
@@ -1032,19 +1031,17 @@ def test_graph_json_is_json_dumps_bytes():
     graphs += [Graph.empty(7), induced_subgraph(Graph.complete(5), vset([1, 3, 4]))]
     for g in graphs:
         assert graph_to_json(g) == dumped(g), g
-    for n in range(1, 6):
-        for m in range(1 << n * (n - 1) // 2):
-            assert _edges_json(n, m) == json.dumps([list(e) for e in pair_decode(n, m)])
     assert _edges_json_halves(1) == (0, ("",), ("",))  # no pair: both halves hold the empty mask
     for n in range(1, 7):  # every edge mask, chordal or not
         assert_edge_texts_are_edges_json(n, range(1 << n * (n - 1) // 2))
 
 
 def assert_edge_texts_are_edges_json(n, masks):
-    """The two-lookup texts of ``masks`` equal :func:`_edges_json` of each, one mask at a time."""
+    """The two-lookup texts of ``masks`` equal ``json.dumps`` of each one's
+    pairs by :func:`pair_decode`, one mask at a time."""
     count = 0
     for m, text in zip(masks, _edges_json_texts(n, masks)):
-        assert text == _edges_json(n, m), (n, m)
+        assert text == json.dumps([list(e) for e in pair_decode(n, m)]), (n, m)
         count += 1
     assert count == len(masks)
 
@@ -1061,10 +1058,10 @@ def test_complete_sets_graph_checks_vertex_count(n):
 
 
 def test_complete_graph_checks_vertex_count_before_building(monkeypatch):
-    def build(n, vmask):
+    def build(n, rows):
         raise AssertionError("edge mask built before the vertex-count check")
 
-    monkeypatch.setattr(cliquesep.graphs, "within_edge_mask", build)
+    monkeypatch.setattr(cliquesep.graphs, "_rows_mask", build)
     with pytest.raises(AssertionError):
         Graph.complete(3)
     with pytest.raises(DomainError):

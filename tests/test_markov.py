@@ -292,9 +292,13 @@ def test_five_vertex_pair_counts():
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_decomposition_index_matches_conditioning_sets(n):
-    # The index the sweep filters must hold, for every covering pair and
-    # family, exactly the graphs of the brute-force conditioning set; the
-    # second clique-in-part filter is the family with the roles swapped.
+    assert_index_matches_conditioning_sets(n)
+
+
+def assert_index_matches_conditioning_sets(n):
+    """The index the sweep filters holds, for every covering pair and
+    family, exactly the graphs of the brute-force conditioning set; the
+    second clique-in-part filter is the family with the roles swapped."""
     graphs, tables = list(enumerate_decomposable(n)), _pair_tables(n)
     full = (1 << n) - 1
     assert [(t.a, t.b) for t in tables] == [

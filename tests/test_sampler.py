@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.stats
 
 import cliquesep.sampler as sampler_module
 from cliquesep import (
@@ -84,8 +83,10 @@ def test_proposal_frequencies_are_uniform():
     # rejected proposals are pair-dependent, so only count realised toggles of a
     # fixed state (the chain holds: state is never advanced here)
     assert state.graph == default_init(law)
-    result = scipy.stats.chisquare(counts)
-    assert result.pvalue > 1e-6
+    # Pearson's statistic against chi-squared with 5 degrees of freedom at
+    # p = 1e-6: 35.888186879672865 is its upper 1e-6 point.
+    c = np.array(counts, dtype=float)
+    assert ((c - c.mean()) ** 2 / c.mean()).sum() < 35.888186879672865
 
 
 def test_uniform_law_accepts_every_decomposable_candidate():
