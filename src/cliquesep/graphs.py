@@ -479,14 +479,8 @@ def is_decomposition(g: Graph, a: int, b: int) -> bool:
         _check_subset(b, g.vertices, "second part")
         raise PreconditionError("parts do not cover the vertex set")
     adj = g.adj
-    # Inline, not _is_clique: the call per test slowed _pair_tables(6), which makes 805,192 of them.
-    s = a & b
-    m = s
-    while m:
-        bit = m & -m
-        if s & ~(adj[bit.bit_length() - 1] | bit):
-            return False
-        m ^= bit
+    if not _is_clique(adj, a & b):
+        return False
     only_b = b & ~a
     m = a & ~b
     while m:

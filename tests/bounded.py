@@ -1,14 +1,15 @@
 """Run one command under a peak-RSS bound and a timeout.
 
-    python tests/bounded.py --rss-mib 64 --timeout 60 [--stdout PATH] -- CMD...
+    python tests/bounded.py --rss-mib 64 --timeout 60 -- CMD... > FILE
 
-The command's stdout goes to PATH if given, else to this process's stdout;
-its stderr is inherited. The bound is on the peak resident set of the
-children this process waited for (``RUSAGE_CHILDREN``, in KiB on Linux),
-which must stay strictly below ``--rss-mib`` MiB. If the command fails,
-times out (it is then killed) or goes over the bound, one line goes to
-stderr and the exit status is 1; otherwise one line reports the peak and
-the time, and the exit status is 0.
+The command inherits stdout and stderr; this script writes only to
+stderr, so a redirection of its stdout holds the command's output alone.
+The bound is on the peak resident set of the children this process
+waited for (``RUSAGE_CHILDREN``, in KiB on Linux), which must stay
+strictly below ``--rss-mib`` MiB. If the command fails, times out (it
+is then killed) or goes over the bound, one line goes to stderr and the
+exit status is 1; otherwise one line reports the peak and the time, and
+the exit status is 0.
 """
 
 import argparse
@@ -22,14 +23,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Run a command under a peak-RSS bound and a timeout.")
     parser.add_argument("--rss-mib", type=int, required=True, help="bound on the peak RSS, in MiB")
     parser.add_argument("--timeout", type=float, required=True, help="seconds before the command is killed")
-    parser.add_argument("--stdout", help="file that receives the command's stdout")
     parser.add_argument("cmd", nargs="+", help="the command, after --")
     args = parser.parse_args(argv)
     name = " ".join(args.cmd)
     start = time.monotonic()
     try:
-        with open(args.stdout, "wb") if args.stdout else open(sys.stdout.fileno(), "wb", closefd=False) as out:
-            status = subprocess.run(args.cmd, stdout=out, timeout=args.timeout).returncode
+        status = subprocess.run(args.cmd, timeout=args.timeout).returncode
     except subprocess.TimeoutExpired:
         return fail(f"timed out after {args.timeout:g} s: {name}")
     except OSError as e:
