@@ -49,11 +49,10 @@ from .laws import (
 )
 from .markov import (
     PropertyKind,
-    _bracket_log_prob,
-    _lemma1_deviation,
     check_property,
     ewsm_dimension_analysis,
     fit_csf_from_density,
+    verify_lemma1_identity,
     verify_lemma2_ratio,
 )
 from .posterior import bernoulli_dirichlet_score, load_binary_csv, posterior_law
@@ -236,15 +235,10 @@ def _cmd_fit(args) -> None:
 def _cmd_lemma_check(args) -> None:
     tol = _need_tol(args)
     density = _load_density(args)
-    n = density.n
-    lp = _bracket_log_prob(density)
-    product_dev = 0.0
-    for g, _ in density.items():
-        product_dev = max(product_dev, _lemma1_deviation(lp, g))
-    ratio_dev = 0.0
-    for s in range(1 << n):
-        if ((1 << n) - 1 & ~s).bit_count() >= 2:
-            ratio_dev = max(ratio_dev, verify_lemma2_ratio(density, s))
+    full = (1 << density.n) - 1
+    product_dev = max(verify_lemma1_identity(density, g) for g, _ in density.items())
+    separators = [s for s in range(full + 1) if (full & ~s).bit_count() >= 2]
+    ratio_dev = max((verify_lemma2_ratio(density, s) for s in separators), default=0.0)
     obj = {
         "product_identity_max_deviation": product_dev,
         "ratio_spread_max": ratio_dev,

@@ -43,7 +43,8 @@ n = 2..6 rank 0, 0, 24, 695 and 17,760 leaves 1, 7, 36, 126 and 393
 free dimensions against factorisation-law dimensions of 1, 7, 21, 51, 113.
 The fit and both checkers read every probability as that of a bracket
 graph <R1, ..., Rk>, whose edges make each Ri complete and are nothing
-else, through one lookup by edge mask.
+else, by its edge mask: an OR over one cached table, per vertex count,
+of the edge mask of the complete graph on each vertex set.
 """
 
 from __future__ import annotations
@@ -112,6 +113,8 @@ def conditioning_set(n: int, a: int, b: int, kind: PropertyKind) -> list[Graph]:
     For the clique-in-part family the maximality requirement applies to
     the subgraph induced on ``a`` (the first argument).
     """
+    if not isinstance(kind, PropertyKind):
+        raise DomainError(f"property kind {kind!r} is not a PropertyKind")
     pred = {
         PropertyKind.SM: is_decomposition,
         PropertyKind.WSM: in_U_star,
@@ -278,6 +281,8 @@ def check_property(density: DensityTable, kind: PropertyKind, tol: float = 1e-9)
     impose nothing. The first table, in covering-pair and filter order,
     that reaches the largest value gives the witness.
     """
+    if not isinstance(kind, PropertyKind):  # at n=1 no pair table would reach a family
+        raise DomainError(f"property kind {kind!r} is not a PropertyKind")
     logp = np.array([math.log(p) if p > 0.0 else math.nan for p in density.p])
     positive = ~np.isnan(logp)
     worst = 0.0
@@ -293,9 +298,15 @@ def check_property(density: DensityTable, kind: PropertyKind, tol: float = 1e-9)
     return PropertyReport(kind, worst <= tol, worst, witness)
 
 
+@lru_cache(maxsize=4)
+def _complete_masks(n: int) -> tuple[int, ...]:
+    """Edge mask of the complete graph on each vertex set of n vertices, indexed by the set."""
+    return tuple(within_edge_mask(n, r) for r in range(1 << n))
+
+
 def _bracket_log_prob(density: DensityTable):
     """``lp(*sets)``, the log probability of the bracket graph <R1, ..., Rk>: each Ri complete, no other edge."""
-    complete = [within_edge_mask(density.n, r) for r in range(1 << density.n)]  # by vertex set
+    complete = _complete_masks(density.n)
 
     def lp(*sets: int) -> float:
         edge_mask = 0
@@ -352,27 +363,20 @@ def verify_lemma1_identity(density: DensityTable, g: Graph) -> float:
     absolute deviation on the log scale.
     """
     _check_on_all_vertices(g, density.n, "a density on")
-    return _lemma1_deviation(_bracket_log_prob(density), g)
-
-
-def _lemma1_deviation(lp, g: Graph) -> float:
-    """:func:`verify_lemma1_identity` on a bracket lookup ``lp`` of the
-    density, which may be shared by every graph of one density."""
+    lp = _bracket_log_prob(density)
     cl = cliques(g)
     logd = lp(*cl)
     worst = 0.0
     for first in range(len(cl)):
         order = pluperfect_order(g, first)
-        base = 0.0
-        for c in order.cliques:
-            base += lp(c)
         lo = hi = 0.0
-        log_prefix = lp(order.cliques[0])
+        base = log_prefix = lp(order.cliques[0])
         for j in range(1, len(order.cliques)):
             c = order.cliques[j]
             s = order.separators[j - 1]
             parent = order.cliques[order.parents[j - 1]]
             log_c = lp(c)
+            base += log_c
             log_prefix_next = lp(*order.cliques[: j + 1])
             factors = []
             free = parent & ~s

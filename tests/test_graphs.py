@@ -5,7 +5,6 @@ import os
 import random
 import subprocess
 import sys
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -53,6 +52,7 @@ from cliquesep.graphs import (
     members,
     within_edge_mask,
 )
+from conftest import count_chordal_blocks, search_entries
 
 
 def path_graph(n):
@@ -900,28 +900,26 @@ def test_block_adjacency_matches_its_edge_masks_at_the_limit():
 
 def assert_table_is_search_order(n, block=1 << 15):
     """Check the clique/separator table of n vertices, entry for entry and
-    in order, against one :func:`_mcs` per graph on the table's own
-    adjacency rows, ``block`` graphs at a time: each graph's cliques as
-    the search emits them, then minus each separator's multiplicity, in
-    order of first emission."""
+    in order, against :func:`search_entries` on the table's own adjacency
+    rows, ``block`` graphs at a time."""
     t = _clique_separator_table(n)
     assert (t.gi.dtype, t.sets.dtype, t.coef.dtype, t.adj.dtype) == (np.int32, np.uint8, np.int8, np.uint8)
     assert t.adj.shape == (len(t.masks), n)
-    full = (1 << n) - 1
     stop = 0
     for lo in range(0, len(t.masks), block):
-        gi, sets, coef = [], [], []
-        for k, row in enumerate(t.adj[lo : lo + block].tolist(), lo):
-            cl, seps = _mcs(n, row, full)
-            minus = Counter(seps)  # keys in order of first emission
-            gi += [k] * (len(cl) + len(minus))
-            sets += cl + list(minus)
-            coef += [1] * len(cl) + [-m for m in minus.values()]
+        gi, sets, coef = search_entries(n, t.adj[lo : lo + block].tolist(), lo)
         start, stop = stop, stop + len(gi)
         assert t.gi[start:stop].tolist() == gi, (n, lo)
         assert t.sets[start:stop].tolist() == sets, (n, lo)
         assert t.coef[start:stop].tolist() == coef, (n, lo)
     assert stop == len(t.gi) == len(t.sets) == len(t.coef)
+
+
+@pytest.mark.parametrize("n, count, every", [(1, 1, 1), (2, 2, 1), (3, 8, 1), (4, 61, 1), (5, 822, 1), (6, 18154, 1),
+                                             (7, 617675, 97)])
+def test_chordal_block_count_and_sampled_entries(n, count, every):
+    # n=8 runs as a CI step, in about 20 s.
+    assert count_chordal_blocks(n, every) == count
 
 
 @pytest.mark.parametrize(

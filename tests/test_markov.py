@@ -99,6 +99,24 @@ def test_single_coordinate_perturbation_fails_wsm():
     assert report.worst_violation == pytest.approx(math.log(2.0), abs=1e-9)
 
 
+@pytest.mark.parametrize("kind", ["wsm", None, 3])
+def test_check_property_rejects_a_kind_that_is_not_a_property_kind(kind):
+    # "wsm" once swept the ewsm family and passed a density that PropertyKind.WSM fails.
+    d = ewsm_not_wsm_density(4)
+    assert check_property(d, PropertyKind.WSM).worst_violation == pytest.approx(math.log(2.0), abs=1e-9)
+    with pytest.raises(DomainError, match="is not a PropertyKind"):
+        check_property(d, kind)
+    with pytest.raises(DomainError, match="is not a PropertyKind"):
+        check_property(normalize_by_enumeration(uniform_csf(1)), kind)  # no covering pair at all
+
+
+@pytest.mark.parametrize("kind", ["wsm", None, 3])
+def test_conditioning_set_rejects_a_kind_that_is_not_a_property_kind(kind):
+    # It once raised a bare KeyError.
+    with pytest.raises(DomainError, match="is not a PropertyKind"):
+        conditioning_set(4, vset([0, 1, 2]), vset([2, 3]), kind)
+
+
 def test_witness_quadruple_reproduces_the_violation():
     d = perturb_density(wsm_density(4, seed=3), Graph.empty(4), 3.0)
     report = check_property(d, PropertyKind.SM)
@@ -383,14 +401,9 @@ def test_product_identity_all_graphs(seed):
         assert verify_lemma1_identity(d, g) < TOL, g
 
 
-def test_product_identity_shares_one_lookup_per_density():
-    # lemma-check hands one bracket lookup to every graph; its values must
-    # be those of a fresh lookup per graph, to the last bit.
+def test_product_identity_breaks_off_family():
     d = perturb_density(wsm_density(4, seed=3), Graph(4, [(0, 1)]), 2.0)
-    lp = markov._bracket_log_prob(d)
-    deviations = [markov._lemma1_deviation(lp, g) for g in enumerate_decomposable(4)]
-    assert deviations == [verify_lemma1_identity(d, g) for g in enumerate_decomposable(4)]
-    assert max(deviations) > TOL
+    assert max(verify_lemma1_identity(d, g) for g in enumerate_decomposable(4)) > TOL
 
 
 def test_ratio_invariance():

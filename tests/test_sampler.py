@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -522,3 +523,35 @@ def test_sparse_spectral_gap_and_iat_at_six_vertices(law, states, gap, iat):
     got = sparse_gap_and_iat(law)
     assert got[0] == states
     assert got[1:] == pytest.approx((gap, iat), rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "law, iat, with_log_density",
+    [
+        # Under the uniform law the log-density is constant, so only the edge count is checked.
+        pytest.param(uniform_csf(6), 22.3623447128, False, id="uniform-6"),
+        # The log-density's own exact IAT, by the same conjugate-gradient solve, is 31.93: the
+        # edge count's 71.88 bounds both.
+        pytest.param(random_csf(6, seed=6), 71.8782480524, True, id="random-6"),
+    ],
+)
+def test_chain_means_match_the_exact_law_at_six_vertices(law, iat, with_log_density):
+    # hub_law(6, [0]) is left out: its gap is 1.21e-6 (IAT about 1.6M), so its chain needs about a
+    # million steps per relaxation, far beyond a tier-1 run.
+    # Each chain mean must lie within 5 standard errors sqrt(var * iat / N) of the exact mean, with
+    # the exact IAT from test_sparse_spectral_gap_and_iat_at_six_vertices; and the batch-means
+    # estimate of the edge count's IAT, from batches of about 28 to 89 IATs, within a factor 2 of it.
+    burn_in, steps, batches = 5_000, 200_000, 100
+    p = np.array(normalize_by_enumeration(law).p)
+    masks = np.frombuffer(_clique_separator_table(law.n).masks, dtype=np.int64)
+    states = islice(sampler_module._chain(law, None, burn_in + steps, seed=0, chain_index=0), burn_in + 1, None)
+    visited = np.searchsorted(masks, [state.graph.edge_mask for state in states])
+    edges = np.array([m.bit_count() for m in masks.tolist()], dtype=float)
+    stats = [edges, np.log(p)] if with_log_density else [edges]
+    for f in stats:
+        exact = p @ f
+        var = p @ (f - exact) ** 2
+        assert abs(f[visited].mean() - exact) <= 5 * math.sqrt(var * iat / steps)
+    batch_means = edges[visited].reshape(batches, -1).mean(axis=1)
+    batch_iat = steps // batches * batch_means.var(ddof=1) / (p @ (edges - p @ edges) ** 2)
+    assert iat / 2 <= batch_iat <= 2 * iat
