@@ -25,6 +25,7 @@ import sys
 
 from .errors import DomainError
 from .graphs import (
+    _check_vertex_count,
     _chordal_blocks,
     _edges_json_texts,
     _graph_from_obj,
@@ -32,13 +33,13 @@ from .graphs import (
     count_decomposable,
     members,
     to_dot,
-    vset,
 )
 from .laws import (
     CsfLaw,
     DensityTable,
     _density_from_obj,
     _density_pieces,
+    _key_mask,
     _law_from_obj,
     cef_dimension,
     csf_dimension,
@@ -115,16 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_hubs(text: str | None) -> int:
-    if not text:
-        return 0
-    try:
-        hubs = [int(tok) for tok in text.split(",")]
-    except ValueError as e:
-        raise DomainError(f"invalid hub list {text!r}") from e
-    return vset(hubs)
-
-
 def _need_n(args) -> int:
     if args.n is None:
         raise DomainError("--n is required here")
@@ -152,10 +143,12 @@ def _load(args, densities: bool) -> CsfLaw | DensityTable:
     if args.law is None or args.law == "uniform":
         return uniform_csf(_need_n(args))
     if args.law == "hub":
-        hubs = _parse_hubs(args.hubs)
+        n = _need_n(args)
+        _check_vertex_count(n)  # before the hub list is read against it
+        hubs = _key_mask(args.hubs or "", n, "--hubs")
         if not hubs:
             raise DomainError("--law hub needs a non-empty --hubs list")
-        return hub_law(_need_n(args), hubs, args.phi_rate, args.psi_rate)
+        return hub_law(n, hubs, args.phi_rate, args.psi_rate)
     obj = _read_table(args.law)
     kind = "density" if "entries" in obj else "law"
     if kind == "density" and not densities:
@@ -290,7 +283,8 @@ def _cmd_posterior(args) -> None:
 
 
 def _cmd_export_dot(args) -> None:
-    _emit(args, to_dot(_graph_from_obj(_read_table(args.graph)), _parse_hubs(args.hubs)))
+    g = _graph_from_obj(_read_table(args.graph))
+    _emit(args, to_dot(g, _key_mask(args.hubs or "", g.n, "--hubs")))
 
 
 def run_command(argv=None) -> int:

@@ -433,25 +433,35 @@ def _mask_key(mask: int) -> str:
     return ",".join(str(v) for v in members(mask))
 
 
-def _key_mask(key: str, n: int) -> int:
-    if key == "":
-        return 0
-    try:
-        verts = [int(tok) for tok in key.split(",")]
-    except ValueError as e:
-        raise DomainError(f"invalid vertex-set key {key!r}") from e
-    if any(not 0 <= v < n for v in verts) or len(set(verts)) != len(verts):
-        raise DomainError(f"invalid vertex-set key {key!r} for n={n}")
+def _vertex_set(verts, n: int, what: str) -> int:
+    """Mask of a vertex list read from outside the program: distinct ints (not bools) in 0..n-1."""
+    listed = isinstance(verts, list) and all(type(v) is int and 0 <= v < n for v in verts)
+    if not listed or len(set(verts)) != len(verts):
+        raise DomainError(f"{what} must list distinct vertex indices in 0..{n - 1}")
     return vset(verts)
 
 
+def _key_mask(key: str, n: int, what: str) -> int:
+    """Mask of a comma-separated vertex list, ``""`` the empty set; see :func:`_vertex_set`."""
+    try:
+        verts = [int(tok) for tok in key.split(",")] if key else []
+    except ValueError:
+        verts = None
+    return _vertex_set(verts, n, f"{what} {key!r}")
+
+
+# Each size rule's JSON ``type``: its class, its one field and that field's default (None: required).
+_RULES = {
+    "exp_linear": (ExpLinearRule, "rate", None),
+    "const": (ConstRule, "value", 0.0),
+    "quadratic": (QuadraticRule, "coef", None),
+}
+
+
 def _rule_to_obj(rule: SizeRule) -> dict:
-    if isinstance(rule, ExpLinearRule):
-        return {"type": "exp_linear", "rate": rule.rate}
-    if isinstance(rule, ConstRule):
-        return {"type": "const", "value": rule.value}
-    if isinstance(rule, QuadraticRule):
-        return {"type": "quadratic", "coef": rule.coef}
+    for kind, (cls, field, _) in _RULES.items():
+        if isinstance(rule, cls):
+            return {"type": kind, field: getattr(rule, field)}
     raise DomainError(f"unknown rule {rule!r}")
 
 
@@ -470,13 +480,10 @@ def _rule_from_obj(obj) -> SizeRule:
     if not isinstance(obj, dict) or "type" not in obj:
         raise DomainError("rule must be an object with a 'type' field")
     kind = obj["type"]
-    if kind == "exp_linear":
-        return ExpLinearRule(_as_float(obj.get("rate"), "rule field 'rate'"))
-    if kind == "const":
-        return ConstRule(_as_float(obj.get("value", 0.0), "rule field 'value'"))
-    if kind == "quadratic":
-        return QuadraticRule(_as_float(obj.get("coef"), "rule field 'coef'"))
-    raise DomainError(f"unknown rule type {kind!r}")
+    if not isinstance(kind, str) or kind not in _RULES:  # a list or an object is not hashable
+        raise DomainError(f"unknown rule type {kind!r}")
+    cls, field, default = _RULES[kind]
+    return cls(_as_float(obj.get(field, default), f"rule field {field!r}"))
 
 
 def _table_to_obj(table: PotentialTable) -> dict:
@@ -504,18 +511,16 @@ def _table_from_obj(obj, n: int) -> PotentialTable:
         raise DomainError("'overrides' must be an object")
     overrides = {}
     for key, value in raw.items():
-        if value == "inf":
-            value = INF
-        overrides[_key_mask(key, n)] = _as_float(value, f"override for {key!r}")
+        mask = _key_mask(key, n, "override key")
+        if mask in overrides:
+            raise DomainError(f"override key {key!r} names the set of an earlier key")
+        overrides[mask] = INF if value == "inf" else _as_float(value, f"override for {key!r}")
     hubs = None
     hc = obj.get("hub_constraint")
     if hc is not None:
         if not isinstance(hc, dict) or hc.get("no_hub") != "inf":
             raise DomainError("hub_constraint must be an object declaring no_hub as 'inf'")
-        verts = hc.get("hubs")
-        if not isinstance(verts, list) or not all(type(v) is int and 0 <= v < n for v in verts):
-            raise DomainError(f"hub_constraint 'hubs' must be an array of vertex indices in 0..{n - 1}")
-        hubs = vset(verts)
+        hubs = _vertex_set(hc.get("hubs"), n, "hub_constraint 'hubs'")
     return PotentialTable(rule, overrides, hubs)
 
 

@@ -21,6 +21,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
+from numbers import Integral
 from typing import Iterator
 
 import numpy as np
@@ -37,7 +38,10 @@ _BLOCK = 8192
 
 
 def _generator(seed: int, chain_index: int) -> np.random.Generator:
-    key = np.array([seed & _MASK64, chain_index & _MASK64], dtype=np.uint64)
+    """Philox keyed by (seed, chain index), each in 0..2^64-1, so distinct pairs never share a stream."""
+    if not all(isinstance(v, Integral) and 0 <= v <= _MASK64 for v in (seed, chain_index)):
+        raise DomainError(f"seed {seed!r} and chain index {chain_index!r} must be integers in 0..2^64-1")
+    key = np.array([seed, chain_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

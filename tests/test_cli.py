@@ -382,6 +382,13 @@ def test_law_n_mismatch(capsys, tmp_path):
                      id="hubs-not-an-array"),
         pytest.param("density", '{"n": 3, "phi": {}, "psi": {"hub_constraint": {"hubs": [-1], "no_hub": "inf"}}}',
                      id="negative-hub"),
+        pytest.param("density", '{"n": 3, "phi": {}, "psi": {"hub_constraint": {"hubs": [0, 0], "no_hub": "inf"}}}',
+                     id="repeated-hub"),
+        # Two keys that name one set: the later value would silently win.
+        pytest.param("density", '{"n": 3, "phi": {"overrides": {"0,1": 1.0, "1,0": 2.0}}, "psi": {}}',
+                     id="override-set-named-twice"),
+        pytest.param("density", '{"n": 3, "phi": {}, "psi": {"overrides": {"2": 1.0, "02": 2.0}}}',
+                     id="override-vertex-written-twice"),
         # JSON true and false are not integers, although bool subclasses int.
         pytest.param("check", '{"n": 2, "entries": [{"edges": [], "p": 0.5}, {"edges": [[false, true]], "p": 0.5}]}',
                      id="boolean-vertices"),
@@ -482,6 +489,19 @@ def test_hub_law_needs_hubs(capsys, hubs):
     assert err == "error: --law hub needs a non-empty --hubs list\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["density", "--n", "4", "--law", "hub", "--hubs", "0,0"], "--hubs '0,0' must list distinct vertex indices in 0..3"),
+    (["density", "--n", "4", "--law", "hub", "--hubs", "9"], "--hubs '9' must list distinct vertex indices in 0..3"),
+    (["density", "--law", "hub", "--hubs", "x"], "--n is required here"),
+    (["export-dot", "--graph", "<graph>", "--hubs", "0,0"], "--hubs '0,0' must list distinct vertex indices in 0..2"),
+], ids=["density-repeated", "density-out-of-range", "density-n-first", "export-dot-repeated"])
+def test_hubs_flag_lists_distinct_vertices(capsys, tmp_path, argv, message):
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 3, "edges": [[0, 1]]}')
+    status, out, err = run(capsys, *[str(path) if a == "<graph>" else a for a in argv])
+    assert (status, out, err) == (1, "", f"error: {message}\n")
+
+
 # Every integer is at most 5 or beyond the vertex cap, wherever it lands,
 # so no generated ``n`` enumerates more than the 822 graphs on 5 vertices.
 _ints = st.integers(max_value=5) | st.integers(min_value=MAX_VERTICES + 1, max_value=10**400)
@@ -535,6 +555,8 @@ def test_parsers_and_check_accept_or_reject_any_json(doc, tmp_path_factory):
     ["density", "--n", "-1", "--law", "hub", "--hubs", "0"],
     ["sample", "--n", "4", "--law", "hub", f"--hubs=0,{10**400}"],
     ["ewsm-rank", "--n", "7"],
+    ["sample", "--n", "3", "--seed", "-1"],
+    ["sample", "--n", "3", "--seed", str(2**64)],
 ])
 def test_bad_integer_flags_end_in_one_error_line(capsys, argv):
     status, out, err = run(capsys, *argv)

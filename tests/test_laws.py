@@ -659,6 +659,12 @@ def test_law_json_rejects_junk():
         law_from_json('{"n": 3, "phi": {"overrides": {"0,9": 1.0}}, "psi": {}}')
     with pytest.raises(DomainError):  # beyond the vertex cap that graphs have too
         law_from_json('{"n": 1025}')
+    # Two keys that name one set, and a repeated hub, as a repeated vertex in a key is.
+    for overrides in ('{"0,1": 1.0, "1,0": 2.0}', '{"2": 1.0, "02": 2.0}'):
+        with pytest.raises(DomainError, match="names the set of an earlier key"):
+            law_from_json('{"n": 3, "phi": {"overrides": %s}, "psi": {}}' % overrides)
+    with pytest.raises(DomainError, match=r"hub_constraint 'hubs' must list distinct vertex indices in 0\.\.2"):
+        law_from_json('{"n": 3, "phi": {}, "psi": {"hub_constraint": {"hubs": [0, 0], "no_hub": "inf"}}}')
 
 
 @pytest.mark.parametrize(
@@ -754,6 +760,9 @@ def test_exp_linear_rule_values():
     assert ExpLinearRule(4.0).log_potential(3) == -12.0
     assert ConstRule(1.25).log_potential(7) == 1.25
     assert QuadraticRule(2.0).log_potential(4) == 12.0
+    # A const rule without its value reads as 0.0.
+    law = law_from_json('{"n": 2, "phi": {"rule": {"type": "const"}}, "psi": {}}')
+    assert law.phi.rule == ConstRule(0.0)
 
 
 @pytest.mark.parametrize("rule", [ExpLinearRule, ConstRule, QuadraticRule])

@@ -379,6 +379,13 @@ def test_fit_requires_full_support():
         fit_csf_from_density(d)
 
 
+def test_fit_requires_probabilities_that_sum_to_one():
+    # Eight graphs of weight one each: a fit of them would be off by a factor of eight.
+    d = DensityTable(3, {g: 1.0 for g in enumerate_decomposable(3)})
+    with pytest.raises(DomainError, match="probabilities sum to 8.0, not 1"):
+        fit_csf_from_density(d)
+
+
 # ---------------------------------------------------------------------------
 # Identity checks
 

@@ -232,6 +232,14 @@ def test_reproducibility_and_stream_independence():
     assert [r.graph for r in a.records] != [r.graph for r in d.records]
 
 
+@pytest.mark.parametrize("seed, chain_index", [(-1, 0), (2**64, 0), (0, 2**64), (0, -1), (1.5, 0)])
+def test_seed_and_chain_index_outside_64_bits_are_refused(seed, chain_index):
+    # Reduced modulo 2^64, or truncated, they would replay the stream of another pair.
+    with pytest.raises(DomainError, match=r"must be integers in 0\.\.2\^64-1"):
+        run_chain(uniform_csf(3), steps=1, seed=seed, chain_index=chain_index)
+    run_chain(uniform_csf(3), steps=1, seed=int(seed) % 2**64, chain_index=chain_index % 2**64)
+
+
 def test_chain_stays_in_hub_support():
     law = hub_law(8, vset([0, 1]))
     hubs = vset([0, 1])
