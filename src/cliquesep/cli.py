@@ -77,39 +77,38 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--hubs", default=None, help="comma-separated hub vertex indices")
             p.add_argument("--phi-rate", type=float, default=4.0, help="clique size rate for --law hub")
             p.add_argument("--psi-rate", type=float, default=0.5, help="separator size rate for --law hub")
-        if "out" in flags:
-            p.add_argument("--out", default=None, help="write primary output here instead of stdout")
+        p.add_argument("--out", default=None, help="write primary output here instead of stdout")
         return p
 
-    p = add("enumerate", _cmd_enumerate, "list or count the decomposable graphs on n vertices", "n", "out")
+    p = add("enumerate", _cmd_enumerate, "list or count the decomposable graphs on n vertices", "n")
     p.add_argument("--count-only", action="store_true", help="print only the count")
 
-    add("dim", _cmd_dim, "print the factorisation-law and shared-potential dimensions", "n", "out")
+    add("dim", _cmd_dim, "print the factorisation-law and shared-potential dimensions", "n")
 
-    add("density", _cmd_density, "normalise a law exactly over the enumerated graphs", "n", "law", "out")
+    add("density", _cmd_density, "normalise a law exactly over the enumerated graphs", "n", "law")
 
-    p = add("check", _cmd_check, "test a structural Markov property exhaustively", "n", "law", "out")
+    p = add("check", _cmd_check, "test a structural Markov property exhaustively", "n", "law")
     p.add_argument("--property", choices=[k.value for k in PropertyKind], default="wsm")
     p.add_argument("--tol", type=float, default=1e-9)
 
-    add("fit", _cmd_fit, "reconstruct factorisation potentials from a density", "n", "law", "out")
+    add("fit", _cmd_fit, "reconstruct factorisation potentials from a density", "n", "law")
 
-    p = add("lemma-check", _cmd_lemma_check, "verify the product identity and ratio invariance", "n", "law", "out")
+    p = add("lemma-check", _cmd_lemma_check, "verify the product identity and ratio invariance", "n", "law")
     p.add_argument("--tol", type=float, default=1e-9)
 
-    add("ewsm-rank", _cmd_ewsm_rank, "rank analysis of the weakest conditioning family", "n", "out")
+    add("ewsm-rank", _cmd_ewsm_rank, "rank analysis of the weakest conditioning family", "n")
 
-    p = add("sample", _cmd_sample, "run a Metropolis edge-flip chain", "n", "law", "out")
+    p = add("sample", _cmd_sample, "run a Metropolis edge-flip chain", "n", "law")
     p.add_argument("--steps", type=int, default=10_000)
     p.add_argument("--thin", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("posterior", _cmd_posterior, "conjugate update from binary data, output as a density", "n", "law", "out")
+    p = add("posterior", _cmd_posterior, "conjugate update from binary data, output as a density", "n", "law")
     p.add_argument("--data", required=True, help="CSV of 0/1 values, one row per observation")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--skip-header", action="store_true", help="skip one header row")
 
-    p = add("export-dot", _cmd_export_dot, "render a graph in DOT, hubs filled", "out")
+    p = add("export-dot", _cmd_export_dot, "render a graph in DOT, hubs filled")
     p.add_argument("--graph", required=True, help="graph file path")
     p.add_argument("--hubs", default=None, help="comma-separated hub vertex indices")
 

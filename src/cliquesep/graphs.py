@@ -53,6 +53,7 @@ set of edge checks, and a graph file is checked and converted once.
 from __future__ import annotations
 
 import json
+import operator
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -84,10 +85,18 @@ def _check_enumerable(n: int) -> None:
         raise CapacityError(f"enumeration over {n} vertices exceeds the limit of {ENUMERATION_LIMIT}")
 
 
+def _vertex(v) -> int:
+    """``v`` through ``operator.index``, so a numpy integer is a vertex index and a float is not."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise DomainError(f"vertex index {v!r} is not an integer") from None
+
+
 def vset(vertices: Iterable[int]) -> int:
     """Bit mask of a collection of vertex indices."""
     m = 0
-    for v in vertices:
+    for v in map(_vertex, vertices):
         if not 0 <= v < MAX_VERTICES:  # before 1 << v, huge for a huge v
             raise DomainError(f"vertex index {v} outside 0..{MAX_VERTICES - 1}")
         m |= 1 << v
@@ -274,7 +283,7 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         _check_vertex_count(n)
-        adj, self.edge_mask = _checked_edges(n, edges)
+        adj, self.edge_mask = _checked_edges(n, [(_vertex(i), _vertex(j)) for i, j in edges])
         self.n = n
         self.vertices = _full_mask(n)
         self.adj = tuple(adj)

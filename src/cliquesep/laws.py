@@ -13,9 +13,10 @@ optional hub mask sends every hub-free set to +inf. An optional additive
 set-function hook supports exact reparameterisations and conjugate
 updates without materialising 2^n entries. A density table holds one
 probability per decomposable graph, in enumeration order, all or none,
-each finite and nonnegative; a law's sets and hubs lie in 0..n-1, and
-a law or density scores only graphs on all of its n vertices. A density
-shares the edge masks and the graph views of the table below.
+each finite and nonnegative, summing to one within 1e-6 and divided by
+their exact sum; a law's sets and hubs lie in 0..n-1, and a law or
+density scores only graphs on all of its n vertices. A density shares
+the edge masks and the graph views of the table below.
 Normalisation needs no graphs: a graph's log-density is its row of the
 cached clique/separator table T (the theorem's statistic) times one
 vector of log-potentials, each evaluated once, added in search order.
@@ -28,7 +29,8 @@ written as the text of its entries, each edge list from two half-mask
 lookups in the graph module's cached texts and the probabilities as
 ``json.dumps`` writes them, without an object per entry, in pieces of
 4,096 entries that the CLI writes as they are made and
-:func:`density_to_json` joins; only JSON numbers are read as numbers.
+:func:`density_to_json` joins. The constructors read every number through
+:func:`_as_float`, so the parsers hand them JSON values as read.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -59,46 +61,57 @@ from .graphs import (
 INF = math.inf
 
 
-def _check_finite(value: float, what: str) -> None:
-    if not math.isfinite(value):
-        raise DomainError(f"{what} must be finite, got {value!r}")
+def _as_float(value, what: str | None = None) -> float:
+    """``value`` as a float if it is a number that is written as one and read back: an int
+    that is not a bool, or a float (``np.float64`` among them), within float range. Anything
+    else raises an error naming ``what``, or is nan if ``what`` is None, for the caller to refuse."""
+    if type(value) is int or isinstance(value, float):
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond float range
+            pass
+    if what is None:
+        return math.nan
+    raise DomainError(f"{what} must be a number, got {value!r}")
+
+
+class _FiniteRule:
+    """A size rule's one field, which must be a finite number, stored as a float."""
+
+    def __post_init__(self):
+        field = fields(self)[0].name
+        value = _as_float(getattr(self, field))
+        if not math.isfinite(value):
+            raise DomainError(f"rule {field} must be a finite number, got {getattr(self, field)!r}")
+        object.__setattr__(self, field, value)  # the dataclass is frozen
 
 
 @dataclass(frozen=True)
-class ExpLinearRule:
+class ExpLinearRule(_FiniteRule):
     """Log-potential -rate * |A|; the rate must be finite."""
 
     rate: float
-
-    def __post_init__(self):
-        _check_finite(self.rate, "rule rate")
 
     def log_potential(self, size: int) -> float:
         return -self.rate * size
 
 
 @dataclass(frozen=True)
-class ConstRule:
+class ConstRule(_FiniteRule):
     """Constant log-potential, independent of set size; it must be finite."""
 
     value: float = 0.0
-
-    def __post_init__(self):
-        _check_finite(self.value, "rule value")
 
     def log_potential(self, size: int) -> float:
         return self.value
 
 
 @dataclass(frozen=True)
-class QuadraticRule:
+class QuadraticRule(_FiniteRule):
     """Log-potential coef * |A|(|A|-1)/2, one unit per vertex pair; the
     coefficient must be finite."""
 
     coef: float
-
-    def __post_init__(self):
-        _check_finite(self.coef, "rule coefficient")
 
     def log_potential(self, size: int) -> float:
         return self.coef * (size * (size - 1) // 2)
@@ -125,10 +138,12 @@ class PotentialTable:
         extra: Callable[[int], float] | None = None,
     ):
         self.rule = ConstRule(0.0) if rule is None else rule
-        self.overrides = dict(overrides) if overrides else {}
-        for mask, value in self.overrides.items():
-            if math.isnan(value) or value == -INF:
-                raise DomainError(f"log-potential for {members(mask)} must be finite or +inf")
+        self.overrides = {}
+        for mask, raw in (overrides or {}).items():
+            value = _as_float(raw)
+            if not -INF < value <= INF:  # the set is named only here: CsfLaw refuses one outside 0..n-1
+                raise DomainError(f"log-potential for {members(mask)} must be a number, finite or +inf, got {raw!r}")
+            self.overrides[mask] = value
         self.hubs = hubs
         self.extra = extra
 
@@ -306,26 +321,20 @@ def standardize(law: CsfLaw) -> CsfLaw:
 
 class DensityTable:
     """``p[k]`` is the probability of the k-th decomposable graph on n vertices, whose edge mask ``masks[k]``
-    (the clique/separator table's own read-only buffer) ascends with k; ``probs`` keys exactly those graphs,
-    and :meth:`items` pairs each ``p[k]`` with the k-th graph that ``enumerate_decomposable`` yields."""
+    (the clique/separator table's own read-only buffer) ascends with k; ``probs`` keys exactly those graphs
+    (see :func:`_checked_density`), and :meth:`items` pairs each ``p[k]`` with the k-th graph that
+    ``enumerate_decomposable`` yields."""
 
     __slots__ = ("n", "masks", "p")
 
     def __init__(self, n: int, probs: Mapping[Graph, float]):
-        self.n = n
         # ``g.n == n`` first: 1 << n is huge for a huge n, which the walk rejects.
         by_mask = {
             g.edge_mask: q for g, q in probs.items() if isinstance(g, Graph) and g.n == n and g.vertices == (1 << n) - 1
         }
         # An empty mapping fails the check: some graph was on other vertices.
-        self.masks, self.p = _in_walk_order(n, by_mask if len(by_mask) == len(probs) else {})
-        # Only what the writer can write: ints (not bool) and floats, np.float64 among them.
-        try:  # math.isfinite converts through float(), which an int past float range overflows
-            finite = all((type(q) is int or isinstance(q, float)) and math.isfinite(q) and q >= 0.0 for q in self.p)
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise DomainError("probabilities must be finite and nonnegative")
+        table = _checked_density(n, by_mask if len(by_mask) == len(probs) else {})
+        self.n, self.masks, self.p = table.n, table.masks, table.p
 
     def prob_of_mask(self, edge_mask: int) -> float:
         k = bisect_left(self.masks, edge_mask)
@@ -345,13 +354,20 @@ class DensityTable:
         return len(self.p)
 
 
-def _in_walk_order(n: int, by_mask: Mapping[int, float]) -> tuple[memoryview, list[float]]:
-    """The clique/separator table's masks of the decomposable graphs on n vertices,
-    ascending, and ``by_mask``'s values in their order, if those are exactly its keys."""
+def _checked_density(n: int, by_mask: Mapping[int, object]) -> DensityTable:
+    """The density of ``by_mask``'s values over the clique/separator table's masks, ascending,
+    if those are exactly its keys and its values are probabilities (see :func:`_as_float`),
+    finite, nonnegative and summing to one within 1e-6, divided by their exact sum."""
     masks = _clique_separator_table(n).masks
     if len(by_mask) != len(masks) or not all(m in by_mask for m in masks):
         raise DomainError(f"entries must be exactly the {len(masks)} decomposable graphs on {n} vertices")
-    return masks, [by_mask[m] for m in masks]
+    ps = [_as_float(by_mask[m], "entry probability") for m in masks]
+    if not all(0.0 <= q < INF for q in ps):
+        raise DomainError("probabilities must be finite and nonnegative")
+    z = _exact_sum(ps)
+    if not abs(z - 1.0) <= 1e-6:
+        raise DomainError(f"probabilities sum to {z}, not 1")
+    return _normalised(n, masks, ps)
 
 
 def _exact_sum(weights: list[float]) -> float:
@@ -443,9 +459,9 @@ def _vertex_set(verts, n: int, what: str) -> int:
 
 def _key_mask(key: str, n: int, what: str) -> int:
     """Mask of a comma-separated vertex list, ``""`` the empty set; see :func:`_vertex_set`."""
-    try:
-        verts = [int(tok) for tok in key.split(",")] if key else []
-    except ValueError:
+    try:  # plain ASCII decimal only: int() also reads "1_0", " 1", "+1" and other scripts' digits
+        verts = [int(tok) if tok.isascii() and tok.isdigit() else None for tok in key.split(",")] if key else []
+    except ValueError:  # more digits than int() converts
         verts = None
     return _vertex_set(verts, n, f"{what} {key!r}")
 
@@ -465,17 +481,6 @@ def _rule_to_obj(rule: SizeRule) -> dict:
     raise DomainError(f"unknown rule {rule!r}")
 
 
-def _as_float(value, what: str) -> float:
-    """A JSON number as a float. Strings are not numbers, nor are JSON
-    true and false, which parse as bool, a subclass of int."""
-    if type(value) in (int, float):
-        try:
-            return float(value)
-        except OverflowError:  # an integer beyond float range
-            pass
-    raise DomainError(f"{what} must be a number, got {value!r}")
-
-
 def _rule_from_obj(obj) -> SizeRule:
     if not isinstance(obj, dict) or "type" not in obj:
         raise DomainError("rule must be an object with a 'type' field")
@@ -483,7 +488,7 @@ def _rule_from_obj(obj) -> SizeRule:
     if not isinstance(kind, str) or kind not in _RULES:  # a list or an object is not hashable
         raise DomainError(f"unknown rule type {kind!r}")
     cls, field, default = _RULES[kind]
-    return cls(_as_float(obj.get(field, default), f"rule field {field!r}"))
+    return cls(obj.get(field, default))
 
 
 def _table_to_obj(table: PotentialTable) -> dict:
@@ -514,7 +519,7 @@ def _table_from_obj(obj, n: int) -> PotentialTable:
         mask = _key_mask(key, n, "override key")
         if mask in overrides:
             raise DomainError(f"override key {key!r} names the set of an earlier key")
-        overrides[mask] = INF if value == "inf" else _as_float(value, f"override for {key!r}")
+        overrides[mask] = INF if value == "inf" else value
     hubs = None
     hc = obj.get("hub_constraint")
     if hc is not None:
@@ -580,19 +585,12 @@ def _density_from_obj(obj) -> DensityTable:
     n = obj["n"]
     if type(n) is not int or not isinstance(obj["entries"], list):
         raise DomainError("density 'n' must be an integer and 'entries' an array")
-    probs: dict[int, float] = {}
+    probs = {}
     for entry in obj["entries"]:
         if not isinstance(entry, dict) or "edges" not in entry or "p" not in entry:
             raise DomainError("each density entry must be an object with fields 'edges' and 'p'")
         mask = _checked_edge_fields(n, entry["edges"])[1]
-        p = _as_float(entry["p"], "entry probability")
-        if p < 0.0 or not math.isfinite(p):
-            raise DomainError("probabilities must be finite and nonnegative")
         if mask in probs:
             raise DomainError(f"duplicate entry for {Graph.from_edge_mask(n, mask)!r}")
-        probs[mask] = p
-    masks, ps = _in_walk_order(n, probs)
-    z = _exact_sum(ps)
-    if not math.isfinite(z) or abs(z - 1.0) > 1e-6:
-        raise DomainError(f"probabilities sum to {z}, not 1")
-    return _normalised(n, masks, ps)
+        probs[mask] = entry["p"]
+    return _checked_density(n, probs)

@@ -25,7 +25,7 @@ from cliquesep import (
 from cliquesep import cli, graphs, laws, markov
 from cliquesep.cli import run_command
 from cliquesep.graphs import MAX_VERTICES
-from cliquesep.laws import DensityTable, _as_float, _density_from_obj, _normalised
+from cliquesep.laws import DensityTable, _as_float, _density_from_obj
 from conftest import random_csf
 
 
@@ -494,7 +494,15 @@ def test_hub_law_needs_hubs(capsys, hubs):
     (["density", "--n", "4", "--law", "hub", "--hubs", "9"], "--hubs '9' must list distinct vertex indices in 0..3"),
     (["density", "--law", "hub", "--hubs", "x"], "--n is required here"),
     (["export-dot", "--graph", "<graph>", "--hubs", "0,0"], "--hubs '0,0' must list distinct vertex indices in 0..2"),
-], ids=["density-repeated", "density-out-of-range", "density-n-first", "export-dot-repeated"])
+    # Only plain ASCII decimal, as the writer writes: int() reads each of these as a vertex.
+    (["sample", "--n", "12", "--law", "hub", "--hubs", "1_0", "--steps", "1"],
+     "--hubs '1_0' must list distinct vertex indices in 0..11"),
+    (["density", "--n", "4", "--law", "hub", "--hubs", " 1"], "--hubs ' 1' must list distinct vertex indices in 0..3"),
+    (["density", "--n", "4", "--law", "hub", "--hubs", "+1"], "--hubs '+1' must list distinct vertex indices in 0..3"),
+    (["density", "--n", "4", "--law", "hub", "--hubs", "\u0661"],
+     "--hubs '\u0661' must list distinct vertex indices in 0..3"),
+], ids=["density-repeated", "density-out-of-range", "density-n-first", "export-dot-repeated",
+        "underscore", "space", "plus-sign", "arabic-indic-digit"])
 def test_hubs_flag_lists_distinct_vertices(capsys, tmp_path, argv, message):
     path = tmp_path / "g.json"
     path.write_text('{"n": 3, "edges": [[0, 1]]}')
@@ -702,8 +710,8 @@ def test_shuffled_density_parses_to_the_same_table(n, seed, data):
 
 def graph_keyed_density_from_obj(obj):
     """The density parser that keyed its entries by ``Graph``, as the oracle:
-    a graph per entry, checked by ``Graph`` itself, then the coverage check
-    of ``DensityTable``."""
+    a graph per entry, checked by ``Graph`` itself, then the coverage and
+    sum checks of ``DensityTable``."""
     if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
         raise DomainError("density JSON must have fields 'n' and 'entries'")
     n = obj["n"]
@@ -725,11 +733,7 @@ def graph_keyed_density_from_obj(obj):
         if g in probs:
             raise DomainError(f"duplicate entry for {g!r}")
         probs[g] = p
-    table = DensityTable(n, probs)
-    z = math.fsum(table.p)
-    if not math.isfinite(z) or abs(z - 1.0) > 1e-6:
-        raise DomainError(f"probabilities sum to {z}, not 1")
-    return _normalised(n, table.masks, table.p)
+    return DensityTable(n, probs)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -406,6 +406,16 @@ def test_vertex_arguments_return_or_raise_domain_error(call):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def test_numpy_integers_are_vertices_and_floats_are_not():
+    # 1 << np.int64(70) wraps in int64: the hub mask once read 0, and vset(range(100)) -1.
+    assert vset(np.arange(100)) == (1 << 100) - 1
+    assert hub_law(100, np.arange(70, 75)).psi.hubs == vset(range(70, 75))
+    assert Graph(5, [(np.int64(0), np.int64(4))]) == Graph(5, [(0, 4)])
+    for call in (lambda: vset([1.0]), lambda: Graph(5, [(0.0, 4)]), lambda: Graph(5, [(0, "4")])):
+        with pytest.raises(DomainError, match="is not an integer"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # Completeness, induced subgraphs
 

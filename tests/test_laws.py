@@ -341,7 +341,12 @@ def test_perturb_density_needs_a_finite_factor(factor):
     ids=["zero", "sum-overflows", "weight-overflows"],
 )
 def test_perturb_density_refuses_a_table_it_cannot_normalise(q, factor, error, match):
-    density = DensityTable(3, {g: q for g in enumerate_decomposable(3)})
+    # The constructor refuses weights that do not sum to one, so they reach
+    # perturb_density only through the mutable list ``p`` of a built table.
+    with pytest.raises(DomainError, match="probabilities sum to"):
+        DensityTable(3, {g: q for g in enumerate_decomposable(3)})
+    density = normalize_by_enumeration(uniform_csf(3))
+    density.p[:] = [q] * len(density)
     with pytest.raises(error, match=match):
         perturb_density(density, Graph.empty(3), factor)
 
@@ -667,6 +672,40 @@ def test_law_json_rejects_junk():
         law_from_json('{"n": 3, "phi": {}, "psi": {"hub_constraint": {"hubs": [0, 0], "no_hub": "inf"}}}')
 
 
+@pytest.mark.parametrize("key", ["1_0", " 1", "+1", "١"], ids=["underscore", "space", "plus-sign", "arabic-indic-digit"])
+def test_override_keys_are_plain_ascii_decimal(key):
+    # int() reads each of these as a vertex; the writer never writes them. n=12 has a vertex 10.
+    with pytest.raises(DomainError, match=r"override key .* must list distinct vertex indices in 0\.\.11"):
+        law_from_json(json.dumps({"n": 12, "phi": {"overrides": {key: 1.0}}, "psi": {}}))
+
+
+_NOT_NUMBERS = [True, np.float32(1), np.int64(1), "1", None, 10**400]
+_BUILDERS = {
+    "exp-linear": ExpLinearRule,
+    "const": ConstRule,
+    "quadratic": QuadraticRule,
+    "override": lambda value: PotentialTable(overrides={vset([0, 1]): value}),
+}
+
+
+@pytest.mark.parametrize("value", _NOT_NUMBERS, ids=["bool", "float32", "int64", "str", "none", "int-past-float-range"])
+@pytest.mark.parametrize("build", _BUILDERS.values(), ids=_BUILDERS.keys())
+def test_rules_and_overrides_refuse_what_the_parser_refuses(build, value):
+    # Built, such a value would be written as a file that the parser refuses, or not written at all.
+    with pytest.raises(DomainError, match="must be a (finite )?number"):
+        build(value)
+
+
+@pytest.mark.parametrize("value", [2, np.float64(-0.75)], ids=["int", "float64"])
+def test_int_and_float64_potentials_round_trip(value):
+    table = PotentialTable(ExpLinearRule(value), overrides={vset([0, 1]): value})
+    law = CsfLaw(3, table, PotentialTable(QuadraticRule(value), overrides={0: value}))
+    back = law_from_json(law_to_json(law))
+    assert (back.phi.rule, back.psi.rule) == (ExpLinearRule(value), QuadraticRule(value))
+    assert (back.phi.overrides, back.psi.overrides) == ({vset([0, 1]): value}, {0: value})
+    assert law_to_json(back) == law_to_json(law)
+
+
 @pytest.mark.parametrize(
     "phi, psi, message",
     [
@@ -708,32 +747,42 @@ def test_density_json_is_json_dumps_bytes(kind):
         "float64": lambda k: np.float64(rng.random()),
         "mixed": lambda k: [k, rng.random(), np.float64(rng.random() / 7), 2**70][k % 4],
     }[kind]
-    density = DensityTable(n, {g: values(k) for k, g in enumerate(graphs)})
+    raw = [values(k) for k in range(len(graphs))]
+    z = math.fsum(raw)
+    density = DensityTable(n, {g: q / z for g, q in zip(graphs, raw)})
+    assert all(type(q) is float for q in density.p)  # so ints and np.float64 are written as floats
     entries = [{"edges": [list(e) for e in g.edges()], "p": q} for g, q in zip(graphs, density.p)]
     assert density_to_json(density) == json.dumps({"n": n, "entries": entries})
+    if kind in ("int", "mixed"):  # ints that sum to one, as given
+        one_hot = json.loads(density_to_json(DensityTable(n, {g: int(k == 5) for k, g in enumerate(graphs)})))
+        assert [type(e["p"]) for e in one_hot["entries"]] == [float] * len(graphs)
+
+
+_OUT_OF_RANGE = "probabilities must be finite and nonnegative"
+_NOT_A_NUMBER = "entry probability must be a number"
 
 
 @pytest.mark.parametrize(
-    "bad",
+    "bad, match",
     [
-        math.nan,
-        math.inf,
-        -math.inf,
-        -0.5,
-        pytest.param(10**400, id="int-past-float-range"),
-        pytest.param("0.5", id="str"),
-        pytest.param(None, id="none"),
-        pytest.param(0.5 + 0j, id="complex"),
-        pytest.param(True, id="bool"),  # written as true, which the parser refuses
-        pytest.param(np.float32(0.25), id="float32"),  # not JSON serializable
-        pytest.param(np.int64(1), id="int64"),  # not JSON serializable
+        pytest.param(math.nan, _OUT_OF_RANGE, id="nan"),
+        pytest.param(math.inf, _OUT_OF_RANGE, id="inf"),
+        pytest.param(-math.inf, _OUT_OF_RANGE, id="-inf"),
+        pytest.param(-0.5, _OUT_OF_RANGE, id="-0.5"),
+        pytest.param(10**400, _NOT_A_NUMBER, id="int-past-float-range"),
+        pytest.param("0.5", _NOT_A_NUMBER, id="str"),
+        pytest.param(None, _NOT_A_NUMBER, id="none"),
+        pytest.param(0.5 + 0j, _NOT_A_NUMBER, id="complex"),
+        pytest.param(True, _NOT_A_NUMBER, id="bool"),  # written as true, which the parser refuses
+        pytest.param(np.float32(0.25), _NOT_A_NUMBER, id="float32"),  # not JSON serializable
+        pytest.param(np.int64(1), _NOT_A_NUMBER, id="int64"),  # not JSON serializable
     ],
 )
-def test_density_table_refuses_what_the_parser_refuses(bad):
+def test_density_table_refuses_what_the_parser_refuses(bad, match):
     # Built, such a table would pass the property checks and be written as a file that the parser refuses.
     graphs = list(enumerate_decomposable(3))
     probs = {g: (bad if k == 2 else 0.25) for k, g in enumerate(graphs)}
-    with pytest.raises(DomainError, match="probabilities must be finite and nonnegative"):
+    with pytest.raises(DomainError, match=match):
         DensityTable(3, probs)
 
 
