@@ -142,8 +142,7 @@ def _load(args, densities: bool) -> CsfLaw | DensityTable:
     if args.law is None or args.law == "uniform":
         return uniform_csf(_need_n(args))
     if args.law == "hub":
-        n = _need_n(args)
-        _check_vertex_count(n)  # before the hub list is read against it
+        n = _check_vertex_count(_need_n(args))  # before the hub list is read against it
         hubs = _key_mask(args.hubs or "", n, "--hubs")
         if not hubs:
             raise DomainError("--law hub needs a non-empty --hubs list")

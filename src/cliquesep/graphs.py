@@ -48,6 +48,17 @@ view of its rows; only counting and the CLI listing stream the blocks
 and never build it.
 Graphs and the edge fields of graph and density files share one
 set of edge checks, and a graph file is checked and converted once.
+
+One integer rule, :func:`_index`, reads every vertex, vertex set,
+vertex count and index that a public function takes: ``operator.index``
+reads a numpy integer as an int, and a bool, a float or anything else
+is a ``DomainError``. :func:`_check_vertex_count`,
+:func:`_check_enumerable` and :func:`_check_subset` read through it and
+return the int that they read. The decomposition tests
+(:func:`is_decomposition`, :func:`in_U_star`, :func:`in_U_plus`) and
+:meth:`Graph._with_bit_toggled` are timed hot paths and take their
+arguments raw. Files are read by their own checks, which take JSON
+integers only.
 """
 
 from __future__ import annotations
@@ -58,7 +69,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, nan
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -72,31 +83,38 @@ MAX_VERTICES = 1024
 ENUMERATION_LIMIT = 7
 
 
-def _check_vertex_count(n: int) -> None:
-    # Called before anything is built from ``n``: 1 << n is huge for a huge n.
+def _index(value, what: str | None = "vertex index") -> int:
+    """``value`` through ``operator.index``, bools refused; else an error naming ``what``, or nan if it is None."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    if what is None:
+        return nan
+    raise DomainError(f"{what} {value!r} is not an integer")
+
+
+def _check_vertex_count(n) -> int:
+    """``n`` read as a vertex count in 1..``MAX_VERTICES``, before anything (1 << n) is built from it."""
+    n = _index(n, "vertex count")
     if not 1 <= n <= MAX_VERTICES:
         raise DomainError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+    return n
 
 
-def _check_enumerable(n: int) -> None:
-    """Refuse a vertex count outside 1..``ENUMERATION_LIMIT`` before anything is built from it."""
-    _check_vertex_count(n)
+def _check_enumerable(n) -> int:
+    """``n`` read as a vertex count in 1..``ENUMERATION_LIMIT``, before anything is built from it."""
+    n = _check_vertex_count(n)
     if n > ENUMERATION_LIMIT:
         raise CapacityError(f"enumeration over {n} vertices exceeds the limit of {ENUMERATION_LIMIT}")
-
-
-def _vertex(v) -> int:
-    """``v`` through ``operator.index``, so a numpy integer is a vertex index and a float is not."""
-    try:
-        return operator.index(v)
-    except TypeError:
-        raise DomainError(f"vertex index {v!r} is not an integer") from None
+    return n
 
 
 def vset(vertices: Iterable[int]) -> int:
     """Bit mask of a collection of vertex indices."""
     m = 0
-    for v in map(_vertex, vertices):
+    for v in map(_index, vertices):
         if not 0 <= v < MAX_VERTICES:  # before 1 << v, huge for a huge v
             raise DomainError(f"vertex index {v} outside 0..{MAX_VERTICES - 1}")
         m |= 1 << v
@@ -105,8 +123,7 @@ def vset(vertices: Iterable[int]) -> int:
 
 def members(mask: int) -> list[int]:
     """Sorted vertex indices packed in a bit mask."""
-    if mask < 0:  # its set bits never run out
-        raise DomainError(f"negative vertex mask {mask}")
+    mask = _check_subset(mask, -1, "vertex mask")  # any mask that is not negative
     out = []
     while mask:
         b = mask & -mask
@@ -171,7 +188,7 @@ def _rows_mask(n: int, rows) -> int:
 
 def within_edge_mask(n: int, vmask: int) -> int:
     """Edge mask of the complete graph on the vertices in ``vmask``."""
-    _check_subset(vmask, _full_mask(n), "vertex set")  # a vertex past n would bleed into the next row
+    vmask = _check_subset(vmask, _full_mask(n), "vertex set")  # a vertex past n would bleed into the next row
     return _rows_mask(n, [vmask if vmask >> i & 1 else 0 for i in range(n)])
 
 
@@ -282,8 +299,8 @@ class Graph:
     __slots__ = ("n", "vertices", "adj", "edge_mask", "_summary")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        _check_vertex_count(n)
-        adj, self.edge_mask = _checked_edges(n, [(_vertex(i), _vertex(j)) for i, j in edges])
+        n = _check_vertex_count(n)
+        adj, self.edge_mask = _checked_edges(n, [(_index(i), _index(j)) for i, j in edges])
         self.n = n
         self.vertices = _full_mask(n)
         self.adj = tuple(adj)
@@ -305,11 +322,13 @@ class Graph:
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
+        n = _check_vertex_count(n)  # before 1 << n
         return complete_sets_graph(n, [_full_mask(n)])
 
     @classmethod
     def from_edge_mask(cls, n: int, edge_mask: int) -> "Graph":
-        _check_vertex_count(n)
+        n = _check_vertex_count(n)
+        edge_mask = _index(edge_mask, "edge mask")
         if edge_mask >> (n * (n - 1) // 2):
             raise DomainError("edge mask has bits beyond the pair range")
         return cls(n, _mask_edges(n, edge_mask))
@@ -317,27 +336,25 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         return _mask_edges(self.n, self.edge_mask)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        if min(i, j) < 0 or not (self.vertices >> i & 1 and self.vertices >> j & 1):
+    def _active_pair(self, i, j) -> tuple[int, int]:
+        i, j = _index(i), _index(j)
+        if min(i, j) < 0 or not self.vertices >> i & self.vertices >> j & 1:
             raise DomainError(f"vertex pair ({i},{j}) not active")
+        return i, j
+
+    def has_edge(self, i: int, j: int) -> bool:
+        i, j = self._active_pair(i, j)
         return bool(self.adj[i] >> j & 1)
 
     def with_edge_toggled(self, i: int, j: int) -> "Graph":
         if i == j:
             raise DomainError("cannot toggle a self-loop")
-        try:
-            active = self.vertices >> i & self.vertices >> j & 1
-        except ValueError:  # a negative shift count: a negative vertex
-            active = 0
-        if not active:
-            raise DomainError(f"vertex pair ({i},{j}) not active")
-        if i > j:
-            i, j = j, i
+        i, j = sorted(self._active_pair(i, j))
         return self._with_bit_toggled(_row_shift(self.n, i) + j - i - 1)
 
     def _with_bit_toggled(self, k: int) -> "Graph":
-        """This graph with the pair at edge-mask bit k toggled; unchecked,
-        for callers that drew k among pairs of active vertices."""
+        """This graph with the pair at edge-mask bit k toggled; k is used raw, unchecked,
+        for callers that drew it among pairs of active vertices on every chain step."""
         i, j = _pair_at(self.n, k)
         adj = list(self.adj)
         adj[i] ^= 1 << j
@@ -360,9 +377,14 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edges()}{extra})"
 
 
-def _check_subset(a: int, universe: int, what: str) -> None:
+def _check_subset(a, universe: int, what: str) -> int:
+    """``a`` read as a vertex set: an integer (see :func:`_index`) whose set bits all lie in ``universe``."""
+    a = _index(a, what)
+    if a < 0:  # its set bits never run out
+        raise DomainError(f"negative {what} {a}")
     if a & ~universe:
         raise DomainError(f"{what} contains vertices outside the graph: {members(a & ~universe)}")
+    return a
 
 
 def _is_clique(adj, a: int) -> bool:
@@ -377,13 +399,13 @@ def _is_clique(adj, a: int) -> bool:
 
 def is_complete(g: Graph, a: int) -> bool:
     """True iff every pair of vertices in ``a`` is an edge of ``g``."""
-    _check_subset(a, g.vertices, "vertex set")
+    a = _check_subset(a, g.vertices, "vertex set")
     return _is_clique(g.adj, a)
 
 
 def induced_subgraph(g: Graph, a: int) -> Graph:
     """Subgraph induced on ``a``, keeping the original vertex labels."""
-    _check_subset(a, g.vertices, "vertex set")
+    a = _check_subset(a, g.vertices, "vertex set")
     adj = tuple(g.adj[v] & a if a >> v & 1 else 0 for v in range(g.n))
     emask = g.edge_mask & within_edge_mask(g.n, a)
     return Graph._from_parts(g.n, a, adj, emask)
@@ -449,6 +471,7 @@ def pluperfect_order(g: Graph, first: int = 0) -> PluperfectOrder:
     in the base ordering, and the parent is the earliest ordered clique
     containing the separator.
     """
+    first = _index(first, "first clique index")
     cl = cliques(g)
     j = len(cl)
     if not 0 <= first < j:
@@ -480,6 +503,11 @@ def is_decomposition(g: Graph, a: int, b: int) -> bool:
 
     Because ``a | b`` covers every vertex, the separation condition is
     equivalent to there being no edge joining the two set differences.
+
+    ``a`` and ``b`` are used raw, unlike every other vertex-set argument:
+    a cold decomposition index at n=6 makes 805,192 calls, so only a
+    failed cover reads them through :func:`_check_subset`, and a float
+    part raises ``TypeError``.
     """
     # Parts that cover the vertices lie inside them, so only a failed cover
     # needs the subset checks, which come first to keep the error order.
@@ -513,13 +541,15 @@ def _is_maximal_within(g: Graph, s: int, part: int) -> bool:
 
 def in_U_star(g: Graph, a: int, b: int) -> bool:
     """True iff ``(a, b)`` decomposes ``g`` and ``a & b`` is a clique of the
-    subgraph induced on ``a`` (complete and maximal there)."""
+    subgraph induced on ``a`` (complete and maximal there). Its parts are
+    used raw, as :func:`is_decomposition` uses them."""
     return is_decomposition(g, a, b) and _is_maximal_within(g, a & b, a)
 
 
 def in_U_plus(g: Graph, a: int, b: int) -> bool:
     """True iff ``(a, b)`` decomposes ``g`` and ``a & b`` is a clique of ``g``
-    itself, i.e. maximal within both parts."""
+    itself, i.e. maximal within both parts. Its parts are used raw, as
+    :func:`is_decomposition` uses them."""
     return in_U_star(g, a, b) and _is_maximal_within(g, a & b, b)
 
 
@@ -555,12 +585,11 @@ def complete_sets_graph(n: int, sets: Iterable[int]) -> Graph:
     the maximal elements of ``sets`` (plus leftover singletons) are its
     cliques.
     """
-    _check_vertex_count(n)
+    n = _check_vertex_count(n)
     full = _full_mask(n)
     adj = [0] * n
     for s in sets:
-        if s & ~full:
-            raise DomainError("set outside 0..n-1")
+        s = _check_subset(s, full, "vertex set")
         m = s
         while m:
             b = m & -m
@@ -627,7 +656,7 @@ def _chordal_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     least one) and is never empty, since each ``h`` with vertex 0
     isolated is kept.
     """
-    _check_enumerable(n)
+    n = _check_enumerable(n)
 
     def extend(k, masks, adj):
         low = np.arange(1 << (k - 1), dtype=np.uint8)  # bit j - 1: the edge (0, j)
@@ -742,7 +771,8 @@ def enumerate_decomposable(n: int) -> Iterator[Graph]:
     """Yield every decomposable labelled graph on n vertices exactly once,
     in ascending edge-mask order, as views of the rows of the cached
     :func:`_clique_separator_table`, made ``_LOCKSTEP_BLOCK`` rows at a time."""
-    t = _clique_separator_table(n)  # checks n before 1 << n is built
+    n = _check_enumerable(n)  # the cached table is keyed by n, so 4.0 would hit the table of 4
+    t = _clique_separator_table(n)
     for lo in range(0, len(t.masks), _LOCKSTEP_BLOCK):
         for row, mask in zip(t.adj[lo : lo + _LOCKSTEP_BLOCK].tolist(), t.masks[lo : lo + _LOCKSTEP_BLOCK]):
             yield Graph._from_parts(n, _full_mask(n), tuple(row), mask)
@@ -761,7 +791,7 @@ def _edges_json_halves(n: int) -> tuple[int, tuple[str, ...], tuple[str, ...]]:
     inside the brackets of ``json.dumps`` of the pairs of each mask m of
     the rows below s, and ``high[h]`` the same for the mask ``h << s`` of
     the rows from s on. At n=7 they hold 2,048 and 1,024 texts."""
-    _check_enumerable(n)  # before any text: each half holds about 2^(n(n-1)/4)
+    n = _check_enumerable(n)  # before any text: each half holds about 2^(n(n-1)/4)
     pairs = n * (n - 1) // 2
     s = min((_row_shift(n, i) for i in range(n)), key=lambda b: abs(2 * b - pairs))
     return (
@@ -825,13 +855,13 @@ def _checked_edge_fields(n: int, edges) -> tuple[list[int], int]:
         isinstance(e, list) and len(e) == 2 and type(e[0]) is int and type(e[1]) is int for e in edges
     ):
         raise DomainError("'edges' must be an array of 2-element arrays of vertex indices")
-    _check_vertex_count(n)
+    n = _check_vertex_count(n)
     return _checked_edges(n, edges)
 
 
 def to_dot(g: Graph, hubs: int = 0) -> str:
     """Render a graph in DOT; vertices in ``hubs`` get ``style=filled``."""
-    _check_subset(hubs, g.vertices, "hub set")
+    hubs = _check_subset(hubs, g.vertices, "hub set")
     lines = ["graph G {"]
     for v in members(g.vertices):
         attr = " [style=filled]" if hubs >> v & 1 else ""

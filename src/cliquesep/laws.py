@@ -30,7 +30,9 @@ lookups in the graph module's cached texts and the probabilities as
 ``json.dumps`` writes them, without an object per entry, in pieces of
 4,096 entries that the CLI writes as they are made and
 :func:`density_to_json` joins. The constructors read every number through
-:func:`_as_float`, so the parsers hand them JSON values as read.
+:func:`_as_float`, so the parsers hand them JSON values as read, and
+every vertex set and vertex count through the graph module's integer
+rule, :func:`~cliquesep.graphs._index`.
 """
 
 from __future__ import annotations
@@ -47,10 +49,13 @@ from .errors import DomainError, EmptySupportError
 from .graphs import (
     MAX_VERTICES,
     Graph,
+    _check_enumerable,
+    _check_subset,
     _check_vertex_count,
     _checked_edge_fields,
     _clique_separator_table,
     _edges_json_texts,
+    _index,
     _json_value,
     clique_separators,
     enumerate_decomposable,
@@ -125,7 +130,8 @@ class PotentialTable:
 
     Lookup order: explicit override, else +inf if the set misses every
     hub, else the size rule. ``extra`` is added on top of finite values.
-    Treat instances as immutable.
+    Treat instances as immutable. Override keys and ``hubs`` are read as
+    integers (see :func:`~cliquesep.graphs._index`).
     """
 
     __slots__ = ("rule", "overrides", "hubs", "extra")
@@ -140,14 +146,16 @@ class PotentialTable:
         self.rule = ConstRule(0.0) if rule is None else rule
         self.overrides = {}
         for mask, raw in (overrides or {}).items():
+            mask = _index(mask, "override set")
             value = _as_float(raw)
             if not -INF < value <= INF:  # the set is named only here: CsfLaw refuses one outside 0..n-1
                 raise DomainError(f"log-potential for {members(mask)} must be a number, finite or +inf, got {raw!r}")
             self.overrides[mask] = value
-        self.hubs = hubs
+        self.hubs = None if hubs is None else _index(hubs, "hub set")
         self.extra = extra
 
     def log_potential(self, mask: int) -> float:
+        """Log-potential of the set ``mask``, taken raw: this runs on every chain step and in T·θ."""
         base = self.overrides.get(mask)
         if base is None:
             if self.hubs is not None and mask & self.hubs == 0:
@@ -178,17 +186,17 @@ class CsfLaw:
     psi: PotentialTable
 
     def __post_init__(self):
-        _check_vertex_count(self.n)  # before any mask is shifted by it
+        object.__setattr__(self, "n", _check_vertex_count(self.n))  # before 1 << n; the dataclass is frozen
         for table in (self.phi, self.psi):
-            if any(mask >> self.n for mask in table.overrides):
-                raise DomainError("override set outside 0..n-1")
-            if table.hubs is not None and table.hubs >> self.n:
-                raise DomainError("hub set outside 0..n-1")
+            for mask in table.overrides:
+                _check_subset(mask, (1 << self.n) - 1, "override set")
+            _check_subset(table.hubs or 0, (1 << self.n) - 1, "hub set")
 
 
 def t_statistic(g: Graph, a: int) -> int:
     """1 if ``a`` is a clique of ``g``, minus its multiplicity if it is a
     separator, 0 otherwise."""
+    a = _check_subset(a, g.vertices, "vertex set")
     cl, seps = clique_separators(g)
     if a in seps:
         return -seps[a]
@@ -245,6 +253,7 @@ def erdos_renyi_csf(n: int, p: float) -> CsfLaw:
     Normalised over the decomposable graphs this equals independent
     edges with probability p, conditioned on decomposability.
     """
+    p = _as_float(p, "edge probability")
     if not 0.0 < p < 1.0:
         raise DomainError(f"edge probability must be in (0,1), got {p}")
     rule = QuadraticRule(math.log(p / (1.0 - p)))
@@ -257,10 +266,11 @@ def hub_law(n: int, hubs: int | Iterable[int], clique_rate: float = 4.0, separat
     Clique potentials are exp(-clique_rate * |C|) for every clique;
     separator potentials are exp(-separator_rate * |S|) when S contains a
     hub and +inf otherwise. The empty separator contains no hub, so every
-    supported graph is connected.
+    supported graph is connected. ``hubs`` is an iterable of vertex
+    indices or else a hub mask, each read as integers.
     """
-    _check_vertex_count(n)
-    hub_mask = hubs if isinstance(hubs, int) else vset(hubs)
+    n = _check_vertex_count(n)
+    hub_mask = vset(hubs) if isinstance(hubs, Iterable) else _index(hubs, "hub set")
     return CsfLaw(
         n,
         PotentialTable(ExpLinearRule(clique_rate)),
@@ -268,21 +278,23 @@ def hub_law(n: int, hubs: int | Iterable[int], clique_rate: float = 4.0, separat
     )
 
 
-def _check_dimension_n(n: int) -> None:
-    # Before ``2**n``, which is huge for a huge n.
+def _check_dimension_n(n) -> int:
+    """``n`` read as a vertex count in 2..``MAX_VERTICES``, before ``2**n``, which is huge for a huge n."""
+    n = _index(n, "vertex count")
     if not 2 <= n <= MAX_VERTICES:
         raise DomainError(f"dimension formulas need 2..{MAX_VERTICES} vertices, got {n}")
+    return n
 
 
 def csf_dimension(n: int) -> int:
     """Dimension of the space of clique-separator factorisation laws."""
-    _check_dimension_n(n)
+    n = _check_dimension_n(n)
     return 2 * 2**n - 2 * n - 3
 
 
 def cef_dimension(n: int) -> int:
     """Dimension of the subfamily with one shared potential per set."""
-    _check_dimension_n(n)
+    n = _check_dimension_n(n)
     return 2**n - n - 1
 
 
@@ -328,7 +340,7 @@ class DensityTable:
     __slots__ = ("n", "masks", "p")
 
     def __init__(self, n: int, probs: Mapping[Graph, float]):
-        # ``g.n == n`` first: 1 << n is huge for a huge n, which the walk rejects.
+        n = _check_enumerable(n)  # before 1 << n
         by_mask = {
             g.edge_mask: q for g, q in probs.items() if isinstance(g, Graph) and g.n == n and g.vertices == (1 << n) - 1
         }
@@ -434,6 +446,7 @@ def perturb_density(density: DensityTable, g: Graph, factor: float) -> DensityTa
         density.prob(g)
     except KeyError:
         raise DomainError("graph is not in the density's support set") from None
+    factor = _as_float(factor, "perturbation factor")
     if not 0.0 < factor < INF:
         raise DomainError(f"perturbation factor must be finite and positive, got {factor!r}")
     weights = list(density.p)

@@ -59,7 +59,10 @@ import numpy as np
 from .errors import CapacityError, DomainError, PreconditionError
 from .graphs import (
     Graph,
+    _check_subset,
+    _check_vertex_count,
     _clique_separator_table,
+    _index,
     cliques,
     enumerate_decomposable,
     in_U_plus,
@@ -70,9 +73,11 @@ from .graphs import (
     within_edge_mask,
 )
 from .laws import (
+    INF,
     CsfLaw,
     DensityTable,
     PotentialTable,
+    _as_float,
     _check_on_all_vertices,
     csf_dimension,
     normalize_by_enumeration,
@@ -115,6 +120,7 @@ def conditioning_set(n: int, a: int, b: int, kind: PropertyKind) -> list[Graph]:
     """
     if not isinstance(kind, PropertyKind):
         raise DomainError(f"property kind {kind!r} is not a PropertyKind")
+    a, b = _index(a, "first part"), _index(b, "second part")  # the scan tests them raw
     pred = {
         PropertyKind.SM: is_decomposition,
         PropertyKind.WSM: in_U_star,
@@ -279,10 +285,14 @@ def check_property(density: DensityTable, kind: PropertyKind, tol: float = 1e-9)
     partition. Graphs with zero probability are left out of the table,
     and pairs whose table has fewer than two distinct rows or columns
     impose nothing. The first table, in covering-pair and filter order,
-    that reaches the largest value gives the witness.
+    that reaches the largest value gives the witness. ``tol`` must be
+    finite and nonnegative.
     """
     if not isinstance(kind, PropertyKind):  # at n=1 no pair table would reach a family
         raise DomainError(f"property kind {kind!r} is not a PropertyKind")
+    tol = _as_float(tol, "tolerance")
+    if not 0.0 <= tol < INF:
+        raise DomainError(f"tolerance must be finite and nonnegative, got {tol!r}")
     logp = np.array([math.log(p) if p > 0.0 else math.nan for p in density.p])
     positive = ~np.isnan(logp)
     worst = 0.0
@@ -403,10 +413,8 @@ def verify_lemma2_ratio(density: DensityTable, s: int) -> float:
     Zero spread (up to rounding) is what lets that ratio define a
     separator potential depending on ``s`` alone.
     """
-    n = density.n
-    full = (1 << n) - 1
-    if s < 0 or s & ~full:
-        raise DomainError(f"separator mask {s} is not a set of vertices in 0..{n - 1}")
+    full = (1 << density.n) - 1
+    s = _check_subset(s, full, "separator")
     comp = full & ~s
     if comp.bit_count() < 2:
         raise DomainError("needs at least two vertices outside the separator")
@@ -500,6 +508,7 @@ def ewsm_dimension_analysis(n: int = 4) -> EwsmDimensionAnalysis:
     it exceeds it: rank 695 of 1275 at n=5 (126 free against 51) and
     17,760 of 59,085 at n=6 (393 free against 113).
     """
+    n = _check_vertex_count(n)  # before the limit, whose text ``ewsm-rank --n 8`` shows
     rows = list(_ewsm_rows(n))
     rank = _exact_rank(rows)
     return EwsmDimensionAnalysis(
@@ -513,7 +522,7 @@ def ewsm_dimension_analysis(n: int = 4) -> EwsmDimensionAnalysis:
 
 def ewsm_constraint_column_support(n: int = 4) -> set[int]:
     """Indices (enumeration order) of graphs touched by some constraint row."""
-    return {gi for row in _ewsm_rows(n) for gi in row}
+    return {gi for row in _ewsm_rows(_check_vertex_count(n)) for gi in row}
 
 
 def ewsm_not_wsm_density(n: int = 4) -> DensityTable:

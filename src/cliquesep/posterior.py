@@ -16,8 +16,8 @@ from collections import Counter
 from typing import Sequence
 
 from .errors import DomainError
-from .laws import CsfLaw
-from .graphs import members
+from .graphs import _check_subset, members
+from .laws import CsfLaw, _as_float
 
 
 class BernoulliDirichletScore:
@@ -41,6 +41,7 @@ class BernoulliDirichletScore:
         rows = [list(r) for r in data]
         if not rows:
             raise DomainError("data must have at least one row")
+        alpha = _as_float(alpha, "concentration")
         if alpha <= 0.0 or not math.isfinite(alpha):
             raise DomainError(f"concentration must be positive, got {alpha}")
         ncols = len(rows[0])
@@ -57,7 +58,7 @@ class BernoulliDirichletScore:
                 mask |= value << c
             packed.append(mask)
         self.n = ncols
-        self.alpha = float(alpha)
+        self.alpha = alpha
         self.num_rows = len(packed)
         self._rows = packed
         self._cache: dict[int, float] = {0: 0.0}
@@ -66,8 +67,7 @@ class BernoulliDirichletScore:
         cached = self._cache.get(mask)
         if cached is not None:
             return cached
-        if mask >> self.n:
-            raise DomainError("vertex set outside the data columns")
+        mask = _check_subset(mask, (1 << self.n) - 1, "vertex set")
         # ``row & mask`` names a cell, and the counts keep their first-seen order.
         counts = Counter(row & mask for row in self._rows)
         alpha, rows = self.alpha, self.num_rows

@@ -21,13 +21,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
-from numbers import Integral
 from typing import Iterator
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .graphs import ENUMERATION_LIMIT, Graph, clique_separators, is_decomposable
+from .graphs import ENUMERATION_LIMIT, Graph, _index, clique_separators, is_decomposable
 from .laws import INF, CsfLaw, _check_on_all_vertices, log_density_unnorm
 
 _MASK64 = (1 << 64) - 1
@@ -39,10 +38,10 @@ _BLOCK = 8192
 
 def _generator(seed: int, chain_index: int) -> np.random.Generator:
     """Philox keyed by (seed, chain index), each in 0..2^64-1, so distinct pairs never share a stream."""
-    if not all(isinstance(v, Integral) and 0 <= v <= _MASK64 for v in (seed, chain_index)):
+    key = [_index(seed, None), _index(chain_index, None)]  # nan, refused below, if not an integer
+    if not all(0 <= v <= _MASK64 for v in key):
         raise DomainError(f"seed {seed!r} and chain index {chain_index!r} must be integers in 0..2^64-1")
-    key = np.array([seed, chain_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
 class _BufferedRandom:
@@ -182,6 +181,7 @@ def _chain(
 
     One ``ChainState`` is updated in place and yielded every time.
     """
+    steps = _index(steps, "step count")
     if steps < 0:
         raise DomainError("steps must be nonnegative")
     if law.n < 2:
@@ -211,6 +211,7 @@ def run_chain(
     Deterministic given (seed, chain_index); chains with distinct indices
     use independent streams.
     """
+    thin = _index(thin, "thin")
     if thin < 1:
         raise DomainError("thin must be at least 1")
     records = []
@@ -220,7 +221,7 @@ def run_chain(
     rate = state.accept_count / state.step_count if state.step_count else 0.0
     return SampleSummary(
         n=law.n,
-        steps=steps,
+        steps=state.step_count,
         thin=thin,
         seed=seed,
         chain_index=chain_index,

@@ -32,10 +32,12 @@ from cliquesep import (
     is_connected,
     is_decomposable,
     is_decomposition,
+    normalize_by_enumeration,
     pluperfect_order,
     run_chain,
     separator_multiset,
     to_dot,
+    uniform_csf,
     vset,
 )
 from cliquesep.graphs import (
@@ -339,8 +341,9 @@ def test_negative_masks_and_vertices_raise_domain_error(call):
     assert proc.returncode == 0, proc.stderr
 
 
-# Every public function that takes a vertex mask or a vertex index, at n=4,
-# with ``v`` standing for the value under test; ``g`` is a path on 0..3.
+# Every public function that takes a vertex mask, a vertex index, a vertex
+# count or an index, at n=4, with ``v`` standing for the value under test;
+# ``g`` is a path on 0..3.
 _VERTEX_ARGUMENT_CALLS = [
     "vset([v])",
     "members(v)",
@@ -373,6 +376,14 @@ _VERTEX_ARGUMENT_CALLS = [
     "conditioning_set(4, 15, v, PropertyKind.EWSM)",
     "verify_lemma2_ratio(density, v)",
     "bernoulli_dirichlet_score([[0, 1, 1, 0], [1, 1, 0, 0]]).log_marginal(v)",
+    "Graph(v)",
+    "Graph.from_edge_mask(4, v)",
+    "pluperfect_order(g, v)",
+    "csf_dimension(v)",
+    "uniform_csf(v)",
+    "count_decomposable(v)",
+    "run_chain(uniform_csf(3), steps=v)",
+    "run_chain(uniform_csf(3), thin=v)",
 ]
 
 # -1, 0, the full mask, the full mask + 1 (which is 1 << n), 1 << MAX_VERTICES,
@@ -380,18 +391,35 @@ _VERTEX_ARGUMENT_CALLS = [
 # about 2^25 and 2^40, where 1 << v would really allocate.
 _VERTEX_ARGUMENT_VALUES = [-1, 0, 15, 16, 1 << MAX_VERTICES, 2**64]
 
+# A chain of v steps takes the values below 2^20 only: it would run for ever.
+_STEP_CALLS = {"run_chain(uniform_csf(3), steps=v)"}
+
+# Values that are not integers, then a numpy integer, which must act as 15.
+# The calls that take their parts raw (the timed decomposition tests) and
+# ``json.dumps``, which refuses a numpy integer, get the ints only.
+_NON_INTEGER_VALUES = '[1.0, True, "1", None, np.int64(15)]'
+_RAW_INTEGER_CALLS = {
+    c for c in _VERTEX_ARGUMENT_CALLS if c.startswith(("graph_from_json", "is_decomposition", "in_U_"))
+}
+
 _VERTEX_ARGUMENT_SCRIPT = """
 import json, sys
+import numpy as np
 from cliquesep import *
 from cliquesep.graphs import within_edge_mask
 g = Graph(4, [(0, 1), (1, 2), (2, 3)])
 density = normalize_by_enumeration(uniform_csf(4))
-for v in {values}:
-    print(v, flush=True)  # the last value printed names a call that hung
+def outcome(v):
     try:
-        {call}
-    except DomainError:
-        pass
+        r = {call}
+    except DomainError as e:
+        return "DomainError", str(e)
+    return "returned", law_to_json(r) if isinstance(r, CsfLaw) else r
+for v in {values}:
+    print(repr(v), flush=True)  # the last value printed names a call that hung
+    outcome(v)
+if {numpy_too}:
+    assert outcome(np.int64(15)) == outcome(15), (outcome(np.int64(15)), outcome(15))
 """
 
 
@@ -399,7 +427,10 @@ for v in {values}:
 def test_vertex_arguments_return_or_raise_domain_error(call):
     # One child per call runs it on every value, under a timeout: some of
     # these once looped forever or tried to build 1 << v.
-    script = _VERTEX_ARGUMENT_SCRIPT.format(values=_VERTEX_ARGUMENT_VALUES, call=call)
+    values = [v for v in _VERTEX_ARGUMENT_VALUES if call not in _STEP_CALLS or v < 1 << 20]
+    numpy_too = call not in _RAW_INTEGER_CALLS
+    values = f"{values} + {_NON_INTEGER_VALUES}" if numpy_too else values
+    script = _VERTEX_ARGUMENT_SCRIPT.format(values=values, call=call, numpy_too=numpy_too)
     src = os.path.dirname(os.path.dirname(cliquesep.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
@@ -411,7 +442,17 @@ def test_numpy_integers_are_vertices_and_floats_are_not():
     assert vset(np.arange(100)) == (1 << 100) - 1
     assert hub_law(100, np.arange(70, 75)).psi.hubs == vset(range(70, 75))
     assert Graph(5, [(np.int64(0), np.int64(4))]) == Graph(5, [(0, 4)])
-    for call in (lambda: vset([1.0]), lambda: Graph(5, [(0.0, 4)]), lambda: Graph(5, [(0, "4")])):
+    # A numpy integer hub mask was iterated as a vertex list; a numpy vertex count
+    # reached numpy's shifts in the normalisation's keys.
+    assert hub_law(4, np.int64(1)).psi.hubs == 1
+    assert normalize_by_enumeration(uniform_csf(np.int64(4))).p == normalize_by_enumeration(uniform_csf(4)).p
+    for call in (
+        lambda: vset([1.0]),
+        lambda: Graph(5, [(0.0, 4)]),
+        lambda: Graph(5, [(0, "4")]),
+        lambda: Graph(4).has_edge(0, 1.0),
+        lambda: Graph(4).with_edge_toggled(0, 1.0),
+    ):
         with pytest.raises(DomainError, match="is not an integer"):
             call()
 

@@ -16,8 +16,10 @@ from cliquesep import (
     Graph,
     PotentialTable,
     PreconditionError,
+    PropertyKind,
     QuadraticRule,
     bernoulli_dirichlet_score,
+    check_property,
     cef_dimension,
     clique_separators,
     complete_sets_graph,
@@ -696,6 +698,29 @@ def test_rules_and_overrides_refuse_what_the_parser_refuses(build, value):
         build(value)
 
 
+_FLOAT_PARAMETERS = {
+    "tol": lambda value: check_property(normalize_by_enumeration(uniform_csf(3)), PropertyKind.WSM, tol=value),
+    "factor": lambda value: perturb_density(normalize_by_enumeration(uniform_csf(3)), Graph(3), value),
+    "edge-probability": lambda value: erdos_renyi_csf(4, value),
+    "alpha": lambda value: bernoulli_dirichlet_score([[0, 1], [1, 1]], alpha=value),
+}
+
+
+@pytest.mark.parametrize("value", ["0.5", None, True, np.float32(1)], ids=["str", "none", "bool", "float32"])
+@pytest.mark.parametrize("call", _FLOAT_PARAMETERS.values(), ids=_FLOAT_PARAMETERS.keys())
+def test_float_parameters_are_read_by_the_number_rule(call, value):
+    # The strings and None once raised a bare TypeError; True and np.float32 passed as numbers.
+    with pytest.raises(DomainError, match="must be a number, got"):
+        call(value)
+
+
+@pytest.mark.parametrize("tol", [-1e-9, math.inf, math.nan])
+def test_check_property_refuses_a_tolerance_the_cli_refuses(tol):
+    # A negative tolerance once reported every density as failing.
+    with pytest.raises(DomainError, match="tolerance must be finite and nonnegative"):
+        check_property(normalize_by_enumeration(uniform_csf(3)), PropertyKind.WSM, tol)
+
+
 @pytest.mark.parametrize("value", [2, np.float64(-0.75)], ids=["int", "float64"])
 def test_int_and_float64_potentials_round_trip(value):
     table = PotentialTable(ExpLinearRule(value), overrides={vset([0, 1]): value})
@@ -709,11 +734,11 @@ def test_int_and_float64_potentials_round_trip(value):
 @pytest.mark.parametrize(
     "phi, psi, message",
     [
-        (PotentialTable(overrides={8: 1.0}), PotentialTable(), "override set outside 0..n-1"),
-        (PotentialTable(), PotentialTable(overrides={vset([0, 3]): math.inf}), "override set outside 0..n-1"),
-        (PotentialTable(overrides={-1: 1.0}), PotentialTable(), "override set outside 0..n-1"),
-        (PotentialTable(), PotentialTable(hubs=0b1000), "hub set outside 0..n-1"),
-        (PotentialTable(hubs=0b1001), PotentialTable(), "hub set outside 0..n-1"),
+        (PotentialTable(overrides={8: 1.0}), PotentialTable(), r"override set contains vertices outside the graph: \[3\]"),
+        (PotentialTable(), PotentialTable(overrides={vset([0, 3]): math.inf}), r"override set contains .*: \[3\]"),
+        (PotentialTable(overrides={-1: 1.0}), PotentialTable(), "negative override set -1"),
+        (PotentialTable(), PotentialTable(hubs=0b1000), r"hub set contains vertices outside the graph: \[3\]"),
+        (PotentialTable(hubs=0b1001), PotentialTable(), r"hub set contains vertices outside the graph: \[3\]"),
     ],
     ids=["phi-override", "psi-override", "negative-override", "psi-hubs", "phi-hubs"],
 )

@@ -3,7 +3,9 @@
 The constants were taken from the library before its clique, enumeration
 and chain loops were folded together; the decomposition index's from the
 scan over covering pairs that builds it; the ``check`` outputs' from the
-dict-based cross-ratio sweep, before it was vectorised; the hub
+dict-based cross-ratio sweep, before it was vectorised (the ``ewsm``
+ones from the vectorised sweep, before one integer rule read every
+vertex, vertex set and vertex count); the hub
 ``sample`` output's once hub chains started at the star; the 200-vertex
 hub chain's from the search that scanned every unvisited vertex for the
 next one, before it kept them in buckets by weight; the ``density``,
@@ -27,6 +29,7 @@ from cliquesep import (
     hub_law,
     PotentialTable,
     density_to_json,
+    ewsm_not_wsm_density,
     law_to_json,
     enumerate_decomposable,
     log_density_unnorm,
@@ -123,7 +126,7 @@ def n6_density_files(tmp_path_factory):
     return paths
 
 
-# The four ``check`` digests pin the worst value to the last bit (4.44e-15
+# The ``check`` digests pin the worst value to the last bit (4.44e-15
 # of rounding noise on the passing density) and the witness quadruple.
 
 
@@ -140,6 +143,28 @@ def test_check_wsm_n6_perturbed_stdout_digest(capsys, n6_density_files):
 def test_check_sm_n6_stdout_digest(capsys, n6_density_files):
     out = stdout_of(capsys, "check", "--law", str(n6_density_files["density"]), "--property", "sm")
     assert digest(out) == "4dc7c7d93b7a939a455ef6dfd2a2893b9b68aaa8d56cfed2c20ce1bc9c6ef1fc"
+
+
+def test_check_ewsm_n6_stdout_digest(capsys, n6_density_files):
+    out = stdout_of(capsys, "check", "--law", str(n6_density_files["density"]), "--property", "ewsm")
+    assert digest(out) == "4b4fdd0fd614866cd2e4ca651c8fb57c91a62aad7eabb324aa8c769ab42eaf4f"
+
+
+def test_check_ewsm_n6_perturbed_stdout_digest(capsys, n6_density_files):
+    out = stdout_of(capsys, "check", "--law", str(n6_density_files["perturbed"]), "--property", "ewsm")
+    assert digest(out) == "6a9ab7754a78df692317bbada47958f30353af5285858fe53b14672877fa6180"
+
+
+@pytest.mark.parametrize("prop, expected", [
+    ("ewsm", "19fdb0ffd3a2274082511994de50984997d44c6492d1f7379888b96ec541df63"),
+    ("wsm", "ba7785eeb488687e35bcfbe0738a879a9b56cbe58043f6ff341dac4f4e81d053"),
+], ids=["ewsm", "wsm"])
+def test_check_ewsm_not_wsm_n4_stdout_digest(capsys, tmp_path, prop, expected):
+    # The density passes ``ewsm`` and fails ``wsm``: both outputs are pinned.
+    path = tmp_path / "ewsm_not_wsm.json"
+    path.write_text(density_to_json(ewsm_not_wsm_density(4)))
+    out = stdout_of(capsys, "check", "--law", str(path), "--property", prop)
+    assert digest(out) == expected
 
 
 def test_check_sm_hub_stdout_digest(capsys):
