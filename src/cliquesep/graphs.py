@@ -48,6 +48,9 @@ view of its rows; only counting and the CLI listing stream the blocks
 and never build it.
 Graphs and the edge fields of graph and density files share one
 set of edge checks, and a graph file is checked and converted once.
+Every JSON file is parsed by one reader, which turns each density entry
+into one int of its pairs and its probability as soon as the entry
+closes, so a density's dicts and edge lists never exist all at once.
 
 One integer rule, :func:`_index`, reads every vertex, vertex set,
 vertex count and index that a public function takes: ``operator.index``
@@ -818,14 +821,70 @@ def graph_to_json(g: Graph) -> str:
 
 
 def _json_value(text: str | bytes, what: str):
-    """Parsed JSON value of ``text``, str or UTF bytes; invalid JSON is an "invalid ``what`` JSON" error."""
+    """Parsed JSON value of ``text``, str or UTF bytes; invalid JSON is an "invalid ``what`` JSON" error.
+    A density's entries become :class:`_Entry` values as the parse goes, never all dicts and lists at once."""
     try:
         if isinstance(text, bytes):  # as json.loads decodes bytes, but frees them before the parse
             text = text.decode(json.detect_encoding(text), "surrogatepass")
-        return json.loads(text)
+        value = json.loads(text, object_pairs_hook=_entry_or_dict)
     # ValueError: JSONDecodeError or an integer past the digit limit; RecursionError: nested too deep.
     except (ValueError, RecursionError) as e:
         raise DomainError(f"invalid {what} JSON: {e}") from e
+    return value.as_dict() if type(value) is _Entry else value
+
+
+def _entry_or_dict(pairs: list):
+    """``object_pairs_hook`` that never raises: an object with keys ``edges`` then ``p``, its edges strictly
+    ascending pairs [i, j] of ints, 0 <= i < j < 7 (no enumerable density has a vertex past 6), is an
+    :class:`_Entry`, and any other object the dict that ``json.loads`` makes, with an ``_Entry`` among its
+    values back as its dict; so only list items stay entries."""
+    if len(pairs) == 2 and pairs[0][0] == "edges" and pairs[1][0] == "p" and type(pairs[0][1]) is list:
+        colex, last = 0, -1
+        for e in pairs[0][1]:
+            if type(e) is not list or len(e) != 2:
+                break
+            i, j = e
+            if type(i) is not int or type(j) is not int or not 0 <= i < j < 7 or 7 * i + j <= last:
+                break
+            colex, last = colex | 1 << j * (j - 1) // 2 + i, 7 * i + j
+        else:
+            return _Entry(colex, pairs[1][1])
+    return {k: v.as_dict() if type(v) is _Entry else v for k, v in pairs}
+
+
+class _Entry:
+    """``{"edges": [[i, j], ...], "p": p}`` without its lists: bit j(j-1)/2 + i of ``colex`` is the pair (i, j)
+    whatever the vertex count, and the pairs ascend in the list. It prints as that dict, in error messages too."""
+
+    __slots__ = ("colex", "p")
+
+    def __init__(self, colex: int, p):
+        self.colex, self.p = colex, p
+
+    def as_dict(self) -> dict:
+        return {"edges": self.edges(), "p": self.p}
+
+    def __repr__(self) -> str:
+        return repr(self.as_dict())
+
+    def edges(self) -> list[list[int]]:
+        return [[i, j] for i in range(7) for j in range(i + 1, 7) if self.colex >> j * (j - 1) // 2 + i & 1]
+
+    def edge_mask(self, n: int) -> int:
+        """``_checked_edge_fields(n, self.edges())[1]`` for an int n: its error, or three lookups."""
+        c = self.colex
+        if not 1 <= n <= MAX_VERTICES or c >> n * (n - 1) // 2:  # a bad n, or a vertex past it
+            return _checked_edge_fields(n, self.edges())[1]
+        low, mid, high = _colex_bytes(n)
+        return low[c & 255] | mid[c >> 8 & 255] | high[c >> 16]
+
+
+@lru_cache(maxsize=4)
+def _colex_bytes(n: int) -> tuple[tuple[int, ...], ...]:
+    """Table b maps byte b of an :class:`_Entry`'s ``colex`` to the edge mask on n vertices of its pairs below n."""
+    bits = [1 << _row_shift(n, i) + j - i - 1 if j < n else 0 for j in range(7) for i in range(j)] + [0] * 3
+    return tuple(tuple(sum(bit for k, bit in enumerate(bits[8 * b : 8 * b + 8]) if v >> k & 1) for v in range(256))
+                 for b in range(3))
 
 
 def graph_from_json(text: str) -> Graph:

@@ -20,8 +20,9 @@ the edge masks and the graph views of the table below.
 Normalisation needs no graphs: a graph's log-density is its row of the
 cached clique/separator table T (the theorem's statistic) times one
 vector of log-potentials, each evaluated once, added in search order.
-The density parser keys each entry by its edge mask, also without a
-graph, and checks the keys against the same table's masks, so parsing
+The density parser keys each entry, as the graph module's reader made
+it during the parse, by its edge mask, also without a graph, and checks
+the keys against the same table's masks, so parsing
 a density file builds the table (one lockstep search over the
 extensions of the chordal graphs on n-1 vertices, then one over the
 chordal ones) if no earlier call in the process has. A density is
@@ -49,6 +50,7 @@ from .errors import DomainError, EmptySupportError
 from .graphs import (
     MAX_VERTICES,
     Graph,
+    _Entry,
     _check_enumerable,
     _check_subset,
     _check_vertex_count,
@@ -349,6 +351,11 @@ class DensityTable:
         self.n, self.masks, self.p = table.n, table.masks, table.p
 
     def prob_of_mask(self, edge_mask: int) -> float:
+        """Probability of the graph whose edge mask, read as an integer, is ``edge_mask``; else ``KeyError``."""
+        return self._prob_of_mask(_index(edge_mask, "edge mask"))
+
+    def _prob_of_mask(self, edge_mask: int) -> float:
+        """:meth:`prob_of_mask` of an int, taken raw: the Lemma-1 check makes a million lookups."""
         k = bisect_left(self.masks, edge_mask)
         if k == len(self.masks) or self.masks[k] != edge_mask:
             raise KeyError(edge_mask)
@@ -357,7 +364,7 @@ class DensityTable:
     def prob(self, g: Graph) -> float:
         if (g.n, g.vertices) != (self.n, (1 << self.n) - 1):
             raise KeyError(g)
-        return self.prob_of_mask(g.edge_mask)
+        return self._prob_of_mask(g.edge_mask)
 
     def items(self):
         return zip(enumerate_decomposable(self.n), self.p)
@@ -600,10 +607,13 @@ def _density_from_obj(obj) -> DensityTable:
         raise DomainError("density 'n' must be an integer and 'entries' an array")
     probs = {}
     for entry in obj["entries"]:
-        if not isinstance(entry, dict) or "edges" not in entry or "p" not in entry:
+        if type(entry) is _Entry:
+            mask, p = entry.edge_mask(n), entry.p
+        elif isinstance(entry, dict) and "edges" in entry and "p" in entry:
+            mask, p = _checked_edge_fields(n, entry["edges"])[1], entry["p"]
+        else:
             raise DomainError("each density entry must be an object with fields 'edges' and 'p'")
-        mask = _checked_edge_fields(n, entry["edges"])[1]
         if mask in probs:
             raise DomainError(f"duplicate entry for {Graph.from_edge_mask(n, mask)!r}")
-        probs[mask] = entry["p"]
+        probs[mask] = p
     return _checked_density(n, probs)

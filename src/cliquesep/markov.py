@@ -323,7 +323,7 @@ def _bracket_log_prob(density: DensityTable):
         for r in sets:
             edge_mask |= complete[r]
         try:
-            p = density.prob_of_mask(edge_mask)
+            p = density._prob_of_mask(edge_mask)
         except KeyError:
             raise DomainError(f"edge mask {edge_mask} names no decomposable graph on {density.n} vertices") from None
         if p <= 0.0:

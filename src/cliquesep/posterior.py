@@ -16,7 +16,7 @@ from collections import Counter
 from typing import Sequence
 
 from .errors import DomainError
-from .graphs import _check_subset, members
+from .graphs import _check_subset, _index, members
 from .laws import CsfLaw, _as_float
 
 
@@ -53,6 +53,7 @@ class BernoulliDirichletScore:
                 raise DomainError(f"row {r} has {len(row)} values, expected {ncols}")
             mask = 0
             for c, value in enumerate(row):
+                value = _index(value, None)  # nan for a bool, a float or anything else
                 if value not in (0, 1):
                     raise DomainError(f"row {r} column {c}: values must be 0 or 1")
                 mask |= value << c
@@ -64,10 +65,10 @@ class BernoulliDirichletScore:
         self._cache: dict[int, float] = {0: 0.0}
 
     def log_marginal(self, mask: int) -> float:
+        mask = _check_subset(mask, (1 << self.n) - 1, "vertex set")  # before the cache, where 1.0 == 1
         cached = self._cache.get(mask)
         if cached is not None:
             return cached
-        mask = _check_subset(mask, (1 << self.n) - 1, "vertex set")
         # ``row & mask`` names a cell, and the counts keep their first-seen order.
         counts = Counter(row & mask for row in self._rows)
         alpha, rows = self.alpha, self.num_rows

@@ -803,10 +803,135 @@ def test_malformed_density_gives_the_graph_keyed_parsers_error(capsys, tmp_path,
         _MALFORMED[mutation](doc, doc["entries"][k])
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        results = []
-        for parser in (_density_from_obj, graph_keyed_density_from_obj):
-            monkeypatch.setattr(cli, "_density_from_obj", parser)
-            results.append(run(capsys, "check", "--law", str(path)))
+        results = [run(capsys, "check", "--law", str(path))]
+        # The oracle reads the document that json.loads makes, with every entry a dict.
+        monkeypatch.setattr(cli, "_read_table", lambda _: json.loads(path.read_bytes()))
+        monkeypatch.setattr(cli, "_density_from_obj", graph_keyed_density_from_obj)
+        results.append(run(capsys, "check", "--law", str(path)))
+        monkeypatch.undo()
         (status, out, err), oracle = results
         assert status == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert (status, out, err) == oracle
+
+
+# The reader keeps each well-formed density entry without its dict and lists
+# (``graphs._Entry``); everything else must read as ``json.loads`` reads it.
+
+
+def test_streamed_density_matches_the_graph_keyed_parser():
+    for n in range(1, 7):
+        text = density_to_json(normalize_by_enumeration(random_csf(n, seed=n)))
+        assert all(type(e) is graphs._Entry for e in graphs._json_value(text, "density")["entries"])
+        ours, oracle = density_from_json(text), graph_keyed_density_from_obj(json.loads(text))
+        assert (ours.n, ours.masks, ours.p) == (oracle.n, oracle.masks, oracle.p)
+
+
+_D3 = density_to_json(normalize_by_enumeration(uniform_csf(3)))
+_ENTRY = '{"edges": [[0, 1]], "p": 0.125}'
+_LOOKALIKE = '{"edges": [], "p": 1}'
+
+# Each document with the result that the parser of a whole tree gave: the
+# table of the unchanged n=3 density, or an error text.
+_READER_CASES = {
+    "repeated-p": (_D3.replace(_ENTRY, '{"edges": [[0, 1]], "p": 0.5, "p": 0.125}'), "table"),
+    "repeated-edges": (_D3.replace(_ENTRY, '{"edges": [[5, 5]], "edges": [[0, 1]], "p": 0.125}'), "table"),
+    "repeated-edges-last-bad": (_D3.replace(_ENTRY, '{"edges": [[0, 1]], "p": 0.125, "edges": [[1, 1]]}'),
+                                "self-loop at vertex 1"),
+    "n-after-entries": ('{"entries": ' + _D3[len('{"n": 3, "entries": '):-1] + ', "n": 3}', "table"),
+    "n-after-entries-too-small": ('{"entries": ' + _D3[len('{"n": 3, "entries": '):-1] + ', "n": 2}',
+                                  "edge (0,2) out of range for n=2"),
+    "first-vertex-past-n-in-list-order": (_D3.replace("[[0, 1], [0, 2]]", "[[3, 4], [0, 5]]"),
+                                          "edge (3,4) out of range for n=3"),
+    "duplicate-entry": (_D3.replace("[[0, 2]]", "[[0, 1]]"), "duplicate entry for Graph(n=3, edges=[(0, 1)])"),
+    "n=8": (_D3.replace('"n": 3', '"n": 8'), "enumeration over 8 vertices exceeds the limit of 7"),
+    "n=1024": (_D3.replace('"n": 3', '"n": 1024'), "enumeration over 1024 vertices exceeds the limit of 7"),
+    "n=1025": (_D3.replace('"n": 3', '"n": 1025'), "vertex count must be in 1..1024, got 1025"),
+    "p-lookalike": (_D3.replace('"p": 0.125}', f'"p": {_LOOKALIKE}}}', 1),
+                    "entry probability must be a number, got {'edges': [], 'p': 1}"),
+    "p-lookalike-in-list": (_D3.replace('"p": 0.125}', '"p": [{"edges": [[0, 1]], "p": 1}]}', 1),
+                            "entry probability must be a number, got [{'edges': [[0, 1]], 'p': 1}]"),
+    "entries-lookalike": ('{"n": 3, "entries": ' + _LOOKALIKE + "}",
+                          "density 'n' must be an integer and 'entries' an array"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_READER_CASES))
+def test_density_reader_gives_the_whole_tree_parsers_result(case):
+    text, expected = _READER_CASES[case]
+    if expected == "table":
+        ours, before = density_from_json(text), density_from_json(_D3)
+        assert (ours.n, ours.masks, ours.p) == (before.n, before.masks, before.p)
+    else:
+        with pytest.raises(DomainError) as raised:
+            density_from_json(text)
+        assert str(raised.value) == expected
+
+
+@pytest.mark.parametrize("text, expected", [
+    ('{"n": 3, "phi": ' + _LOOKALIKE + ', "psi": {}}', None),  # loads: the default table
+    ('{"n": 3, "phi": {"overrides": ' + _LOOKALIKE + '}, "psi": {}}',
+     "override key 'edges' must list distinct vertex indices in 0..2"),
+    ('{"n": 3, "phi": {"overrides": {"0": [' + _LOOKALIKE + ']}}, "psi": {}}',
+     "log-potential for [0] must be a number, finite or +inf, got [{'edges': [], 'p': 1}]"),
+    ('{"n": 3, "phi": {"rule": {"type": ' + _LOOKALIKE + '}}, "psi": {}}', "unknown rule type {'edges': [], 'p': 1}"),
+    ('{"n": 3, "phi": {}, "psi": {"hub_constraint": ' + _LOOKALIKE + '}}',
+     "hub_constraint must be an object declaring no_hub as 'inf'"),
+])
+def test_law_reader_gives_the_whole_tree_parsers_result(capsys, tmp_path, text, expected):
+    if expected is None:
+        assert law_to_json(law_from_json(text)) == law_to_json(uniform_csf(3))
+        path = tmp_path / "law.json"
+        path.write_text(text)
+        assert run(capsys, "density", "--law", str(path)) == run(capsys, "density", "--law", "uniform", "--n", "3")
+    else:
+        with pytest.raises(DomainError) as raised:
+            law_from_json(text)
+        assert str(raised.value) == expected
+
+
+def test_a_whole_file_that_looks_like_an_entry_is_read_as_an_object(capsys, tmp_path):
+    path = tmp_path / "entry.json"
+    path.write_text(_LOOKALIKE)
+    assert run(capsys, "check", "--law", str(path)) == (1, "", "error: law JSON must have fields 'n', 'phi' and 'psi'\n")
+    assert run(capsys, "export-dot", "--graph", str(path)) == (
+        1, "", "error: graph JSON must have fields 'n' and 'edges'\n")
+    for parse, message in [
+        (graph_from_json, "graph JSON must have fields 'n' and 'edges'"),
+        (law_from_json, "law JSON must have fields 'n', 'phi' and 'psi'"),
+        (density_from_json, "density JSON must have fields 'n' and 'entries'"),
+    ]:
+        with pytest.raises(DomainError) as raised:
+            parse(_LOOKALIKE)
+        assert str(raised.value) == message
+
+
+def test_utf16_density_file_is_read_like_its_utf8_text(capsys, tmp_path):
+    path = tmp_path / "d16.json"
+    path.write_bytes(_D3.encode("utf-16"))  # with a byte order mark
+    assert path.read_bytes()[:2] in (b"\xff\xfe", b"\xfe\xff")
+    ours, before = _density_from_obj(cli._read_table(str(path))), density_from_json(_D3)
+    assert (ours.n, ours.masks, ours.p) == (before.n, before.masks, before.p)
+    assert run(capsys, "check", "--law", str(path)) == (
+        0, '{"passed": true, "property": "wsm", "tol": 1e-09, "witness": null, "worst_violation": 0.0}\n', "")
+    path.write_bytes(_D3.replace("[[0, 2]]", "[[0, 3]]").encode("utf-16"))
+    assert run(capsys, "check", "--law", str(path)) == (1, "", "error: edge (0,3) out of range for n=3\n")
+
+
+_pairs = st.lists(st.lists(st.integers(-1, 8), min_size=2, max_size=2), max_size=4)
+_json_documents = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2**70) | st.floats() | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["edges", "p", "n", "entries"]), inner, max_size=3)
+    | st.fixed_dictionaries({"edges": _pairs | _pairs.map(sorted) | inner, "p": inner}),
+    max_leaves=12,
+)
+
+
+@given(doc=_json_documents)
+@settings(max_examples=300, deadline=None)
+def test_reader_value_prints_as_the_json_loads_value(doc):
+    # An entry prints as the dict it stands for, and only list items stay entries.
+    text = json.dumps(doc)
+    ours, theirs = graphs._json_value(text, "document"), json.loads(text)
+    assert type(ours) is type(theirs) and repr(ours) == repr(theirs)
+    assert repr(ours) == repr(graphs._json_value(text.encode("utf-16"), "document"))

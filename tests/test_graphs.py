@@ -42,10 +42,13 @@ from cliquesep import (
 )
 from cliquesep.graphs import (
     MAX_VERTICES,
+    _Entry,
+    _checked_edge_fields,
     _chordal_blocks,
     _clique_separator_table,
     _edges_json_halves,
     _edges_json_texts,
+    _json_value,
     _lockstep_entries,
     _mask_edges,
     _mcs,
@@ -1093,6 +1096,25 @@ def assert_edge_texts_are_edges_json(n, masks):
         assert text == json.dumps([list(e) for e in pair_decode(n, m)]), (n, m)
         count += 1
     assert count == len(masks)
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1, 2, 3, 5, 6, 7, 8, 40, MAX_VERTICES, MAX_VERTICES + 1])
+def test_read_entry_edge_mask_is_the_edge_checks_mask(n):
+    # The reader's entry against the checks of a parsed edge list: the same mask or the same error, for
+    # every set of pairs on vertices 0..4 at n <= 5, and else for 3,000 random sets of pairs below 7.
+    rng = random.Random(n)
+    sets = range(1 << 10) if n <= 5 else [rng.getrandbits(21) >> rng.randrange(22) for _ in range(3000)]
+    for colex in sets:
+        edges = [[i, j] for j in range(7) for i in range(j) if colex >> j * (j - 1) // 2 + i & 1]
+        entry = _json_value(json.dumps([{"edges": sorted(edges), "p": 0.5}]), "entries")[0]
+        assert type(entry) is _Entry and entry.edges() == sorted(edges)
+        outcomes = []
+        for read in (entry.edge_mask, lambda n: _checked_edge_fields(n, sorted(edges))[1]):
+            try:
+                outcomes.append(read(n))
+            except DomainError as e:
+                outcomes.append(str(e))
+        assert outcomes[0] == outcomes[1], (n, colex)
 
 
 def test_complete_sets_graph_absorbs_subsets():

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -816,6 +817,28 @@ def test_density_json_round_trip():
     back = density_from_json(density_to_json(d))
     for g, p in d.items():
         assert back.prob(g) == pytest.approx(p, rel=1e-12)
+
+
+def test_density_parse_peaks_below_four_times_its_text():
+    # Parsed as a whole tree first, a dict per entry and a list per edge, it peaked at 10.9 times the text.
+    text = density_to_json(normalize_by_enumeration(uniform_csf(6)))  # builds the table that the parser reads
+    tracemalloc.start()
+    try:
+        density = density_from_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(density) == 18154
+    assert peak < 4 * len(text), f"peak {peak} bytes for {len(text)} bytes of text"
+
+
+def test_prob_of_mask_reads_its_mask_as_an_integer():
+    # 1.0 and True once found mask 1 by comparison.
+    density = normalize_by_enumeration(uniform_csf(3))
+    assert density.prob_of_mask(np.int64(1)) == density.prob_of_mask(1) == 0.125
+    for mask in (1.0, True, "1", None):
+        with pytest.raises(DomainError, match="edge mask .* is not an integer"):
+            density.prob_of_mask(mask)
 
 
 def test_density_json_requires_exact_coverage():

@@ -91,6 +91,21 @@ def test_score_input_validation():
         bernoulli_dirichlet_score([[0, 1], [0]], alpha=1.0)
 
 
+def test_data_values_and_masks_are_read_as_integers():
+    # A float datum failed in a shift and True read as 1; a cached mask answered 1.0 and True as mask 1.
+    for value in (1.0, True, "1", None):
+        with pytest.raises(DomainError, match="row 0 column 0: values must be 0 or 1"):
+            bernoulli_dirichlet_score([[value, 0]])
+    rows = bernoulli_dirichlet_score([[np.int64(1), 0]])._rows
+    assert rows == [1] and type(rows[0]) is int
+    score = bernoulli_dirichlet_score([[1, 0], [0, 1]])
+    evidence = score.log_marginal(1)
+    for mask in (1.0, True):
+        with pytest.raises(DomainError, match="is not an integer"):
+            score.log_marginal(mask)
+    assert score.log_marginal(np.int64(1)) == evidence
+
+
 @pytest.mark.parametrize("n,seed", [(3, 5), (4, 6)])
 def test_conjugate_update_matches_bayes_oracle(n, seed):
     prior = random_csf(n, seed=seed)
