@@ -137,8 +137,8 @@ def _read_table(path: str) -> dict:
 
 
 def _load(args, densities: bool) -> CsfLaw | DensityTable:
-    """Law named by ``--law``, or the density of a density file if
-    ``densities``; otherwise a density file is refused before it is parsed."""
+    """Law named by ``--law``, or the density of a density file if ``densities``;
+    otherwise a density file is parsed, then refused before any density table is built."""
     if args.law is None or args.law == "uniform":
         return uniform_csf(_need_n(args))
     if args.law == "hub":

@@ -23,19 +23,19 @@ edge list is two lookups and one join.
 Recognition is one maximum cardinality search that reads the cliques
 and separators off its running clique as it goes and tests chordality
 only where a new clique starts; a graph is searched once and keeps the
-result in a single slot. The search keeps its unvisited vertices in
-buckets by number of visited neighbours, one mask per bucket, and runs
-in O(n + m) (Tarjan & Yannakakis 1984); taking the lowest set bit of
-the top bucket keeps the tie-break toward the lowest index, which fixes
-the order in which cliques are emitted. Junction-tree orderings from
-any start clique are built from the cliques. The same search also runs
-on many graphs in lockstep, a numpy step per vertex over a block of
-adjacency rows, with the same buckets and tie-break. Exhaustive
-enumeration extends and filters: deleting vertex 0 from a chordal graph
-leaves a chordal graph, so the candidates on n vertices are each
-chordal graph on n-1 vertices joined to a new vertex 0 by every
-neighbourhood, and the lockstep search keeps the chordal ones, in
-ascending mask order.
+result in a single slot. Unvisited vertices wait in buckets by number
+of visited neighbours, one mask each, and a visit moves them up by one
+mask operation per bucket, at most the vertex's degree plus one, so the
+search is O(n + m) (Tarjan & Yannakakis 1984); the lowest set bit of
+the top bucket breaks ties toward the lowest index, which fixes the
+order of the cliques. Junction-tree orderings from any start clique are
+built from the cliques. The same search runs on many graphs in
+lockstep, a numpy step per vertex, with the same buckets, moves and
+tie-break. Exhaustive enumeration extends and filters: deleting vertex
+0 from a chordal graph leaves a chordal graph, so the candidates on n
+vertices are each chordal graph on n-1 vertices joined to a new vertex
+0 by every neighbourhood, and the lockstep search keeps the chordal
+ones, in ascending mask order.
 One cached table per vertex count lists every enumerated graph's
 cliques and separators, with their signs, and its adjacency rows, as
 compact numpy columns; a second lockstep search on each block's
@@ -217,14 +217,14 @@ def _mcs(n: int, adj, vmask: int):
     Unvisited vertices wait in buckets by weight, their number of
     visited neighbours: ``buckets[k]`` is the mask of those with weight
     k, and no weight exceeds n-1. The heaviest bucket that may be
-    non-empty is ``top``; the next vertex is the lowest set bit of
+    non-empty is ``top``; the next vertex v is the lowest set bit of
     ``buckets[top]``, the lowest index among those of maximum weight.
-    Visiting a vertex moves each unvisited neighbour up one bucket, and
-    ``top`` up by one if one of them was in it; ``top`` moves down past
-    empty buckets only when a vertex is chosen, so it falls at most as
-    far as it rose. The search is O(n + m) bucket moves.
+    Its unvisited neighbours move up one bucket, one mask operation per
+    bucket, in a scan down from v's bucket (none is heavier) that stops
+    once all have moved; v weighs at most deg(v), so at most deg(v)+1
+    buckets. ``top`` rises by one if a neighbour was in its bucket and
+    falls, no further than it rose, only when a vertex is chosen: O(n + m).
     """
-    w = [0] * n
     buckets = [0] * n
     buckets[0] = vmask
     top = 0
@@ -253,16 +253,15 @@ def _mcs(n: int, adj, vmask: int):
         numbered |= bv
         un ^= bv
         m = av & un
+        k = top
         if m & buckets[top]:
             top += 1
         while m:
-            b = m & -m
-            u = b.bit_length() - 1
-            k = w[u]
-            w[u] = k + 1
+            b = buckets[k] & m
             buckets[k] ^= b
             buckets[k + 1] |= b
             m ^= b
+            k -= 1
     if current:
         cl.append(current)
     return [cl, seps]
@@ -615,7 +614,7 @@ def _lockstep(n: int, adj: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray,
     It is :func:`_mcs` with a numpy step per vertex: ``buckets[k]`` holds
     each graph's unnumbered vertices with k numbered neighbours, the next
     vertex is the lowest of the heaviest non-empty bucket, and its
-    unnumbered neighbours move up one bucket.
+    unnumbered neighbours move up one bucket by one mask operation per bucket.
     """
     cols = np.ascontiguousarray(adj.T)  # cols[v]: every graph's row of vertex v
     bit = (1 << np.arange(n, dtype=np.uint8))[:, None]

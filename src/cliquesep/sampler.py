@@ -5,10 +5,11 @@ decomposability, or that some infinite separator potential puts outside
 the law's support, are rejected and the chain holds, so detailed balance
 holds with respect to the normalised law restricted to its support.
 Candidate decomposability is checked by a full maximum cardinality
-search per proposal, O(n + m) in the graph's edges with its weight
-buckets; on graphs small enough to enumerate, log-densities are
-memoised by edge mask. One step loop serves both the retained-record
-chain and the visit counter.
+search per proposal, O(n + m): a visit moves the neighbours up the
+weight buckets by one mask operation per bucket, at most degree plus
+one; on graphs small enough to enumerate, log-densities are memoised by
+edge mask. One step loop serves the retained-record chain and the visit
+counter.
 
 Randomness comes from a counter-based generator keyed by (seed, chain
 index), so independent chains are reproducible regardless of how they

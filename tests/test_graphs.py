@@ -609,6 +609,41 @@ def test_search_matches_oracle_on_random_graphs(n):
     assert not_chordal >= 10
 
 
+def threshold_graph(n, rng):
+    """Each vertex in turn joins all earlier ones or none, and the last
+    joins all: nested neighbourhoods, with vertex n-1 dominating."""
+    return Graph(n, [(u, v) for v in range(1, n) if v == n - 1 or rng.random() < 0.5 for u in range(v)])
+
+
+def most_buckets_in_one_visit(n, adj):
+    """The most distinct weights among one visit's unvisited neighbours,
+    along the oracle's search order: how many buckets one visit moves."""
+    order, _ = oracle_mcs(n, adj, (1 << n) - 1)
+    w, most = [0] * n, 0
+    for k, v in enumerate(order):
+        later = [u for u in order[k + 1 :] if adj[v] >> u & 1]
+        most = max(most, len({w[u] for u in later}))
+        for u in later:
+            w[u] += 1
+    return most
+
+
+def test_search_matches_oracle_on_a_threshold_graph_its_induced_subgraphs_and_toggles():
+    n = 100
+    rng = random.Random(3)
+    g = threshold_graph(n, rng)
+    # One scan moves many buckets at once, not only the top one or two.
+    assert most_buckets_in_one_visit(n, g.adj) >= 20
+    assert assert_search_matches_oracle(n, g.adj) is not None
+    for _ in range(20):
+        a = rng.getrandbits(n)
+        assert assert_search_matches_oracle(n, induced_subgraph(g, a).adj, a) is not None
+    not_chordal = sum(
+        assert_search_matches_oracle(n, g.with_edge_toggled(i, j).adj) is None for i, j in rng.sample(_pairs(n), 30)
+    )
+    assert 0 < not_chordal < 30
+
+
 def test_search_bucket_edge_cases():
     n = 100
     assert assert_search_matches_oracle(n, Graph.empty(n).adj) == [[1 << v for v in range(n)], [0] * (n - 1)]
