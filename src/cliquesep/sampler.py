@@ -5,11 +5,13 @@ decomposability, or that some infinite separator potential puts outside
 the law's support, are rejected and the chain holds, so detailed balance
 holds with respect to the normalised law restricted to its support.
 Candidate decomposability is checked by a full maximum cardinality
-search per proposal, O(n + m): a visit moves the neighbours up the
-weight buckets by one mask operation per bucket, at most degree plus
-one; on graphs small enough to enumerate, log-densities are memoised by
-edge mask. One step loop serves the retained-record chain and the visit
-counter.
+search, O(n + m): a visit moves the neighbours up the weight buckets
+by one mask operation per bucket, at most degree plus one. On graphs
+small enough to enumerate, the chain memoises each decomposable
+candidate it meets, searched graph and log-density, by edge mask, so a
+revisited candidate costs two dict lookups: no rebuild, search or
+scoring. One step loop serves the retained-record chain and
+the visit counter.
 
 Randomness comes from a counter-based generator keyed by (seed, chain
 index), so independent chains are reproducible regardless of how they
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Iterator
 
@@ -65,12 +67,17 @@ class _BufferedRandom:
 
 @dataclass
 class ChainState:
-    """Current graph with its cached log-density and move counters."""
+    """Current graph with its cached log-density and move counters.
+
+    ``memo``, when not None, maps the edge mask of each decomposable
+    candidate met so far to the pair (graph, with its search, log-density).
+    """
 
     graph: Graph
     log_density: float
     step_count: int = 0
     accept_count: int = 0
+    memo: dict[int, tuple[Graph, float]] | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -130,23 +137,35 @@ def initial_state(law: CsfLaw, init: Graph | None = None) -> ChainState:
 def propose_edge_flip(state: ChainState, rand) -> Graph | None:
     """Toggle a uniformly chosen vertex pair; None if that breaks
     decomposability. The pair choice is symmetric between a graph and
-    any single-toggle neighbour."""
-    g = state.graph
+    any single-toggle neighbour. A candidate in the state's memo is
+    the stored graph, whose search is already cached."""
+    g, memo = state.graph, state.memo
     n = g.n
-    cand = g._with_bit_toggled(int(rand.integers(n * (n - 1) // 2)))
+    k = int(rand.integers(n * (n - 1) // 2))
+    hit = memo.get(g.edge_mask ^ 1 << k) if memo is not None else None
+    cand = g._with_bit_toggled(k) if hit is None else hit[0]
     return cand if is_decomposable(cand) else None
 
 
-def mh_step(state: ChainState, law: CsfLaw, rand, cache: dict | None = None, validate: bool = False) -> ChainState:
-    """One Metropolis step; out-of-support candidates count as rejections."""
+def mh_step(state: ChainState, law: CsfLaw, rand, validate: bool = False) -> ChainState:
+    """One Metropolis step; out-of-support candidates count as rejections.
+
+    With ``validate``, the new state is checked against a graph rebuilt
+    from its edge mask, with a fresh search and a fresh score, so a wrong
+    memo entry cannot vouch for itself.
+    """
+    before = state.graph.edge_mask
     cand = propose_edge_flip(state, rand)
     state.step_count += 1
     if cand is not None:
-        ld = cache.get(cand.edge_mask) if cache is not None else None
-        if ld is None:
+        memo = state.memo
+        hit = memo.get(cand.edge_mask) if memo is not None else None
+        if hit is None:
             ld = log_density_unnorm(law, cand)
-            if cache is not None:
-                cache[cand.edge_mask] = ld
+            if memo is not None:
+                memo[cand.edge_mask] = (cand, ld)
+        else:
+            ld = hit[1]
         if ld > -INF:
             delta = ld - state.log_density
             if delta >= 0.0 or rand.random() < math.exp(delta):
@@ -154,9 +173,15 @@ def mh_step(state: ChainState, law: CsfLaw, rand, cache: dict | None = None, val
                 state.log_density = ld
                 state.accept_count += 1
     if validate:
-        if not is_decomposable(state.graph):
+        g = state.graph
+        fresh = Graph.from_edge_mask(g.n, g.edge_mask)
+        if (before ^ g.edge_mask).bit_count() > 1:
+            raise PreconditionError("chain state is more than one toggle from the last one")
+        if g.adj != fresh.adj:
+            raise PreconditionError("chain state's adjacency does not match its edge mask")
+        if not is_decomposable(fresh):
             raise PreconditionError("chain state is not decomposable")
-        recomputed = log_density_unnorm(law, state.graph)
+        recomputed = log_density_unnorm(law, fresh)
         if not abs(recomputed - state.log_density) <= 1e-9:
             raise PreconditionError(f"cached log-density {state.log_density!r} is not {recomputed!r}")
     return state
@@ -191,11 +216,12 @@ def _chain(
     rand = _BufferedRandom(_generator(seed, chain_index), law.n * (law.n - 1) // 2)
     # Up to the enumeration limit the memo is bounded by the number of
     # decomposable graphs (617,675 at n=7). Above it, the memo would grow
-    # with the chain, each key with n squared, so scores are not kept.
-    cache = {state.graph.edge_mask: state.log_density} if law.n <= ENUMERATION_LIMIT else None
+    # with the chain, each entry with n squared, so graphs are not kept.
+    if law.n <= ENUMERATION_LIMIT:
+        state.memo = {state.graph.edge_mask: (state.graph, state.log_density)}
     yield state
     for _ in range(steps):
-        yield mh_step(state, law, rand, cache, validate)
+        yield mh_step(state, law, rand, validate)
 
 
 def run_chain(

@@ -4,6 +4,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
+import cliquesep.graphs as graphs_module
 import cliquesep.sampler as sampler_module
 from cliquesep import (
     CsfLaw,
@@ -119,6 +120,30 @@ def test_validate_raises_on_stale_log_density():
         mh_step(state, law, ScriptedRandom([2]), validate=True)
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        pytest.param((Graph(4, [(0, 1)]), 0.0), None, id="true-entry"),
+        pytest.param((Graph(4, [(0, 1)]), 1.0), "log-density", id="wrong-log-density"),
+        pytest.param((Graph(4, [(0, 1), (2, 3)]), 0.0), "more than one toggle", id="graph-of-another-mask"),
+        pytest.param((Graph._from_parts(4, 0b1111, Graph(4, [(2, 3)]).adj, 1), 0.0), "adjacency",
+                     id="adjacency-of-another-mask"),
+    ],
+)
+def test_validate_checks_the_memo_against_a_fresh_search(entry, message):
+    # The entry is filed under mask 1, the edge (0,1) that pair 0 toggles on the empty graph; the
+    # uniform law accepts every decomposable candidate without a uniform draw.
+    law = uniform_csf(4)
+    state = initial_state(law)
+    state.memo = {0: (state.graph, state.log_density), 1: entry}
+    if message is None:
+        mh_step(state, law, ScriptedRandom([0]), validate=True)
+        assert state.graph == Graph(4, [(0, 1)]) and state.accept_count == 1
+    else:
+        with pytest.raises(PreconditionError, match=message):
+            mh_step(state, law, ScriptedRandom([0]), validate=True)
+
+
 def test_initial_state_validates_support():
     law = hub_law(4, vset([0]))
     bad = complete_sets_graph(4, [vset([1, 2]), vset([2, 3])])
@@ -179,6 +204,56 @@ def test_scores_are_memoised_only_up_to_the_enumeration_limit(n, monkeypatch):
         assert calls["score"] == 1 + calls["decomposable"]
     else:
         assert calls["score"] < calls["decomposable"]
+
+
+@pytest.mark.parametrize("n", [ENUMERATION_LIMIT, ENUMERATION_LIMIT + 1])
+def test_searches_are_memoised_only_up_to_the_enumeration_limit(n, monkeypatch):
+    searches = 0
+    search = graphs_module._mcs
+
+    def counted_search(*args):
+        nonlocal searches
+        searches += 1
+        return search(*args)
+
+    monkeypatch.setattr(graphs_module, "_mcs", counted_search)
+    steps = 2_000
+    visit_counts(uniform_csf(n), steps=steps, seed=0)
+    # The start is searched once; a candidate met before is the memo's searched graph.
+    if n > ENUMERATION_LIMIT:
+        assert searches == 1 + steps
+    else:
+        assert searches < steps
+
+
+def memo_laws():
+    for n in range(3, 7):
+        yield pytest.param(uniform_csf(n), id=f"uniform-{n}")
+        yield pytest.param(hub_law(n, [0]), id=f"hub-{n}")
+        yield pytest.param(random_csf(n, seed=n), id=f"random-{n}")
+
+
+@pytest.mark.parametrize("law", memo_laws())
+def test_memoised_chain_is_the_chain_without_memo(law):
+    runs = []
+    for keep in (True, False):
+        states = sampler_module._chain(law, None, 20_000, seed=1, chain_index=0)
+        state = next(states)
+        if not keep:
+            state.memo = None
+        path = [(s.graph.edge_mask, s.log_density.hex()) for s in states]
+        runs.append((path, state.accept_count, state.memo))
+    (path, accepted, memo), (plain_path, plain_accepted, plain_memo) = runs
+    assert plain_memo is None
+    assert path == plain_path and accepted == plain_accepted
+    assert memo.keys() <= set(_clique_separator_table(law.n).masks)
+    for mask, (g, ld) in memo.items():
+        fresh = Graph.from_edge_mask(law.n, mask)
+        assert g == fresh and g.adj == fresh.adj
+        cl, seps = clique_separators(g)
+        fresh_cl, fresh_seps = clique_separators(fresh)
+        assert cl == fresh_cl and list(seps.items()) == list(fresh_seps.items())
+        assert ld.hex() == log_density_unnorm(law, fresh).hex()
 
 
 def test_run_chain_zero_steps_keeps_only_init():
