@@ -7,10 +7,10 @@ holds with respect to the normalised law restricted to its support.
 Candidate decomposability is checked by a full maximum cardinality
 search, O(n + m): a visit moves the neighbours up the weight buckets
 by one mask operation per bucket, at most degree plus one. On graphs
-small enough to enumerate, the chain memoises each decomposable
-candidate it meets, searched graph and log-density, by edge mask, so a
-revisited candidate costs two dict lookups: no rebuild, search or
-scoring. One step loop serves the retained-record chain and
+small enough to enumerate, the chain memoises the search and the
+log-density of each decomposable candidate it meets, by edge mask, so
+a revisited candidate costs its O(n) rebuild and two dict lookups: no
+search or scoring. One step loop serves the retained-record chain and
 the visit counter.
 
 Randomness comes from a counter-based generator keyed by (seed, chain
@@ -70,14 +70,15 @@ class ChainState:
     """Current graph with its cached log-density and move counters.
 
     ``memo``, when not None, maps the edge mask of each decomposable
-    candidate met so far to the pair (graph, with its search, log-density).
+    candidate met so far to the pair (its search, as kept in
+    ``Graph._summary``, log-density).
     """
 
     graph: Graph
     log_density: float
     step_count: int = 0
     accept_count: int = 0
-    memo: dict[int, tuple[Graph, float]] | None = field(default=None, repr=False, compare=False)
+    memo: dict[int, tuple[list, float]] | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -137,13 +138,15 @@ def initial_state(law: CsfLaw, init: Graph | None = None) -> ChainState:
 def propose_edge_flip(state: ChainState, rand) -> Graph | None:
     """Toggle a uniformly chosen vertex pair; None if that breaks
     decomposability. The pair choice is symmetric between a graph and
-    any single-toggle neighbour. A candidate in the state's memo is
-    the stored graph, whose search is already cached."""
+    any single-toggle neighbour. A candidate in the state's memo gets
+    the stored search, so it is not searched again."""
     g, memo = state.graph, state.memo
     n = g.n
-    k = int(rand.integers(n * (n - 1) // 2))
-    hit = memo.get(g.edge_mask ^ 1 << k) if memo is not None else None
-    cand = g._with_bit_toggled(k) if hit is None else hit[0]
+    cand = g._with_bit_toggled(int(rand.integers(n * (n - 1) // 2)))
+    if memo is not None:
+        hit = memo.get(cand.edge_mask)
+        if hit is not None:
+            cand._summary = hit[0]
     return cand if is_decomposable(cand) else None
 
 
@@ -154,7 +157,6 @@ def mh_step(state: ChainState, law: CsfLaw, rand, validate: bool = False) -> Cha
     from its edge mask, with a fresh search and a fresh score, so a wrong
     memo entry cannot vouch for itself.
     """
-    before = state.graph.edge_mask
     cand = propose_edge_flip(state, rand)
     state.step_count += 1
     if cand is not None:
@@ -163,7 +165,7 @@ def mh_step(state: ChainState, law: CsfLaw, rand, validate: bool = False) -> Cha
         if hit is None:
             ld = log_density_unnorm(law, cand)
             if memo is not None:
-                memo[cand.edge_mask] = (cand, ld)
+                memo[cand.edge_mask] = (cand._summary, ld)
         else:
             ld = hit[1]
         if ld > -INF:
@@ -175,12 +177,12 @@ def mh_step(state: ChainState, law: CsfLaw, rand, validate: bool = False) -> Cha
     if validate:
         g = state.graph
         fresh = Graph.from_edge_mask(g.n, g.edge_mask)
-        if (before ^ g.edge_mask).bit_count() > 1:
-            raise PreconditionError("chain state is more than one toggle from the last one")
         if g.adj != fresh.adj:
             raise PreconditionError("chain state's adjacency does not match its edge mask")
         if not is_decomposable(fresh):
             raise PreconditionError("chain state is not decomposable")
+        if g._summary != fresh._summary:
+            raise PreconditionError("chain state's search does not match a fresh search of its edge mask")
         recomputed = log_density_unnorm(law, fresh)
         if not abs(recomputed - state.log_density) <= 1e-9:
             raise PreconditionError(f"cached log-density {state.log_density!r} is not {recomputed!r}")
@@ -216,9 +218,9 @@ def _chain(
     rand = _BufferedRandom(_generator(seed, chain_index), law.n * (law.n - 1) // 2)
     # Up to the enumeration limit the memo is bounded by the number of
     # decomposable graphs (617,675 at n=7). Above it, the memo would grow
-    # with the chain, each entry with n squared, so graphs are not kept.
+    # with the chain, each key with n squared, so nothing is kept.
     if law.n <= ENUMERATION_LIMIT:
-        state.memo = {state.graph.edge_mask: (state.graph, state.log_density)}
+        state.memo = {state.graph.edge_mask: (state.graph._summary, state.log_density)}
     yield state
     for _ in range(steps):
         yield mh_step(state, law, rand, validate)
