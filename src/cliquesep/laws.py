@@ -221,6 +221,14 @@ def _check_on_all_vertices(g: Graph, n: int, under: str) -> None:
         raise DomainError(f"graph leaves vertices {members((1 << n) - 1 & ~g.vertices)} inactive")
 
 
+def _clique_log_potential(law: CsfLaw, c: int) -> float:
+    """``law.phi`` of the clique ``c``, which may not be infinite."""
+    lp = law.phi.log_potential(c)
+    if lp == INF:
+        raise DomainError(f"clique potential for {members(c)} is infinite")
+    return lp
+
+
 def log_density_unnorm(law: CsfLaw, g: Graph) -> float:
     """Sum of clique log-potentials minus multiplicity-weighted separator
     log-potentials; -inf (zero density) when some separator potential is
@@ -230,10 +238,7 @@ def log_density_unnorm(law: CsfLaw, g: Graph) -> float:
     cl, seps = clique_separators(g)
     total = 0.0
     for c in cl:
-        lp = law.phi.log_potential(c)
-        if lp == INF:
-            raise DomainError(f"clique potential for {members(c)} is infinite")
-        total += lp
+        total += _clique_log_potential(law, c)
     for s, mult in seps.items():
         lp = law.psi.log_potential(s)
         if lp == INF:

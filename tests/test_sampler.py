@@ -7,6 +7,7 @@ import pytest
 import cliquesep.graphs as graphs_module
 import cliquesep.sampler as sampler_module
 from cliquesep import (
+    ChainState,
     CsfLaw,
     DomainError,
     Graph,
@@ -15,6 +16,7 @@ from cliquesep import (
     clique_separators,
     complete_sets_graph,
     default_init,
+    erdos_renyi_csf,
     hub_law,
     induced_subgraph,
     initial_state,
@@ -213,9 +215,10 @@ def test_scores_are_memoised_only_up_to_the_enumeration_limit(n, monkeypatch):
     monkeypatch.setattr(sampler_module, "log_density_unnorm", counted_score)
     monkeypatch.setattr(sampler_module, "propose_edge_flip", counted_propose)
     visit_counts(uniform_csf(n), steps=2_000, seed=0)
-    # initial_state scores the start once; toggling a pair back revisits a graph.
+    # initial_state scores the start once; above the limit each step is local, and below it
+    # toggling a pair back revisits a graph.
     if n > ENUMERATION_LIMIT:
-        assert calls["score"] == 1 + calls["decomposable"]
+        assert calls["score"] == 1 and calls["decomposable"] > 0
     else:
         assert calls["score"] < calls["decomposable"]
 
@@ -233,9 +236,10 @@ def test_searches_are_memoised_only_up_to_the_enumeration_limit(n, monkeypatch):
     monkeypatch.setattr(graphs_module, "_mcs", counted_search)
     steps = 2_000
     visit_counts(uniform_csf(n), steps=steps, seed=0)
-    # The start is searched once; a candidate met before takes the memo's search.
+    # The start is searched once; above the limit each step is local, and below it a candidate
+    # met before takes the memo's search.
     if n > ENUMERATION_LIMIT:
-        assert searches == 1 + steps
+        assert searches == 1
     else:
         assert searches < steps
 
@@ -247,25 +251,73 @@ def memo_laws():
         yield pytest.param(random_csf(n, seed=n), id=f"random-{n}")
 
 
+class NeverHits(dict):
+    """A memo that keeps nothing, so every candidate takes the full search and the full score."""
+
+    def __setitem__(self, mask, entry):
+        pass
+
+
+def chain_path(law, memo=...):
+    """``(path, accepted, memo)`` of 20,000 seeded steps from the default start: the edge masks and
+    carried log-densities after each step, the accept count and the memo. A ``memo`` other than
+    ``...`` replaces the chain's own after step 0: None takes the local path, ``NeverHits()``
+    the full one."""
+    states = sampler_module._chain(law, None, 20_000, seed=1, chain_index=0)
+    state = next(states)
+    if memo is not ...:
+        state.memo = memo
+    path = [(s.graph.edge_mask, s.log_density) for s in states]
+    return path, state.accept_count, state.memo
+
+
 @pytest.mark.parametrize("law", memo_laws())
 def test_memoised_chain_is_the_chain_without_memo(law):
-    runs = []
-    for keep in (True, False):
-        states = sampler_module._chain(law, None, 20_000, seed=1, chain_index=0)
-        state = next(states)
-        if not keep:
-            state.memo = None
-        path = [(s.graph.edge_mask, s.log_density.hex()) for s in states]
-        runs.append((path, state.accept_count, state.memo))
-    (path, accepted, memo), (plain_path, plain_accepted, plain_memo) = runs
-    assert plain_memo is None
-    assert path == plain_path and accepted == plain_accepted
+    path, accepted, memo = chain_path(law)
+    full_path, full_accepted, full_memo = chain_path(law, NeverHits())
+    assert full_memo == {}
+    assert [(m, ld.hex()) for m, ld in path] == [(m, ld.hex()) for m, ld in full_path]
+    assert accepted == full_accepted
     assert memo.keys() <= set(_clique_separator_table(law.n).masks)
     for mask, (search, ld) in memo.items():
         fresh = Graph.from_edge_mask(law.n, mask)
         # Cliques and separators, each in search order.
         assert search == search_of(fresh)
         assert ld.hex() == log_density_unnorm(law, fresh).hex()
+
+
+@pytest.mark.parametrize("law", memo_laws())
+def test_local_chain_is_the_full_chain(law):
+    # The same moves; the carried log-density, a running sum of local ratios, is the full score to
+    # the bit where the potentials are exact in binary (uniform, and hub at rates 4 and 0.5).
+    path, accepted, memo = chain_path(law, None)
+    full_path, full_accepted, _ = chain_path(law, NeverHits())
+    assert memo is None
+    assert [m for m, _ in path] == [m for m, _ in full_path] and accepted == full_accepted
+    lds, full_lds = np.array([ld for _, ld in path]), np.array([ld for _, ld in full_path])
+    if law.phi.overrides:  # random_csf
+        assert np.abs(lds - full_lds).max() <= 1e-9
+    else:
+        assert lds.tobytes() == full_lds.tobytes()
+
+
+@pytest.mark.parametrize(
+    "start, phi, psi",
+    [
+        pytest.param(Graph.empty(3), {vset([0, 1]): INF}, {}, id="new-clique"),
+        # Dropping (0,1) from the triangle makes cliques {0,2}, {1,2} and separator {2}: the
+        # clique's infinite potential is an error before the separator's puts the graph out of support.
+        pytest.param(Graph.complete(3), {vset([0, 2]): INF}, {vset([2]): INF}, id="new-clique-and-separator"),
+    ],
+)
+def test_local_step_raises_on_an_infinite_clique_potential_as_the_full_score_does(start, phi, psi):
+    # Pair 0 is (0,1).
+    law = CsfLaw(3, PotentialTable(overrides=phi), PotentialTable(overrides=psi))
+    cand = start.with_edge_toggled(0, 1)
+    with pytest.raises(DomainError, match="clique potential for .* is infinite"):
+        log_density_unnorm(law, cand)
+    with pytest.raises(DomainError, match="clique potential for .* is infinite"):
+        mh_step(initial_state(law, start), law, ScriptedRandom([0]))
 
 
 def test_run_chain_zero_steps_keeps_only_init():
@@ -338,6 +390,21 @@ def test_chain_stays_in_hub_support():
         assert all(s & hubs for s in seps), rec.graph
 
 
+@pytest.mark.parametrize(
+    "law",
+    [
+        pytest.param(random_csf(8, seed=8), id="random-8"),
+        pytest.param(hub_law(8, [0, 1], 1.3, 0.7), id="hub-8"),
+        pytest.param(erdos_renyi_csf(8, 0.3), id="erdos-renyi-8"),
+    ],
+)
+def test_validated_local_chain(law):
+    # Above the enumeration limit every step is local; validate checks each proposal's verdict and
+    # each state's carried log-density against a full search and a full score.
+    summary = run_chain(law, steps=3_000, thin=3_000, seed=4, validate=True)
+    assert summary.acceptance_rate > 0.0
+
+
 def test_chain_visits_everything_at_desk_scale():
     counts = visit_counts(uniform_csf(4), steps=100_000, seed=2)
     assert len(counts) == 61
@@ -381,12 +448,13 @@ def exact_kernel(law):
     return states, pi, P
 
 
-def neighbour_table(n):
+def neighbour_table(n, rows=slice(None)):
     """``(toggled, nbr, valid)`` over the decomposable graphs on n vertices, from the clique/separator
     table's shared masks: ``toggled[g, k]`` is graph g's mask with pair k toggled, ``nbr[g, k]`` its
-    position among the masks and ``valid[g, k]`` whether it is one of them, i.e. decomposable."""
+    position among the masks and ``valid[g, k]`` whether it is one of them, i.e. decomposable. The
+    graphs are those at ``rows`` of the masks, all of them by default."""
     masks = np.frombuffer(_clique_separator_table(n).masks, dtype=np.int64)
-    toggled = masks[:, None] ^ np.left_shift(1, np.arange(n * (n - 1) // 2), dtype=np.int64)
+    toggled = masks[rows, None] ^ np.left_shift(1, np.arange(n * (n - 1) // 2), dtype=np.int64)
     nbr = np.searchsorted(masks, toggled)
     valid = masks[np.minimum(nbr, len(masks) - 1)] == toggled
     return toggled, nbr, valid
@@ -404,6 +472,59 @@ def test_neighbour_table_matches_every_single_pair_toggle(n):
 @pytest.mark.parametrize("n, toggles", [(2, 2), (3, 24), (4, 348), (5, 7220), (6, 218640)])
 def test_neighbour_table_counts_the_valid_toggles(n, toggles):
     assert neighbour_table(n)[2].sum() == toggles
+
+
+class PairIndex:
+    """Every pair index drawn is ``k``; no uniform is drawn."""
+
+    k = 0
+
+    def integers(self, _n):
+        return self.k
+
+
+def assert_local_moves_match_the_table(n, block=1 << 15):
+    """At every pair toggle of every decomposable graph on n vertices, taken in blocks of ``block``
+    graphs: the local verdict of :func:`propose_edge_flip`, from a state without a memo, is
+    :func:`neighbour_table`'s ``valid``; and under each of five laws, from every graph in the
+    support, the graph's full log-density plus the local log-ratio is -inf exactly where the
+    neighbour's full log-density is, and otherwise within 1e-12 of it, to the bit for the uniform
+    and hub(4, 0.5) laws, whose potentials are exact in binary. Each graph's full log-density is one
+    :func:`log_density_unnorm` over one search of a graph rebuilt from its edge mask. Returns the
+    number of valid toggles."""
+    laws = [(uniform_csf(n), True), (random_csf(n, seed=n), False), (hub_law(n, [0]), True),
+            (hub_law(n, [0, 1], 1.3, 0.7), False), (erdos_renyi_csf(n, 0.3), False)]
+    masks = _clique_separator_table(n).masks
+    full = np.empty((len(laws), len(masks)))
+    for g, mask in enumerate(masks):
+        graph = Graph.from_edge_mask(n, mask)
+        full[:, g] = [log_density_unnorm(law, graph) for law, _ in laws]
+    rand, toggles = PairIndex(), 0
+    for lo in range(0, len(masks), block):
+        _, nbr, valid = neighbour_table(n, slice(lo, lo + block))
+        for g, mask, nbrs, oks in zip(range(lo, len(masks)), masks[lo:lo + block], nbr.tolist(), valid.tolist()):
+            graph = Graph.from_edge_mask(n, mask)
+            state = ChainState(graph, 0.0)
+            for k, (t, ok) in enumerate(zip(nbrs, oks)):
+                rand.k = k
+                assert (propose_edge_flip(state, rand) is not None) == ok, (mask, k)
+                if not ok:
+                    continue
+                toggles += 1
+                for (law, exact), lds in zip(laws, full):
+                    if lds[g] == -INF:
+                        continue
+                    got, want = lds[g] + sampler_module._log_ratio(law, graph, k), lds[t]
+                    if exact or want == -INF:
+                        assert got == want, (mask, k, law)
+                    else:
+                        assert abs(got - want) <= 1e-12, (mask, k, law)
+    return toggles
+
+
+@pytest.mark.parametrize("n, toggles", [(2, 2), (3, 24), (4, 348), (5, 7220), (6, 218640)])
+def test_local_moves_match_the_table(n, toggles):
+    assert assert_local_moves_match_the_table(n, block=1000) == toggles
 
 
 def kernel_laws():
