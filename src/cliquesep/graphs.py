@@ -867,7 +867,7 @@ class _Entry:
         return repr(self.as_dict())
 
     def edges(self) -> list[list[int]]:
-        return [[i, j] for i in range(7) for j in range(i + 1, 7) if self.colex >> j * (j - 1) // 2 + i & 1]
+        return [list(e) for e in _mask_edges(7, self.edge_mask(7))]
 
     def edge_mask(self, n: int) -> int:
         """``_checked_edge_fields(n, self.edges())[1]`` for an int n: its error, or three lookups."""

@@ -6,21 +6,21 @@ tested through log cross-ratios: for a genuinely independent table every
 2x2 sub-table has cross-ratio one. The same sweep over covering pairs
 serves the three nested conditioning families (all decompositions;
 those whose intersection is a clique of the first part; those whose
-intersection is a clique of the whole graph), because membership flags
-and the induced-piece partition are precomputed per pair.
+intersection is a clique of the whole graph), because each family is a
+row mask over the pair's decompositions.
 
-Each pair's decompositions are packed as numpy columns (graph index,
-the two induced pieces, the two maximality flags), and each
-conditioning family is a boolean mask over those rows. Only the tables
-are cached. Since a covering pair's parts cover every vertex, ``a & b``
-separates them only if no edge joins ``a`` minus ``b`` to ``b`` minus
-``a`` (Lauritzen 1996, section 2.1), so for each pair one vectorised
-test over the edge masks of the cached clique/separator table of n
-vertices picks the candidates, and ``is_decomposition`` decides each
-of them, on the table's graph views from ``enumerate_decomposable``,
-dropped after the build; the pieces and flags of those that
-pass come from the table's arrays at once. A witness's graphs come from
-their edge masks.
+The one thing cached per pair is which graphs it decomposes: one int32
+column of indices into the cached clique/separator table of n vertices.
+Since a covering pair's parts cover every vertex, ``a & b`` separates
+them only if no edge joins ``a`` minus ``b`` to ``b`` minus ``a``
+(Lauritzen 1996, section 2.1), so for each pair one vectorised test
+over the table's edge masks picks the candidates, and
+``is_decomposition`` decides each of them, on the table's graph views
+from ``enumerate_decomposable``, dropped after the build. Where a table
+is read, its two induced pieces are its graphs' edge masks cut to each
+part by the cached complete-set masks, and its maximality flags come
+from the table's adjacency rows, each for all rows at once. A witness's
+graphs come from their edge masks.
 The sweep drops the graphs of probability zero from a family's rows and
 lays the rest out as a dense grid of log probabilities, NaN where a
 cell is missing, with rows in order of first appearance. The spread of
@@ -129,27 +129,34 @@ def conditioning_set(n: int, a: int, b: int, kind: PropertyKind) -> list[Graph]:
     return [g for g in enumerate_decomposable(n) if pred(g, a, b)]
 
 
+@lru_cache(maxsize=4)
+def _complete_masks(n: int) -> tuple[int, ...]:
+    """Edge mask of the complete graph on each vertex set of n vertices, indexed by the set."""
+    return tuple(within_edge_mask(n, r) for r in range(1 << n))
+
+
 @dataclass(frozen=True, eq=False)
 class _PairTable:
-    """The decompositions of one covering pair, packed as numpy columns.
-
-    Row k is one decomposable graph, in ascending graph index: its index,
-    its induced edge masks on ``a`` and on ``b``, and whether the
-    intersection is a maximal clique of the graph induced on ``a`` and
-    on ``b``. The columns are read-only, since the tables are cached.
+    """The decompositions of one covering pair: ``gi`` lists the graphs
+    that ``(a, b)`` decomposes, ascending, as indices into the cached
+    clique/separator table of n vertices, one read-only int32 column.
+    Row k is graph ``gi[k]``; its pieces and flags are read off that
+    table where they are needed.
     """
 
     a: int
     b: int
     gi: np.ndarray
-    piece_a: np.ndarray
-    piece_b: np.ndarray
-    star_a: np.ndarray
-    star_b: np.ndarray
 
     def __post_init__(self):
-        for column in (self.gi, self.piece_a, self.piece_b, self.star_a, self.star_b):
-            column.flags.writeable = False
+        self.gi.flags.writeable = False
+
+    def pieces(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's edge masks induced on ``a`` and on ``b``."""
+        n = (self.a | self.b).bit_length()  # the parts cover every vertex
+        edge_masks = np.frombuffer(_clique_separator_table(n).masks, dtype=np.int64)[self.gi]
+        within = _complete_masks(n)
+        return edge_masks & within[self.a], edge_masks & within[self.b]
 
     def families(self, kind: PropertyKind) -> tuple[np.ndarray, ...]:
         """Boolean row masks of the conditioning sets of ``kind``: every row
@@ -157,9 +164,10 @@ class _PairTable:
         (the definition quantifies over ordered pairs); for EWSM both."""
         if kind is PropertyKind.SM:
             return (np.ones(len(self.gi), dtype=bool),)
-        if kind is PropertyKind.WSM:
-            return (self.star_a, self.star_b)
-        return (self.star_a & self.star_b,)
+        adj = _clique_separator_table((self.a | self.b).bit_length()).adj[self.gi]
+        star_a = _maximal_within(adj, self.a & self.b, self.a)
+        star_b = _maximal_within(adj, self.a & self.b, self.b)
+        return (star_a, star_b) if kind is PropertyKind.WSM else (star_a & star_b,)
 
 
 def _maximal_within(adj: np.ndarray, s: int, part: int) -> np.ndarray:
@@ -175,32 +183,21 @@ def _maximal_within(adj: np.ndarray, s: int, part: int) -> np.ndarray:
 def _cross_edge_mask(n: int, a: int, b: int) -> int:
     """Edge mask of every edge joining ``a`` minus ``b`` to ``b`` minus ``a``,
     for a covering pair: the edges that are within neither part."""
-    return within_edge_mask(n, a | b) & ~within_edge_mask(n, a) & ~within_edge_mask(n, b)
+    within = _complete_masks(n)
+    return within[a | b] & ~within[a] & ~within[b]
 
 
 @lru_cache(maxsize=4)
 def _pair_tables(n: int) -> tuple[_PairTable, ...]:
-    t = _clique_separator_table(n)
     full = (1 << n) - 1
     graphs = list(enumerate_decomposable(n))
-    edge_masks = np.frombuffer(t.masks, dtype=np.int64)
+    edge_masks = np.frombuffer(_clique_separator_table(n).masks, dtype=np.int64)
     tables = []
     for a, b in [(a, b) for a in range(full) for b in range(a + 1, full) if a | b == full]:
         # Only graphs with no edge across the parts can be separated by a & b.
         candidates = np.flatnonzero(edge_masks & _cross_edge_mask(n, a, b) == 0).tolist()
-        gi = np.array([k for k in candidates if is_decomposition(graphs[k], a, b)], dtype=np.intp)
-        rows = t.adj[gi]
-        tables.append(
-            _PairTable(
-                a,
-                b,
-                gi,
-                edge_masks[gi] & within_edge_mask(n, a),
-                edge_masks[gi] & within_edge_mask(n, b),
-                _maximal_within(rows, a & b, a),
-                _maximal_within(rows, a & b, b),
-            )
-        )
+        gi = np.array([k for k in candidates if is_decomposition(graphs[k], a, b)], dtype=np.int32)
+        tables.append(_PairTable(a, b, gi))
     return tuple(tables)
 
 
@@ -298,20 +295,15 @@ def check_property(density: DensityTable, kind: PropertyKind, tol: float = 1e-9)
     worst = 0.0
     witness = None
     for t in _pair_tables(density.n):
+        piece_a, piece_b = t.pieces()
         for family in t.families(kind):
             sel = family & positive[t.gi]
-            value, quad = _worst_spread(t.gi[sel], t.piece_a[sel], t.piece_b[sel], logp, worst)
+            value, quad = _worst_spread(t.gi[sel], piece_a[sel], piece_b[sel], logp, worst)
             if quad is not None:
                 worst = value
                 graphs = tuple(Graph.from_edge_mask(density.n, density.masks[i]) for i in quad)
                 witness = CrossRatioWitness(t.a, t.b, graphs, value)
     return PropertyReport(kind, worst <= tol, worst, witness)
-
-
-@lru_cache(maxsize=4)
-def _complete_masks(n: int) -> tuple[int, ...]:
-    """Edge mask of the complete graph on each vertex set of n vertices, indexed by the set."""
-    return tuple(within_edge_mask(n, r) for r in range(1 << n))
 
 
 def _bracket_log_prob(density: DensityTable):
@@ -450,8 +442,9 @@ def _ewsm_rows(n: int):
         raise CapacityError(f"the ewsm rank over {n} vertices exceeds the limit of {EWSM_RANK_LIMIT}")
     for t in _pair_tables(n):
         (family,) = t.families(PropertyKind.EWSM)
-        row_keys, row_of = np.unique(t.piece_a[family], return_inverse=True)
-        col_keys, col_of = np.unique(t.piece_b[family], return_inverse=True)
+        piece_a, piece_b = t.pieces()
+        row_keys, row_of = np.unique(piece_a[family], return_inverse=True)
+        col_keys, col_of = np.unique(piece_b[family], return_inverse=True)
         if len(row_keys) < 2 or len(col_keys) < 2:
             continue
         if len(row_of) != len(row_keys) * len(col_keys):

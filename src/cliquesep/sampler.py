@@ -9,7 +9,7 @@ and the log-density of each decomposable candidate it meets, by edge
 mask, so a revisited candidate costs its O(n) rebuild and two dict
 lookups. Above that, a step is local (Giudici & Green 1999): a few mask
 operations decide decomposability and four potential lookups give the
-log-ratio; a retained record searches and scores its state in full.
+log-ratio; a retained record past the start rescores its state in full.
 One step loop serves the retained-record chain and the visit counter.
 
 Randomness comes from a counter-based generator keyed by (seed, chain
@@ -228,12 +228,13 @@ def mh_step(state: ChainState, law: CsfLaw, rand, validate: bool = False) -> Cha
     return state
 
 
-def _record(step: int, state: ChainState, law: CsfLaw) -> SampleRecord:
+def _record(state: ChainState, law: CsfLaw) -> SampleRecord:
     cl, seps = clique_separators(state.graph)
     sizes = sorted(s.bit_count() for s, mult in seps.items() for _ in range(mult))
-    state.log_density = log_density_unnorm(law, state.graph)  # a full score, not a sum of local ratios
+    if state.memo is None and state.step_count:  # the start and the memo carry full scores; local steps, sums
+        state.log_density = log_density_unnorm(law, state.graph)
     return SampleRecord(
-        step=step,
+        step=state.step_count,
         graph=state.graph,
         log_density=state.log_density,
         num_cliques=len(cl),
@@ -286,7 +287,7 @@ def run_chain(
     records = []
     for state in _chain(law, init, steps, seed, chain_index, validate):
         if state.step_count % thin == 0:
-            records.append(_record(state.step_count, state, law))
+            records.append(_record(state, law))
     rate = state.accept_count / state.step_count if state.step_count else 0.0
     return SampleSummary(
         n=law.n,

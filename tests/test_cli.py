@@ -350,6 +350,25 @@ def test_law_n_mismatch(capsys, tmp_path):
     assert "disagrees" in err
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["sample", "--steps", "1"], id="sample"),
+    pytest.param(["density"], id="density"),
+    pytest.param(["posterior", "--data", "<csv>"], id="posterior"),
+])
+def test_law_commands_refuse_a_density_file(capsys, tmp_path, argv):
+    files = {"<density>": tmp_path / "density.json", "<csv>": tmp_path / "rows.csv"}
+    files["<density>"].write_text(density_to_json(normalize_by_enumeration(uniform_csf(2))))
+    files["<csv>"].write_text("0,1\n1,0\n")
+    status, out, err = run(capsys, *[str(files.get(a, a)) for a in argv + ["--law", "<density>"]])
+    assert (status, out, err) == (1, "", "error: this subcommand needs a law, not a density table\n")
+
+
+def test_lemma_check_refuses_a_density_with_zeros(capsys):
+    # The hub law's infinite separator potentials zero every graph with a separator that misses hub 0.
+    status, out, err = run(capsys, "lemma-check", "--law", "hub", "--hubs", "0", "--n", "4")
+    assert (status, out, err) == (1, "", "error: density must be strictly positive here\n")
+
+
 @pytest.mark.parametrize(
     "command, content",
     [

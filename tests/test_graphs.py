@@ -1152,6 +1152,13 @@ def test_read_entry_edge_mask_is_the_edge_checks_mask(n):
         assert outcomes[0] == outcomes[1], (n, colex)
 
 
+@given(colex=st.integers(0, (1 << 21) - 1))
+def test_entry_edges_decode_the_colex_pairs(colex):
+    # The one decoder of edge masks, on the entry's mask at n=7, against its colex bits read pair by pair.
+    expected = [[i, j] for i in range(7) for j in range(i + 1, 7) if colex >> j * (j - 1) // 2 + i & 1]
+    assert _Entry(colex, 0.5).edges() == expected
+
+
 def test_complete_sets_graph_absorbs_subsets():
     g = complete_sets_graph(4, [vset([0, 1, 2]), vset([1, 2])])
     assert set(cliques(g)) == {vset([0, 1, 2]), vset([3])}

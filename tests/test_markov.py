@@ -214,7 +214,7 @@ def dict_worst_spread(cells):
 def table_rows(t):
     """The rows of table ``t`` as (graph index, piece on a, piece on b,
     maximal in a, maximal in b)."""
-    return list(zip(*(c.tolist() for c in (t.gi, t.piece_a, t.piece_b, t.star_a, t.star_b))))
+    return list(zip(*(c.tolist() for c in (t.gi, *t.pieces(), *t.families(PropertyKind.WSM)))))
 
 
 def dict_cells(t, family, logp):
@@ -272,9 +272,10 @@ def test_packed_sweep_matches_dict_loop(n, one_row_per_block, monkeypatch):
         packed_logp = np.array([math.nan if lp is None else lp for lp in logp])
         for kind in PropertyKind:
             for t in tables:
+                piece_a, piece_b = t.pieces()
                 for family in t.families(kind):
                     sel = family & ~np.isnan(packed_logp[t.gi])
-                    got = _worst_spread(t.gi[sel], t.piece_a[sel], t.piece_b[sel], packed_logp, 0.0)
+                    got = _worst_spread(t.gi[sel], piece_a[sel], piece_b[sel], packed_logp, 0.0)
                     expected = dict_worst_spread(dict_cells(t, family, logp))
                     assert got == expected, (name, kind, members(t.a), members(t.b))
                     witnessed += expected[1] is not None
@@ -499,10 +500,7 @@ def test_dimension_analysis_rejects_a_table_that_is_not_a_full_grid(monkeypatch)
     tables = _pair_tables(4)
     k, t = next((k, t) for k, t in enumerate(tables) if t.families(PropertyKind.EWSM)[0].sum() >= 4)
     drop = np.flatnonzero(t.families(PropertyKind.EWSM)[0])[0]
-    keep = np.arange(len(t.gi)) != drop
-    cut = dataclasses.replace(
-        t, **{f: getattr(t, f)[keep] for f in ("gi", "piece_a", "piece_b", "star_a", "star_b")}
-    )
+    cut = dataclasses.replace(t, gi=t.gi[np.arange(len(t.gi)) != drop])
     mutated = tables[:k] + (cut,) + tables[k + 1 :]
     monkeypatch.setattr(markov, "_pair_tables", lambda n: mutated)
     with pytest.raises(PreconditionError, match=re.escape(f"({members(t.a)}, {members(t.b)})")):
@@ -511,9 +509,10 @@ def test_dimension_analysis_rejects_a_table_that_is_not_a_full_grid(monkeypatch)
 
 def test_cached_pair_tables_are_read_only():
     for t in _pair_tables(4):
-        for field in ("gi", "piece_a", "piece_b", "star_a", "star_b"):
-            with pytest.raises(ValueError, match="read-only"):
-                getattr(t, field)[:1] = 0
+        assert [f.name for f in dataclasses.fields(t)] == ["a", "b", "gi"]
+        assert t.gi.dtype == np.int32
+        with pytest.raises(ValueError, match="read-only"):
+            t.gi[:1] = 0
 
 
 def test_every_factorisation_density_satisfies_the_constraints():

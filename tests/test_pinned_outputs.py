@@ -39,7 +39,7 @@ from cliquesep import (
     visit_counts,
 )
 from cliquesep.cli import run_command
-from cliquesep.markov import _pair_tables
+from cliquesep.markov import PropertyKind, _pair_tables
 from conftest import random_csf
 
 
@@ -98,7 +98,7 @@ def test_log_density_digest():
 def test_decomposition_index_digest():
     # Table and row order decide which witness ``check`` reports.
     tables = _pair_tables(6)
-    rows = [tuple(zip(*(c.tolist() for c in (t.gi, t.piece_a, t.piece_b, t.star_a, t.star_b)))) for t in tables]
+    rows = [tuple(zip(*(c.tolist() for c in (t.gi, *t.pieces(), *t.families(PropertyKind.WSM))))) for t in tables]
     assert digest(repr([(t.a, t.b, r) for t, r in zip(tables, rows)])) == (
         "1b3a224f5f23623836c3bb3d6cbed8e42341f511034d81f0224cbbb71a3929e7"
     )

@@ -160,6 +160,23 @@ def test_validate_checks_the_candidates_adjacency(monkeypatch):
         mh_step(initial_state(law), law, ScriptedRandom([0]), validate=True)
 
 
+def test_validate_raises_on_a_wrong_proposal_verdict(monkeypatch):
+    # A reach that finds every vertex refuses each added edge, though every 3-vertex graph is decomposable.
+    monkeypatch.setattr(sampler_module, "_reach", lambda adj, v, within: within)
+    law = uniform_csf(3)
+    with pytest.raises(PreconditionError, match="proposal's verdict"):
+        mh_step(initial_state(law), law, ScriptedRandom([0]), validate=True)
+
+
+def test_validate_raises_on_a_state_that_is_not_decomposable():
+    # A chordless 4-cycle and vertex 4; the memo's full search refuses the pendant edge (0,4), pair 3,
+    # as a fresh search does, so the chain holds on the cycle.
+    law = uniform_csf(5)
+    state = ChainState(Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3)]), 0.0, memo={})
+    with pytest.raises(PreconditionError, match="chain state is not decomposable"):
+        mh_step(state, law, ScriptedRandom([3]), validate=True)
+
+
 def test_initial_state_validates_support():
     law = hub_law(4, vset([0]))
     bad = complete_sets_graph(4, [vset([1, 2]), vset([2, 3])])
@@ -341,6 +358,29 @@ def test_run_chain_thinning_and_record_stats():
         assert rec.log_density == pytest.approx(
             log_density_unnorm(uniform_csf(4), rec.graph), abs=1e-9
         )
+
+
+@pytest.mark.parametrize("n", [4, ENUMERATION_LIMIT + 1])
+def test_records_rescore_only_states_that_local_steps_reached(n, monkeypatch):
+    # initial_state scores the start and the memo carries each candidate's full score, so below the
+    # limit a record adds no score; above it each record past step 0 rescores its state once.
+    calls = 0
+    score = sampler_module.log_density_unnorm
+
+    def counted_score(law, g):
+        nonlocal calls
+        calls += 1
+        return score(law, g)
+
+    monkeypatch.setattr(sampler_module, "log_density_unnorm", counted_score)
+    law = uniform_csf(n)
+    run_chain(law, steps=0, thin=1)
+    assert calls == 1
+    calls = 0
+    visit_counts(law, steps=100, seed=2)
+    unrecorded, calls = calls, 0
+    run_chain(law, steps=100, thin=10, seed=2)
+    assert calls == unrecorded + (10 if n > ENUMERATION_LIMIT else 0)
 
 
 def test_run_chain_validates_arguments():
