@@ -12,13 +12,13 @@ vertex i's pairs with the higher vertices i+1..n-1 fill one contiguous
 block of n-i-1 bits starting at bit ``_row_shift(n, i)``, so a row of
 the adjacency above the diagonal moves in and out of the mask with one
 shift. This module is the only one that knows the layout: one encoder
-sums adjacency rows above the diagonal into a mask, one decoder peels a
-mask's blocks into its vertex pairs, and ``json.dumps`` of those pairs
-is the one formatter. The writers of every graph on n vertices (graph
-lines and density entries) split each mask at the row boundary nearest
-its middle and look the two halves up in one cached tuple of texts
-each, which ``json.dumps`` fills once per vertex count, so a graph's
-edge list is two lookups and one join.
+sums adjacency rows above the diagonal into a mask, one decoder cuts a
+mask's blocks into adjacency rows, every edge list is peeled off the
+rows, and ``json.dumps`` of it is the one formatter. The writers of
+every graph on n vertices (graph lines and density entries) split each
+mask at the row boundary nearest its middle and look the two halves up
+in one cached tuple of texts each, which ``json.dumps`` fills once per
+vertex count, so a graph's edge list is two lookups and one join.
 
 Recognition is one maximum cardinality search that reads the cliques
 and separators off its running clique as it goes and tests chordality
@@ -160,26 +160,29 @@ def _pair_at(n: int, k: int) -> tuple[int, int]:
     return i, k - start + i + 1
 
 
-def _mask_edges(n: int, mask: int, i: int = 0) -> list[tuple[int, int]]:
-    """The vertex pairs at the set bits of an edge mask on n vertices, ascending.
-    Bit 0 of ``mask`` starts vertex i's block, the next n-1-i bits; each block
-    in turn is peeled off the low end. A peel copies the rest of the mask, so a
-    long mask is halved at a block boundary first: O(pairs log n) bit copies."""
-    if mask.bit_length() > 2 * MAX_VERTICES:  # blocks are shorter than MAX_VERTICES: i < h <= top
-        top = _pair_at(n, _row_shift(n, i) + mask.bit_length() - 1)[0]
-        h = (i + top + 1) // 2
-        w = _row_shift(n, h) - _row_shift(n, i)
-        return _mask_edges(n, mask & ~(-1 << w), i) + _mask_edges(n, mask >> w, h)
+def _mask_rows(n: int, mask: int) -> tuple[int, ...]:
+    """Adjacency rows of an edge mask on n vertices: block i, shifted up by
+    i+1, is row i above the diagonal, and each of its pairs (i, j) sets bit
+    i of row j. Blocks are cut out of the mask's bytes, so no row copies the whole mask."""
+    data = mask.to_bytes((n * (n - 1) // 2 + 7) // 8, "little")
+    cuts = [_row_shift(n, i) for i in range(n + 1)]  # block i: bits cuts[i] to cuts[i+1] - 1
+    adj = [(int.from_bytes(data[k >> 3 : e + 7 >> 3], "little") >> (k & 7) & ~(-1 << e - k)) << i + 1
+           for i, (k, e) in enumerate(zip(cuts, cuts[1:]))]
+    for i, j in _row_edges(adj):
+        adj[j] |= 1 << i
+    return tuple(adj)
+
+
+def _row_edges(adj) -> list[tuple[int, int]]:
+    """The vertex pairs (i, j), i < j, of the adjacency rows ``adj``, in
+    ascending order: the set bits of each row above the diagonal, peeled."""
     edges = []
-    while mask:
-        w = n - 1 - i
-        row = mask & ~(-1 << w)
-        mask >>= w
+    for i, a in enumerate(adj):
+        row = a >> i + 1
         while row:
             b = row & -row
             edges.append((i, i + b.bit_length()))
             row ^= b
-        i += 1
     return edges
 
 
@@ -333,10 +336,10 @@ class Graph:
         edge_mask = _index(edge_mask, "edge mask")
         if edge_mask >> (n * (n - 1) // 2):
             raise DomainError("edge mask has bits beyond the pair range")
-        return cls(n, _mask_edges(n, edge_mask))
+        return cls._from_parts(n, _full_mask(n), _mask_rows(n, edge_mask), edge_mask)
 
     def edges(self) -> list[tuple[int, int]]:
-        return _mask_edges(self.n, self.edge_mask)
+        return _row_edges(self.adj)
 
     def _active_pair(self, i, j) -> tuple[int, int]:
         i, j = _index(i), _index(j)
@@ -796,11 +799,8 @@ def _edges_json_halves(n: int) -> tuple[int, tuple[str, ...], tuple[str, ...]]:
     n = _check_enumerable(n)  # before any text: each half holds about 2^(n(n-1)/4)
     pairs = n * (n - 1) // 2
     s = min((_row_shift(n, i) for i in range(n)), key=lambda b: abs(2 * b - pairs))
-    return (
-        s,
-        tuple(json.dumps(_mask_edges(n, m))[1:-1] for m in range(1 << s)),
-        tuple(json.dumps(_mask_edges(n, h << s))[1:-1] for h in range(1 << (pairs - s))),
-    )
+    low, high = range(1 << s), range(0, 1 << pairs, 1 << s)  # the masks h << s, h ascending
+    return (s, *(tuple(json.dumps(_row_edges(_mask_rows(n, m)))[1:-1] for m in half) for half in (low, high)))
 
 
 def _edges_json_texts(n: int, masks: Iterable[int]) -> Iterator[str]:
@@ -867,7 +867,7 @@ class _Entry:
         return repr(self.as_dict())
 
     def edges(self) -> list[list[int]]:
-        return [list(e) for e in _mask_edges(7, self.edge_mask(7))]
+        return [list(e) for e in _row_edges(_mask_rows(7, self.edge_mask(7)))]
 
     def edge_mask(self, n: int) -> int:
         """``_checked_edge_fields(n, self.edges())[1]`` for an int n: its error, or three lookups."""

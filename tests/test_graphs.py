@@ -50,7 +50,6 @@ from cliquesep.graphs import (
     _edges_json_texts,
     _json_value,
     _lockstep_entries,
-    _mask_edges,
     _mcs,
     _pair_at,
     _row_shift,
@@ -254,7 +253,6 @@ def test_edge_mask_layout_matches_pair_order(n):
         assert within_edge_mask(n, v) == pair_encode(n, [(i, j) for i, j in pairs if v >> i & v >> j & 1])
     for mask in _layout_masks(n):
         edges = pair_decode(n, mask)
-        assert _mask_edges(n, mask) == edges
         g = Graph.from_edge_mask(n, mask)
         assert g.edge_mask == mask
         assert g.edges() == edges
@@ -272,7 +270,8 @@ def bit_decode(n, mask):
 
 @pytest.mark.parametrize("n", [64, 65, 66, 100, 333, MAX_VERTICES])
 def test_long_masks_decode_across_their_split(n):
-    # Past 2 * MAX_VERTICES bits a mask is split at a block boundary and each half peeled alone.
+    # Each block is cut from the mask's bytes, mostly across byte boundaries: the decoded rows, both
+    # triangles, against the rows that Graph builds from the pairs at the mask's set bits.
     rng = random.Random(n)
     npairs = n * (n - 1) // 2
     masks = [(1 << npairs) - 1, 1 << npairs - 1, 1 | 1 << npairs - 1, rng.getrandbits(npairs)]
@@ -281,8 +280,9 @@ def test_long_masks_decode_across_their_split(n):
     masks += [sum(1 << _row_shift(n, i) + rng.randrange(n - 1 - i) for i in range(n - 1))]
     for mask in masks:
         edges = bit_decode(n, mask)
-        assert _mask_edges(n, mask) == edges
-        assert Graph.from_edge_mask(n, mask).edges() == edges
+        g = Graph.from_edge_mask(n, mask)
+        assert g.edges() == edges
+        assert g.adj == Graph(n, edges).adj
         assert Graph(n, edges).edge_mask == mask
 
 
@@ -1062,7 +1062,7 @@ def test_enumeration_capacity(monkeypatch):
         _clique_separator_table(0)
     with pytest.raises(DomainError):  # checked before 1 << n is built
         _clique_separator_table(1 << 40)
-    monkeypatch.setattr(cliquesep.graphs, "_mask_edges", lambda n, m: pytest.fail("text built before the check"))
+    monkeypatch.setattr(cliquesep.graphs, "_mask_rows", lambda n, m: pytest.fail("text built before the check"))
     with pytest.raises(CapacityError):  # about 2^14 texts a half otherwise
         _edges_json_halves(8)
     with pytest.raises(CapacityError):
@@ -1131,6 +1131,23 @@ def assert_edge_texts_are_edges_json(n, masks):
         assert text == json.dumps([list(e) for e in pair_decode(n, m)]), (n, m)
         count += 1
     assert count == len(masks)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_decoded_rows_are_the_table_rows(n):
+    assert_decoded_rows_are_the_table_rows(n)
+
+
+def assert_decoded_rows_are_the_table_rows(n, block=1 << 15):
+    """:meth:`Graph.from_edge_mask` of every mask of the clique/separator
+    table on n vertices has the table's adjacency row, both triangles, and
+    the edges of :func:`pair_decode`, ``block`` graphs at a time."""
+    t = _clique_separator_table(n)
+    for lo in range(0, len(t.masks), block):
+        for m, row in zip(t.masks[lo : lo + block], t.adj[lo : lo + block].tolist()):
+            g = Graph.from_edge_mask(n, m)
+            assert g.adj == tuple(row), (n, m)
+            assert g.edges() == pair_decode(n, m), (n, m)
 
 
 @pytest.mark.parametrize("n", [-1, 0, 1, 2, 3, 5, 6, 7, 8, 40, MAX_VERTICES, MAX_VERTICES + 1])
