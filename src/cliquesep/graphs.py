@@ -36,16 +36,16 @@ tie-break. Exhaustive enumeration extends and filters: deleting vertex
 vertices are each chordal graph on n-1 vertices joined to a new vertex
 0 by every neighbourhood, and the lockstep search keeps the chordal
 ones, in ascending mask order.
-One cached table per vertex count lists every enumerated graph's
-cliques and separators, with their signs, and its adjacency rows, as
-compact numpy columns; a second lockstep search on each block's
-chordal rows fills 2n+1 fixed slots per graph, whose kept slots, read
-in order, are the entries in the order that the single-graph search
-emits them. The table holds the one enumeration per vertex
-count that normalisation, the density parser and the decomposition
-index read, and :func:`enumerate_decomposable` yields every graph
-view of its rows; only counting and the CLI listing stream the blocks
-and never build it.
+One cached table per vertex count lists every enumerated graph's cliques
+and separators, with their signs, and its adjacency rows, as compact
+numpy columns; a second lockstep search on each block's chordal rows
+fills 2n+1 fixed slots per graph, whose kept slots, read in order, are
+the entries in the order that the single-graph search emits them. The
+table holds the one enumeration per vertex count that normalisation, the
+density parser and the decomposition index read, and
+:func:`enumerate_decomposable` yields every graph view of its rows; only
+counting and the CLI listing stream the blocks and never build it. A
+second cached array maps each edge mask to its row, or −1.
 Graphs and the edge fields of graph and density files share one
 set of edge checks, and a graph file is checked and converted once.
 Every JSON file is parsed by one reader, which turns each density entry
@@ -770,6 +770,17 @@ def _clique_separator_table(n: int) -> _CliqueSeparatorTable:
         np.frombuffer(coef, dtype=np.int8),
         np.frombuffer(rows, dtype=np.uint8).reshape(len(masks), n),
     )
+
+
+@lru_cache(maxsize=4)
+def _mask_index(n: int) -> memoryview:
+    """Slot m of 2^(n(n−1)/2) holds the row of the cached :func:`_clique_separator_table` of n vertices
+    whose edge mask is m, else −1: a read-only int32 buffer (8 MiB at n=7) whose items are Python ints."""
+    masks = np.frombuffer(_clique_separator_table(n).masks, dtype=np.int64)  # checks n
+    index = np.full(1 << n * (n - 1) // 2, -1, dtype=np.int32)
+    index[masks] = np.arange(len(masks), dtype=np.int32)
+    index.flags.writeable = False
+    return memoryview(index)
 
 
 def enumerate_decomposable(n: int) -> Iterator[Graph]:

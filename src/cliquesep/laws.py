@@ -16,23 +16,24 @@ probability per decomposable graph, in enumeration order, all or none,
 each finite and nonnegative, summing to one within 1e-6 and divided by
 their exact sum; a law's sets and hubs lie in 0..n-1, and a law or
 density scores only graphs on all of its n vertices. A density shares
-the edge masks and the graph views of the table below.
-Normalisation needs no graphs: a graph's log-density is its row of the
-cached clique/separator table T (the theorem's statistic) times one
-vector of log-potentials, each evaluated once, added in search order.
-The density parser keys each entry, as the graph module's reader made
-it during the parse, by its edge mask, also without a graph, and checks
-the keys against the same table's masks, so parsing
-a density file builds the table (one lockstep search over the
-extensions of the chordal graphs on n-1 vertices, then one over the
-chordal ones) if no earlier call in the process has. A density is
-written as the text of its entries, each edge list from two half-mask
-lookups in the graph module's cached texts and the probabilities as
-``json.dumps`` writes them, without an object per entry, in pieces of
-4,096 entries that the CLI writes as they are made and
-:func:`density_to_json` joins. The constructors read every number through
-:func:`_as_float`, so the parsers hand them JSON values as read, and
-every vertex set and vertex count through the graph module's integer
+the edge masks and the graph views of the table below, and finds the row
+of a graph, or of any edge mask, in one slot of the graph module's
+cached index from edge mask to row, with no search. Normalisation needs
+no graphs: a graph's log-density is its row of the cached
+clique/separator table T (the theorem's statistic) times one vector of
+log-potentials, each evaluated once, added in search order. The density
+parser keys each entry, as the graph module's reader made it during the
+parse, by its edge mask, also without a graph, and checks the keys
+against the same table's masks, so parsing a density file builds the
+table (one lockstep search over the extensions of the chordal graphs on
+n-1 vertices, then one over the chordal ones) if no earlier call in the
+process has. A density is written as the text of its entries, each edge
+list from two half-mask lookups in the graph module's cached texts and
+the probabilities as ``json.dumps`` writes them, without an object per
+entry, in pieces of 4,096 entries that the CLI writes as they are made
+and :func:`density_to_json` joins. The constructors read every number
+through :func:`_as_float`, so the parsers hand them JSON values as read,
+and every vertex set and vertex count through the graph module's integer
 rule, :func:`~cliquesep.graphs._index`.
 """
 
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -59,6 +59,7 @@ from .graphs import (
     _edges_json_texts,
     _index,
     _json_value,
+    _mask_index,
     clique_separators,
     enumerate_decomposable,
     members,
@@ -357,19 +358,16 @@ class DensityTable:
 
     def prob_of_mask(self, edge_mask: int) -> float:
         """Probability of the graph whose edge mask, read as an integer, is ``edge_mask``; else ``KeyError``."""
-        return self._prob_of_mask(_index(edge_mask, "edge mask"))
-
-    def _prob_of_mask(self, edge_mask: int) -> float:
-        """:meth:`prob_of_mask` of an int, taken raw: the Lemma-1 check makes a million lookups."""
-        k = bisect_left(self.masks, edge_mask)
-        if k == len(self.masks) or self.masks[k] != edge_mask:
-            raise KeyError(edge_mask)
+        m, index = _index(edge_mask, "edge mask"), _mask_index(self.n)
+        k = index[m] if 0 <= m < len(index) else -1
+        if k < 0:
+            raise KeyError(m)
         return self.p[k]
 
     def prob(self, g: Graph) -> float:
         if (g.n, g.vertices) != (self.n, (1 << self.n) - 1):
             raise KeyError(g)
-        return self._prob_of_mask(g.edge_mask)
+        return self.prob_of_mask(g.edge_mask)
 
     def items(self):
         return zip(enumerate_decomposable(self.n), self.p)
@@ -454,15 +452,14 @@ def normalize_by_enumeration(law: CsfLaw) -> DensityTable:
 
 def perturb_density(density: DensityTable, g: Graph, factor: float) -> DensityTable:
     """Multiply one graph's probability by ``factor`` and renormalise."""
-    try:
-        density.prob(g)
-    except KeyError:
-        raise DomainError("graph is not in the density's support set") from None
+    k = _mask_index(density.n)[g.edge_mask] if (g.n, g.vertices) == (density.n, (1 << density.n) - 1) else -1
+    if k < 0:
+        raise DomainError("graph is not in the density's support set")
     factor = _as_float(factor, "perturbation factor")
     if not 0.0 < factor < INF:
         raise DomainError(f"perturbation factor must be finite and positive, got {factor!r}")
     weights = list(density.p)
-    weights[bisect_left(density.masks, g.edge_mask)] *= factor
+    weights[k] *= factor
     return _normalised(density.n, density.masks, weights)
 
 

@@ -63,6 +63,7 @@ from .graphs import (
     _check_vertex_count,
     _clique_separator_table,
     _index,
+    _mask_index,
     cliques,
     enumerate_decomposable,
     in_U_plus,
@@ -308,16 +309,16 @@ def check_property(density: DensityTable, kind: PropertyKind, tol: float = 1e-9)
 
 def _bracket_log_prob(density: DensityTable):
     """``lp(*sets)``, the log probability of the bracket graph <R1, ..., Rk>: each Ri complete, no other edge."""
-    complete = _complete_masks(density.n)
+    complete, index = _complete_masks(density.n), _mask_index(density.n)
 
     def lp(*sets: int) -> float:
         edge_mask = 0
         for r in sets:
-            edge_mask |= complete[r]
-        try:
-            p = density._prob_of_mask(edge_mask)
-        except KeyError:
-            raise DomainError(f"edge mask {edge_mask} names no decomposable graph on {density.n} vertices") from None
+            edge_mask |= complete[r]  # always a mask of n vertices, so in range
+        k = index[edge_mask]
+        if k < 0:
+            raise DomainError(f"edge mask {edge_mask} names no decomposable graph on {density.n} vertices")
+        p = density.p[k]
         if p <= 0.0:
             raise DomainError("density must be strictly positive here")
         return math.log(p)

@@ -50,6 +50,7 @@ from cliquesep.graphs import (
     _edges_json_texts,
     _json_value,
     _lockstep_entries,
+    _mask_index,
     _mcs,
     _pair_at,
     _row_shift,
@@ -1148,6 +1149,50 @@ def assert_decoded_rows_are_the_table_rows(n, block=1 << 15):
             g = Graph.from_edge_mask(n, m)
             assert g.adj == tuple(row), (n, m)
             assert g.edges() == pair_decode(n, m), (n, m)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_mask_index_holds_each_masks_table_row(n):
+    assert assert_mask_index_inverts_the_table(n) == count_decomposable(n)
+    index = _mask_index(n)
+    for m in range(len(index)):  # every edge mask, chordal or not
+        assert (index[m] >= 0) == is_decomposable(Graph.from_edge_mask(n, m)), (n, m)
+
+
+def assert_mask_index_inverts_the_table(n):
+    """Slot ``masks[k]`` of :func:`_mask_index` holds k for every row k of
+    the clique/separator table on n vertices, and every other slot of the
+    2^(n(n-1)/2) holds −1; returns the number of rows."""
+    masks = np.asarray(_clique_separator_table(n).masks)
+    index = np.asarray(_mask_index(n))
+    assert index.dtype == np.int32 and len(index) == 1 << n * (n - 1) // 2
+    assert np.array_equal(index[masks], np.arange(len(masks)))
+    assert np.count_nonzero(index >= 0) == len(masks)
+    return len(masks)
+
+
+def test_mask_index_is_read_only():
+    # The index is cached for the process, so one in-place write would misdirect every later lookup.
+    index = _mask_index(4)
+    with pytest.raises(TypeError):
+        index[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        np.asarray(index)[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        index.obj[0] = 1
+    assert index[0] == 0
+
+
+def test_import_builds_no_table_and_no_index():
+    script = (
+        "import cliquesep\n"
+        "from cliquesep.graphs import _clique_separator_table, _mask_index\n"
+        "assert _clique_separator_table.cache_info().currsize == _mask_index.cache_info().currsize == 0\n"
+    )
+    src = os.path.dirname(os.path.dirname(cliquesep.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("n", [-1, 0, 1, 2, 3, 5, 6, 7, 8, 40, MAX_VERTICES, MAX_VERTICES + 1])

@@ -45,7 +45,7 @@ from cliquesep import (
     uniform_csf,
     vset,
 )
-from cliquesep.graphs import MAX_VERTICES, _clique_separator_table, members, within_edge_mask
+from cliquesep.graphs import MAX_VERTICES, _clique_separator_table, _mask_index, members, within_edge_mask
 from conftest import random_csf
 
 PATH3 = complete_sets_graph(3, [vset([0, 1]), vset([1, 2])])
@@ -534,6 +534,16 @@ def test_every_density_shares_the_tables_masks(n):
         perturb_density(normalised, Graph.empty(n), 2.0),
     ]
     assert all(d.masks is masks for d in densities)
+
+
+def test_normalising_and_writing_a_density_build_no_mask_index():
+    # Only a lookup by edge mask reads the index: normalisation, the coverage check of a read-back
+    # density and the writer go by the table's rows.
+    _mask_index.cache_clear()
+    density = density_from_json(density_to_json(normalize_by_enumeration(uniform_csf(5))))
+    assert _mask_index.cache_info().misses == 0
+    assert density.prob(Graph.empty(5)) > 0.0  # the lookup does build it
+    assert _mask_index.cache_info().currsize == 1
 
 
 def test_cached_tables_are_read_only():
