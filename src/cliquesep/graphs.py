@@ -17,8 +17,8 @@ mask's blocks into adjacency rows, every edge list is peeled off the
 rows, and ``json.dumps`` of it is the one formatter. The writers of
 every graph on n vertices (graph lines and density entries) split each
 mask at the row boundary nearest its middle and look the two halves up
-in one cached tuple of texts each, which ``json.dumps`` fills once per
-vertex count, so a graph's edge list is two lookups and one join.
+in one table of texts each, which each writer builds by doubling from
+the pairs' texts, so a graph's edge list is two lookups and one join.
 
 Recognition is one maximum cardinality search that reads the cliques
 and separators off its running clique as it goes and tests chordality
@@ -800,26 +800,27 @@ def count_decomposable(n: int) -> int:
     return sum(len(masks) for masks, _ in _chordal_blocks(n))
 
 
-@lru_cache(maxsize=4)
-def _edges_json_halves(n: int) -> tuple[int, tuple[str, ...], tuple[str, ...]]:
-    """``(s, low, high)`` for edge masks on n vertices, split at bit s, the
-    row boundary nearest the middle of the mask: ``low[m]`` is the text
-    inside the brackets of ``json.dumps`` of the pairs of each mask m of
-    the rows below s, and ``high[h]`` the same for the mask ``h << s`` of
-    the rows from s on. At n=7 they hold 2,048 and 1,024 texts."""
-    n = _check_enumerable(n)  # before any text: each half holds about 2^(n(n-1)/4)
-    pairs = n * (n - 1) // 2
-    s = min((_row_shift(n, i) for i in range(n)), key=lambda b: abs(2 * b - pairs))
-    low, high = range(1 << s), range(0, 1 << pairs, 1 << s)  # the masks h << s, h ascending
-    return (s, *(tuple(json.dumps(_row_edges(_mask_rows(n, m)))[1:-1] for m in half) for half in (low, high)))
+def _subset_table(parts: Iterable, join, empty) -> list:
+    """Entry m joins ``parts[k]`` for each set bit k of m, in ascending bit order, onto ``empty``:
+    by doubling, each part appends ``join(t, part)`` for every entry t built so far."""
+    table = [empty]
+    for part in parts:
+        table += [join(t, part) for t in table]
+    return table
 
 
 def _edges_json_texts(n: int, masks: Iterable[int]) -> Iterator[str]:
     """``json.dumps`` of the pairs of each of ``masks`` on n vertices, n in
-    1..``ENUMERATION_LIMIT`` (checked at once), as the masks arrive: the
-    texts of a mask's two halves, looked up in :func:`_edges_json_halves`,
-    joined by a comma where both hold pairs."""
-    s, low, high = _edges_json_halves(n)
+    1..``ENUMERATION_LIMIT`` (checked at once), as the masks arrive: each
+    mask is split at bit s, the row boundary nearest its middle, and the
+    texts inside the brackets of its two halves, looked up in a table per
+    half (2,048 and 1,024 texts at n=7, built per call from the pairs'
+    texts), are joined by a comma where both hold pairs."""
+    n = _check_enumerable(n)  # before any text: each half holds about 2^(n(n-1)/4)
+    pairs = n * (n - 1) // 2
+    s = min((_row_shift(n, i) for i in range(n)), key=lambda b: abs(2 * b - pairs))
+    texts = [json.dumps(e) for e in _row_edges(_mask_rows(n, (1 << pairs) - 1))]  # in bit order
+    low, high = (_subset_table(half, lambda t, e: f"{t}, {e}" if t else e, "") for half in (texts[:s], texts[s:]))
     cut = (1 << s) - 1
     return (f"[{a}, {b}]" if a and b else f"[{a}{b}]" for a, b in ((low[m & cut], high[m >> s]) for m in masks))
 
@@ -893,8 +894,7 @@ class _Entry:
 def _colex_bytes(n: int) -> tuple[tuple[int, ...], ...]:
     """Table b maps byte b of an :class:`_Entry`'s ``colex`` to the edge mask on n vertices of its pairs below n."""
     bits = [1 << _row_shift(n, i) + j - i - 1 if j < n else 0 for j in range(7) for i in range(j)] + [0] * 3
-    return tuple(tuple(sum(bit for k, bit in enumerate(bits[8 * b : 8 * b + 8]) if v >> k & 1) for v in range(256))
-                 for b in range(3))
+    return tuple(tuple(_subset_table(bits[8 * b : 8 * b + 8], operator.or_, 0)) for b in range(3))
 
 
 def graph_from_json(text: str) -> Graph:

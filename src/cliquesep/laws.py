@@ -28,7 +28,7 @@ against the same table's masks, so parsing a density file builds the
 table (one lockstep search over the extensions of the chordal graphs on
 n-1 vertices, then one over the chordal ones) if no earlier call in the
 process has. A density is written as the text of its entries, each edge
-list from two half-mask lookups in the graph module's cached texts and
+list from two half-mask lookups in text tables built once per write and
 the probabilities as ``json.dumps`` writes them, without an object per
 entry, in pieces of 4,096 entries that the CLI writes as they are made
 and :func:`density_to_json` joins. The constructors read every number
@@ -576,14 +576,14 @@ def _law_from_obj(obj) -> CsfLaw:
 
 def _density_pieces(density: DensityTable) -> Iterator[str]:
     """The text of :func:`density_to_json`: the header, a piece per 4096 entries, the closing brackets.
-    A piece dumps its probabilities with one ``json.dumps`` and takes each edge list from
-    :func:`~cliquesep.graphs._edges_json_texts`, two lookups per graph."""
-    p, masks, n = density.p, density.masks, density.n
+    A piece dumps its probabilities with one ``json.dumps`` and zips them, first, with one stream of
+    :func:`~cliquesep.graphs._edges_json_texts` over all the masks, so a block stops at its last edge list."""
+    p, n = density.p, density.n
+    edges = _edges_json_texts(n, density.masks)
     yield f'{{"n": {n}, "entries": ['
     for k in range(0, len(p), 4096):
         ps = json.dumps(p[k : k + 4096])[1:-1].split(", ")  # no number's text holds ", "
-        edges = _edges_json_texts(n, masks[k : k + 4096])
-        block = ", ".join([f'{{"edges": {e}, "p": {q}}}' for e, q in zip(edges, ps)])
+        block = ", ".join([f'{{"edges": {e}, "p": {q}}}' for q, e in zip(ps, edges)])
         yield f", {block}" if k else block
     yield "]}"
 

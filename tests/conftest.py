@@ -1,9 +1,19 @@
 from collections import Counter
 
 import numpy as np
+import pytest
 
-from cliquesep import CsfLaw, PotentialTable
+from cliquesep import CsfLaw, PotentialTable, markov
 from cliquesep.graphs import _chordal_blocks, _lockstep_entries, _mcs, _rows_mask
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _cold_decomposition_index():
+    """Clear the cached decomposition index after each module, so that no later module, and no
+    suite run after this one in the same process, finds it warm: bench/tests counts the
+    ``is_decomposition`` calls that building it makes."""
+    yield
+    markov._pair_tables.cache_clear()
 
 
 def random_csf(n: int, seed: int, scale: float = 0.6) -> CsfLaw:

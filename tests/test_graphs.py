@@ -46,7 +46,6 @@ from cliquesep.graphs import (
     _checked_edge_fields,
     _chordal_blocks,
     _clique_separator_table,
-    _edges_json_halves,
     _edges_json_texts,
     _json_value,
     _lockstep_entries,
@@ -54,6 +53,7 @@ from cliquesep.graphs import (
     _mcs,
     _pair_at,
     _row_shift,
+    _subset_table,
     members,
     within_edge_mask,
 )
@@ -1065,13 +1065,11 @@ def test_enumeration_capacity(monkeypatch):
         _clique_separator_table(1 << 40)
     monkeypatch.setattr(cliquesep.graphs, "_mask_rows", lambda n, m: pytest.fail("text built before the check"))
     with pytest.raises(CapacityError):  # about 2^14 texts a half otherwise
-        _edges_json_halves(8)
-    with pytest.raises(CapacityError):
         _edges_json_texts(8, [])
     with pytest.raises(DomainError):
         _edges_json_texts(0, [])
     with pytest.raises(DomainError):
-        _edges_json_halves(1 << 40)
+        _edges_json_texts(1 << 40, [])
 
 
 # ---------------------------------------------------------------------------
@@ -1119,7 +1117,7 @@ def test_graph_json_is_json_dumps_bytes():
     graphs += [Graph.empty(7), induced_subgraph(Graph.complete(5), vset([1, 3, 4]))]
     for g in graphs:
         assert graph_to_json(g) == dumped(g), g
-    assert _edges_json_halves(1) == (0, ("",), ("",))  # no pair: both halves hold the empty mask
+    assert list(_edges_json_texts(1, [0])) == ["[]"]  # no pair: both halves hold the empty mask
     for n in range(1, 7):  # every edge mask, chordal or not
         assert_edge_texts_are_edges_json(n, range(1 << n * (n - 1) // 2))
 
@@ -1132,6 +1130,11 @@ def assert_edge_texts_are_edges_json(n, masks):
         assert text == json.dumps([list(e) for e in pair_decode(n, m)]), (n, m)
         count += 1
     assert count == len(masks)
+
+
+def test_subset_table_joins_the_parts_of_each_masks_bits_in_bit_order():
+    assert _subset_table("abc", lambda t, e: t + e, "") == ["", "a", "b", "ab", "c", "ac", "bc", "abc"]
+    assert _subset_table([], None, "") == [""]
 
 
 @pytest.mark.parametrize("n", range(1, 6))
