@@ -14,9 +14,10 @@ set-function hook supports exact reparameterisations and conjugate
 updates without materialising 2^n entries. A density table holds one
 probability per decomposable graph, in enumeration order, all or none,
 each finite and nonnegative, summing to one within 1e-6 and divided by
-their exact sum; a law's sets and hubs lie in 0..n-1, and a law or
-density scores only graphs on all of its n vertices. A density shares
-the edge masks and the graph views of the table below, and finds the row
+their exact sum, in a read-only float64 buffer whose items are Python
+floats; a law's sets and hubs lie in 0..n-1, and a law or density scores
+only graphs on all of its n vertices. A density shares the edge masks
+and the graph views of the table below, and finds the row
 of a graph, or of any edge mask, in one slot of the graph module's
 cached index from edge mask to row, with no search. Normalisation needs
 no graphs: a graph's log-density is its row of the cached
@@ -340,10 +341,10 @@ def standardize(law: CsfLaw) -> CsfLaw:
 
 
 class DensityTable:
-    """``p[k]`` is the probability of the k-th decomposable graph on n vertices, whose edge mask ``masks[k]``
-    (the clique/separator table's own read-only buffer) ascends with k; ``probs`` keys exactly those graphs
-    (see :func:`_checked_density`), and :meth:`items` pairs each ``p[k]`` with the k-th graph that
-    ``enumerate_decomposable`` yields."""
+    """``p[k]``, from a read-only float64 buffer whose items are Python floats, is the probability of the k-th
+    decomposable graph on n vertices, whose edge mask ``masks[k]`` (the clique/separator table's own read-only
+    buffer) ascends with k; ``probs`` keys exactly those graphs (see :func:`_checked_density`), and :meth:`items`
+    pairs each ``p[k]`` with the k-th graph that ``enumerate_decomposable`` yields."""
 
     __slots__ = ("n", "masks", "p")
 
@@ -386,30 +387,23 @@ def _checked_density(n: int, by_mask: Mapping[int, object]) -> DensityTable:
     ps = [_as_float(by_mask[m], "entry probability") for m in masks]
     if not all(0.0 <= q < INF for q in ps):
         raise DomainError("probabilities must be finite and nonnegative")
-    z = _exact_sum(ps)
+    try:
+        z = math.fsum(ps)
+    except OverflowError:  # finite probabilities whose exact sum overflows
+        z = INF
     if not abs(z - 1.0) <= 1e-6:
         raise DomainError(f"probabilities sum to {z}, not 1")
     return _normalised(n, masks, ps)
 
 
-def _exact_sum(weights: list[float]) -> float:
-    """``math.fsum(weights)``, rounded once in any order, or +inf past float range."""
-    try:
-        return math.fsum(weights)
-    except OverflowError:  # finite weights whose exact sum overflows
-        return INF
-
-
 def _normalised(n: int, masks: memoryview, weights: list[float]) -> DensityTable:
-    """``weights`` over ``masks`` divided by their exact sum, which must be
-    positive (else ``EmptySupportError``) and within float range."""
-    z = _exact_sum(weights)
-    if z == 0.0:
-        raise EmptySupportError("weights are zero on every decomposable graph")
-    if not z < INF:
-        raise DomainError(f"weights sum to {z}, past float range")
+    """``weights`` over ``masks`` divided by their exact sum, as a read-only float64 buffer. Every caller's sum
+    is positive and finite: :func:`_checked_density`'s is within 1e-6 of one, :func:`normalize_by_enumeration`'s
+    best graph weighs 1, and :func:`perturb_density` scales one entry, at most 1, by a finite factor > 0."""
+    p = np.array(weights) / math.fsum(weights)
+    p.flags.writeable = False
     table = object.__new__(DensityTable)
-    table.n, table.masks, table.p = n, masks, [w / z for w in weights]
+    table.n, table.masks, table.p = n, masks, memoryview(p)
     return table
 
 
@@ -458,7 +452,7 @@ def perturb_density(density: DensityTable, g: Graph, factor: float) -> DensityTa
     factor = _as_float(factor, "perturbation factor")
     if not 0.0 < factor < INF:
         raise DomainError(f"perturbation factor must be finite and positive, got {factor!r}")
-    weights = list(density.p)
+    weights = density.p.tolist()
     weights[k] *= factor
     return _normalised(density.n, density.masks, weights)
 
@@ -582,7 +576,7 @@ def _density_pieces(density: DensityTable) -> Iterator[str]:
     edges = _edges_json_texts(n, density.masks)
     yield f'{{"n": {n}, "entries": ['
     for k in range(0, len(p), 4096):
-        ps = json.dumps(p[k : k + 4096])[1:-1].split(", ")  # no number's text holds ", "
+        ps = json.dumps(p[k : k + 4096].tolist())[1:-1].split(", ")  # no number's text holds ", "
         block = ", ".join([f'{{"edges": {e}, "p": {q}}}' for q, e in zip(ps, edges)])
         yield f", {block}" if k else block
     yield "]}"

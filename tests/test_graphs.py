@@ -1262,6 +1262,30 @@ def test_is_connected():
     assert is_connected(Graph(1))
 
 
+def test_a_graph_with_no_active_vertex_is_connected():
+    assert is_connected(induced_subgraph(Graph.complete(3), 0)) is True
+
+
+def test_vset_refuses_a_vertex_past_the_cap():
+    with pytest.raises(DomainError, match=r"^vertex index 1024 outside 0\.\.1023$"):
+        vset([1024])
+
+
+def test_from_edge_mask_refuses_bits_past_the_pair_range():
+    with pytest.raises(DomainError, match="^edge mask has bits beyond the pair range$"):
+        Graph.from_edge_mask(3, 1 << 3)
+
+
+def test_has_edge_refuses_an_inactive_vertex():
+    with pytest.raises(DomainError, match=r"^vertex pair \(0,2\) not active$"):
+        induced_subgraph(Graph.complete(3), 0b011).has_edge(0, 2)
+
+
+def test_with_edge_toggled_refuses_a_self_loop():
+    with pytest.raises(DomainError, match="^cannot toggle a self-loop$"):
+        Graph.complete(3).with_edge_toggled(1, 1)
+
+
 # ---------------------------------------------------------------------------
 # Property tests
 

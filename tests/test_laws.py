@@ -270,6 +270,12 @@ def test_standardize_rejects_hard_constrained_anchor():
         standardize(hub_law(4, vset([0])))
 
 
+def test_standardize_rejects_an_infinite_singleton_clique_potential():
+    law = CsfLaw(3, PotentialTable(overrides={1: math.inf}), PotentialTable())
+    with pytest.raises(DomainError, match="^standardisation needs finite singleton clique potentials$"):
+        standardize(law)
+
+
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=20, deadline=None)
 def test_standardize_preserves_density_property(seed):
@@ -332,26 +338,6 @@ def test_perturb_density_needs_a_finite_factor(factor):
     d = normalize_by_enumeration(uniform_csf(3))
     with pytest.raises(DomainError):
         perturb_density(d, Graph.empty(3), factor)
-
-
-@pytest.mark.parametrize(
-    "q, factor, error, match",
-    [
-        (0.0, 2.0, EmptySupportError, "zero on every"),
-        (1e308, 0.5, DomainError, "past float range"),  # finite weights, exact sum past float range
-        (1e308, 2.0, DomainError, "past float range"),  # one weight overflows to +inf
-    ],
-    ids=["zero", "sum-overflows", "weight-overflows"],
-)
-def test_perturb_density_refuses_a_table_it_cannot_normalise(q, factor, error, match):
-    # The constructor refuses weights that do not sum to one, so they reach
-    # perturb_density only through the mutable list ``p`` of a built table.
-    with pytest.raises(DomainError, match="probabilities sum to"):
-        DensityTable(3, {g: q for g in enumerate_decomposable(3)})
-    density = normalize_by_enumeration(uniform_csf(3))
-    density.p[:] = [q] * len(density)
-    with pytest.raises(error, match=match):
-        perturb_density(density, Graph.empty(3), factor)
 
 
 def test_density_parser_refuses_a_sum_past_float_range():
@@ -461,7 +447,29 @@ def test_table_normalisation_matches_the_scalar_loop(n, kind):
     density = normalize_by_enumeration(law)
     masks, p = scalar_normalisation(law)
     assert list(density.masks) == masks
-    assert density.p == p
+    assert density.p.tolist() == p
+
+
+def test_normalisation_refuses_a_law_with_no_mass():
+    law = CsfLaw(4, PotentialTable(ExpLinearRule(1e308)), PotentialTable())  # every log-density is -inf
+    with pytest.raises(EmptySupportError, match="^law puts zero mass on every decomposable graph$"):
+        normalize_by_enumeration(law)
+
+
+def test_every_way_to_make_a_density_keeps_p_as_a_read_only_buffer_of_floats():
+    uniform = normalize_by_enumeration(uniform_csf(3))
+    graphs = list(enumerate_decomposable(3))
+    built = {
+        "normalize_by_enumeration": uniform,
+        "perturb_density": perturb_density(uniform, Graph.empty(3), 2.0),
+        "density_from_json": density_from_json(density_to_json(uniform)),
+        "DensityTable": DensityTable(3, {g: int(k == 0) for k, g in enumerate(graphs)}),  # ints stored as floats
+    }
+    for name, density in built.items():
+        assert (density.p.format, density.p.readonly, len(density.p)) == ("d", True, len(graphs)), name
+        assert all(type(q) is float for q in density.p), name
+        with pytest.raises(TypeError, match="read-only"):
+            density.p[0] = 0.5
 
 
 def first_scalar_error(law):
@@ -683,6 +691,29 @@ def test_law_json_rejects_junk():
             law_from_json('{"n": 3, "phi": {"overrides": %s}, "psi": {}}' % overrides)
     with pytest.raises(DomainError, match=r"hub_constraint 'hubs' must list distinct vertex indices in 0\.\.2"):
         law_from_json('{"n": 3, "phi": {}, "psi": {"hub_constraint": {"hubs": [0, 0], "no_hub": "inf"}}}')
+
+
+def test_law_parser_refuses_a_key_with_more_digits_than_int_reads():
+    key = "1" * 5000  # past int()'s default limit of 4,300 digits, so int() raises rather than reading a vertex
+    with pytest.raises(DomainError, match=f"^override key '{key}' must list distinct vertex indices in 0\\.\\.2$"):
+        law_from_json(json.dumps({"n": 3, "phi": {"overrides": {key: 1.0}}, "psi": {}}))
+
+
+@pytest.mark.parametrize(
+    "phi, match", [({"rule": 5}, "^rule must be an object with a 'type' field$"), (5, "^potential table must be an object$")]
+)
+def test_law_parser_refuses_a_rule_or_table_that_is_not_an_object(phi, match):
+    with pytest.raises(DomainError, match=match):
+        law_from_json(json.dumps({"n": 3, "phi": phi, "psi": {}}))
+
+
+def test_law_writer_refuses_a_rule_that_is_not_a_size_rule():
+    class HalfRule:
+        def log_potential(self, size):
+            return size / 2
+
+    with pytest.raises(DomainError, match="^unknown rule <.*HalfRule object at"):
+        law_to_json(CsfLaw(3, PotentialTable(HalfRule()), PotentialTable()))
 
 
 @pytest.mark.parametrize("key", ["1_0", " 1", "+1", "١"], ids=["underscore", "space", "plus-sign", "arabic-indic-digit"])

@@ -99,6 +99,11 @@ def test_single_coordinate_perturbation_fails_wsm():
     assert report.worst_violation == pytest.approx(math.log(2.0), abs=1e-9)
 
 
+def test_no_separating_density_exists_at_three_vertices():
+    with pytest.raises(DomainError, match="^no separating density exists at n=3$"):
+        ewsm_not_wsm_density(3)
+
+
 @pytest.mark.parametrize("kind", ["wsm", None, 3])
 def test_check_property_rejects_a_kind_that_is_not_a_property_kind(kind):
     # "wsm" once swept the ewsm family and passed a density that PropertyKind.WSM fails.

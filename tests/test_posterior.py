@@ -91,6 +91,11 @@ def test_score_input_validation():
         bernoulli_dirichlet_score([[0, 1], [0]], alpha=1.0)
 
 
+def test_score_needs_a_column():
+    with pytest.raises(DomainError, match="^data must have at least one column$"):
+        bernoulli_dirichlet_score([[]])
+
+
 def test_data_values_and_masks_are_read_as_integers():
     # A float datum failed in a shift and True read as 1; a cached mask answered 1.0 and True as mask 1.
     for value in (1.0, True, "1", None):
@@ -167,6 +172,12 @@ def test_load_binary_csv(tmp_path):
     empty.write_text("")
     with pytest.raises(DomainError):
         load_binary_csv(str(empty))
+
+
+def test_load_binary_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("0,1\n\n1,1\n")
+    assert load_binary_csv(str(path)) == [[0, 1], [1, 1]]
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe", b"0" * 200_000 + b"\n"], ids=["undecodable", "field-past-csv-limit"])
